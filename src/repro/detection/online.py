@@ -173,7 +173,10 @@ class ICLStreamingDetector(StreamingDetectorBase):
         # With a shared PrefixCachePool (explicit, or the engine's), many
         # detectors and engines reuse each other's template/prefix prefills;
         # otherwise the detector keeps its private per-job prefix cache.
-        self._scorer = PrefixCachedScorer(engine.model, pool=pool or engine.cache_pool)
+        # An empty pool is falsy (``__len__``), so test for None explicitly.
+        if pool is None:
+            pool = engine.cache_pool
+        self._scorer = PrefixCachedScorer(engine.model, pool=pool)
 
     # ------------------------------------------------------------------ #
     def stream(self, record: JobRecord) -> Iterator[StreamingPrediction]:

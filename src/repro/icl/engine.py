@@ -8,9 +8,9 @@ metrics of Table IV (probability mass assigned to "Abnormal").
 
 Scoring is built on the incremental-inference subsystem: both category
 continuations are evaluated off one forward over the shared prompt, the
-few-shot example block shared by every query of a batch is prefilled into a
-KV cache exactly once, and the per-query remainders are scored as one
-right-padded batch instead of a batch-size-1 loop.  ``use_cache=False``
+few-shot example block shared by every query of a batch is tokenized and
+prefilled into a KV cache exactly once, and the per-query remainders are
+scored as one right-padded batch instead of a batch-size-1 loop.  ``use_cache=False``
 restores the original recompute-everything behaviour (useful as a reference
 for correctness and performance comparisons — the two paths agree to float32
 tolerance).
@@ -258,8 +258,14 @@ class ICLEngine:
             examples = selector.select(num_examples)
         if not self.use_cache:
             return [self.classify(query, examples) for query in queries]
+        # Encode the block every query shares once.  Joining head and tail
+        # with "\n" cannot merge tokens across the seam (no token matches
+        # whitespace), so each concatenation equals encoding the built prompt.
+        head_ids = self.tokenizer.encode_causal(self.template.head(examples))
         prompts = [
-            self.tokenizer.encode_causal(self.template.build(query, examples))
+            np.concatenate(
+                [head_ids, self.tokenizer.encode_causal(self.template.tail(query), add_bos=False)]
+            )
             for query in queries
         ]
         return [self.prediction_from_scores(scores) for scores in self._score_prompts_batched(prompts)]

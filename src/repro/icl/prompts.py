@@ -104,12 +104,7 @@ class PromptTemplate:
     include_task_description: bool = True
     extra_instructions: list[str] = field(default_factory=list)
 
-    def build(
-        self,
-        query: JobRecord | str,
-        examples: Sequence[tuple[JobRecord | str, int]] = (),
-    ) -> str:
-        """Assemble the full prompt string for one query job."""
+    def _head_parts(self, examples: Sequence[tuple[JobRecord | str, int]]) -> list[str]:
         parts = []
         if self.include_task_description:
             parts.append(
@@ -122,10 +117,38 @@ class PromptTemplate:
             parts.append(self.example_header)
             for example, label in examples:
                 parts.append(format_example(example, label, with_category=True))
-        parts.append(format_example(query, with_category=False))
+        return parts
+
+    def head(self, examples: Sequence[tuple[JobRecord | str, int]] = ()) -> str:
+        """The part of the prompt shared by every query given ``examples``.
+
+        That is the task description, the extra instructions, the example
+        header and the labelled examples.
+        """
+        return "\n".join(self._head_parts(examples))
+
+    def tail(self, query: JobRecord | str) -> str:
+        """The per-query part of the prompt.
+
+        That is the unlabelled query line, plus the step-by-step instruction
+        when ``chain_of_thought`` is set.
+        """
+        tail = format_example(query, with_category=False)
         if self.chain_of_thought:
-            parts.append("Please think about it step by step.")
-        return "\n".join(parts)
+            tail += "\nPlease think about it step by step."
+        return tail
+
+    def build(
+        self,
+        query: JobRecord | str,
+        examples: Sequence[tuple[JobRecord | str, int]] = (),
+    ) -> str:
+        """Assemble the full prompt string for one query job.
+
+        It is ``head(examples)`` and ``tail(query)`` joined by a newline, or
+        just the tail when the head has no parts.
+        """
+        return "\n".join([*self._head_parts(examples), self.tail(query)])
 
 
 def build_prompt(

@@ -283,9 +283,10 @@ class AsyncEngine:
         config = EngineConfig.from_kwargs(legacy, base=config, owner="AsyncEngine")
         self.config = config
         self.model = model
-        self.cache_pool = cache_pool or PrefixCachePool.default(
-            model, config.kv_layout, config.kv_dtype
-        )
+        # An empty pool is falsy (``__len__``), so test for None explicitly.
+        if cache_pool is None:
+            cache_pool = PrefixCachePool.default(model, config.kv_layout, config.kv_dtype)
+        self.cache_pool = cache_pool
         self.clock = clock
         self.rng = new_rng(rng)
         self.engine = ContinuousBatchingEngine(

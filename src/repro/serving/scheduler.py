@@ -114,9 +114,10 @@ class BatchScheduler:
         self.config = config
         self.model = model
         self.max_batch_size = config.max_batch_rows
-        self.cache_pool = cache_pool or PrefixCachePool.default(
-            model, config.kv_layout, config.kv_dtype
-        )
+        # An empty pool is falsy (``__len__``), so test for None explicitly.
+        if cache_pool is None:
+            cache_pool = PrefixCachePool.default(model, config.kv_layout, config.kv_dtype)
+        self.cache_pool = cache_pool
         self.rng = new_rng(rng)
         self.stats = SchedulerStats()
         #: The async front-end every flush runs through; its background

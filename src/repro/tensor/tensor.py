@@ -378,7 +378,9 @@ class Tensor:
         """Gaussian error linear unit (tanh approximation, as used by BERT/GPT)."""
         x = self.data
         c = np.float32(np.sqrt(2.0 / np.pi))
-        inner = c * (x + 0.044715 * x**3)
+        # x * x * x, not x**3: numpy sends float32 cubes through a slow
+        # per-element pow loop.
+        inner = c * (x + 0.044715 * (x * x * x))
         t = np.tanh(inner)
         out_data = 0.5 * x * (1.0 + t)
 

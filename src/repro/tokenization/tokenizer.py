@@ -63,10 +63,12 @@ class NumericBinner:
         sign = "-" if value < 0 else "+"
         mag = abs(value)
         exponent = int(np.floor(np.log10(mag)))
-        exponent = int(np.clip(exponent, self.min_exponent, self.max_exponent))
+        # Builtin min/max rather than scalar np.clip, whose per-call overhead
+        # dominated this function; the results are identical.
+        exponent = max(self.min_exponent, min(exponent, self.max_exponent))
         mantissa = mag / (10.0**exponent)
         # mantissa in [1, 10): map to bins_per_decade equal log-spaced sub-bins
-        frac = np.log10(np.clip(mantissa, 1.0, 10.0 - 1e-12))
+        frac = np.log10(max(1.0, min(mantissa, 10.0 - 1e-12)))
         sub_bin = int(frac * self.bins_per_decade)
         sub_bin = min(sub_bin, self.bins_per_decade - 1)
         return f"<num|{sign}e{exponent}|b{sub_bin}>"

@@ -31,6 +31,7 @@ from repro.models import DecoderLM, get_config
 from repro.serving import (
     AsyncEngine,
     BatchScheduler,
+    EngineConfig,
     PrefixCachePool,
     RequestCancelled,
     RequestTimeout,
@@ -173,6 +174,17 @@ class TestAsyncParity:
             model.score_continuations(ragged_prompts[0], candidates),
             rtol=1e-6,
         )
+
+    def test_fresh_empty_pool_is_the_one_used(self, model, ragged_prompts):
+        # An empty pool is falsy; it must still not be swapped for the default.
+        pool = PrefixCachePool(model, max_entries=4)
+        candidates = [np.array([3]), np.array([4, 5])]
+        with AsyncEngine(
+            model, config=EngineConfig(max_batch_rows=2), cache_pool=pool
+        ) as engine:
+            assert engine.cache_pool is pool and engine.engine.cache_pool is pool
+            asyncio.run(engine.score(ragged_prompts[3], candidates))
+        assert len(pool) == 1
 
     def test_submit_validation_raises_at_call_site(self, model):
         with AsyncEngine(model, max_batch_rows=2) as engine:

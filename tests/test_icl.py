@@ -18,6 +18,7 @@ from repro.icl import (
     build_task_description,
     format_example,
 )
+from repro.serving import PrefixCachePool
 from repro.tokenization.templates import JobRecord
 
 
@@ -71,6 +72,83 @@ class TestPrompts:
         assert "system administration bot" not in compact
         full = PromptTemplate().build(record())
         assert "system administration bot" in full
+
+
+def build_reference(template, query, examples=()):
+    """``PromptTemplate.build`` as written before the head/tail split."""
+    parts = []
+    if template.include_task_description:
+        parts.append(
+            build_task_description(
+                template.feature_names, ask_category_only=not template.chain_of_thought
+            )
+        )
+    parts.extend(template.extra_instructions)
+    if examples:
+        parts.append(template.example_header)
+        for example, label in examples:
+            parts.append(format_example(example, label, with_category=True))
+    parts.append(format_example(query, with_category=False))
+    if template.chain_of_thought:
+        parts.append("Please think about it step by step.")
+    return "\n".join(parts)
+
+
+TEMPLATES = {
+    "compact": PromptTemplate(include_task_description=False),
+    "full": PromptTemplate(),
+    "cot": PromptTemplate(chain_of_thought=True),
+    "compact_cot": PromptTemplate(include_task_description=False, chain_of_thought=True),
+    "extra": PromptTemplate(extra_instructions=["Runtime above 1e3 is rare.", "Think: 0.5 - 2"]),
+}
+
+
+class FixedSelector:
+    def __init__(self, examples):
+        self.examples = list(examples)
+
+    def select(self, k):
+        return self.examples[:k]
+
+
+class TestPromptSplit:
+    @pytest.mark.parametrize("num_examples", [0, 4], ids=["zeroshot", "fewshot"])
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    def test_head_tail_encoding_equals_built_prompt(
+        self, name, num_examples, tokenizer, small_dataset
+    ):
+        template = TEMPLATES[name]
+        examples = FewShotSelector(
+            small_dataset.train.records[:100], mode="mixed", seed=0
+        ).select(num_examples)
+        head_ids = tokenizer.encode_causal(template.head(examples))
+        for query in small_dataset.test.records[:5] + ["runtime is 12.5"]:
+            prompt = template.build(query, examples)
+            assert prompt == build_reference(template, query, examples)
+            tail_ids = tokenizer.encode_causal(template.tail(query), add_bos=False)
+            np.testing.assert_array_equal(
+                np.concatenate([head_ids, tail_ids]), tokenizer.encode_causal(prompt)
+            )
+
+    @pytest.mark.parametrize("name", ["compact", "compact_cot", "extra"])
+    def test_pooled_batch_matches_uncached_reference(self, name, registry, small_dataset):
+        model = registry.load_decoder("gpt2").eval()
+        template = TEMPLATES[name]
+        pooled = ICLEngine(
+            model, registry.tokenizer, template,
+            batch_size=4, cache_pool=PrefixCachePool(model),
+        )
+        reference = ICLEngine(model, registry.tokenizer, template, use_cache=False)
+        selector = FixedSelector(
+            FewShotSelector(small_dataset.train.records[:100], mode="mixed", seed=0).select(4)
+        )
+        queries = small_dataset.test.subsample(10, rng=3).records
+        got = pooled.classify_batch(queries, selector=selector, num_examples=4)
+        want = reference.classify_batch(queries, selector=selector, num_examples=4)
+        assert [p.label for p in got] == [p.label for p in want]
+        for a, b in zip(got, want):
+            assert a.log_prob_normal == pytest.approx(b.log_prob_normal, abs=1e-5)
+            assert a.log_prob_abnormal == pytest.approx(b.log_prob_abnormal, abs=1e-5)
 
 
 class TestFewShotSelector:

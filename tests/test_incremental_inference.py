@@ -17,6 +17,7 @@ from repro.icl import FewShotSelector, ICLEngine
 from repro.models.config import get_config
 from repro.models.decoder import DecoderLM, PrefixCachedScorer, common_prefix_length
 from repro.nn import KVCache
+from repro.serving import PrefixCachePool
 from repro.tensor import no_grad
 
 VOCAB = 43
@@ -323,6 +324,15 @@ class TestICLStreamingDetector:
         for prediction in predictions:
             assert prediction.label == reference.classify(prediction.sentence).label
             assert 0.0 <= prediction.score <= 1.0
+
+    def test_fresh_empty_pool_is_the_one_used(self, registry, small_dataset):
+        model = registry.load_decoder("gpt2").eval()
+        engine = ICLEngine(model, registry.tokenizer, cache_pool=PrefixCachePool(model))
+        pool = PrefixCachePool(model)
+        detector = ICLStreamingDetector(engine, pool=pool)
+        assert detector._scorer.pool is pool
+        list(detector.stream(small_dataset.test.records[0]))
+        assert len(pool) > 0 and len(engine.cache_pool) == 0
 
     def test_detect_and_first_correct_step(self, registry, small_dataset):
         engine = ICLEngine(registry.load_decoder("gpt2").eval(), registry.tokenizer)

@@ -338,6 +338,14 @@ class TestBatchScheduler:
             context="scheduler score",
         )
 
+    def test_fresh_empty_pool_is_the_one_used(self, model):
+        pool = PrefixCachePool(model, max_entries=4)
+        scheduler = BatchScheduler(model, cache_pool=pool)
+        try:
+            assert scheduler.cache_pool is pool and scheduler.aio.cache_pool is pool
+        finally:
+            scheduler.close()
+
     def test_admission_groups_respect_max_batch_size_and_refill(self, model, ragged_prompts):
         """Mixed decode parameters share one live batch; slots refill on retirement.
 

@@ -74,6 +74,16 @@ class TestElementwiseGradients:
         expected = (x > 0).astype(np.float32)
         np.testing.assert_allclose(t.grad, expected)
 
+    def test_gelu_forward_matches_float64_tanh_formula(self):
+        rng = np.random.default_rng(0)
+        x = (rng.normal(size=(16, 27, 192)) * 3.0).astype(np.float32)
+        x[0, 0, :6] = [-30.0, -8.0, -1e-3, 0.0, 1e-3, 30.0]
+        out = Tensor(x).gelu().data
+        assert out.dtype == np.float32
+        x64 = x.astype(np.float64)
+        expected = 0.5 * x64 * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x64 + 0.044715 * x64**3)))
+        np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-6)
+
     def test_log_and_sqrt_gradients(self):
         x = np.abs(np.random.default_rng(1).normal(size=(5,))) + 0.5
         np.testing.assert_allclose(

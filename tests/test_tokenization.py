@@ -16,7 +16,7 @@ from repro.tokenization import (
     sentence_to_record,
     streaming_prefixes,
 )
-from repro.tokenization.tokenizer import PROMPT_TOKENS
+from repro.tokenization.tokenizer import _NUMBER_RE, _WORD_RE, PROMPT_TOKENS
 
 
 def make_record(label=0):
@@ -121,6 +121,48 @@ class TestNumericBinner:
     def test_binning_is_deterministic(self, value):
         binner = NumericBinner()
         assert binner.bin(value) == binner.bin(value)
+
+    @staticmethod
+    def np_clip_reference(binner, value):
+        """The original ``bin`` formula, clipping with scalar ``np.clip``."""
+        if value is None or (isinstance(value, float) and np.isnan(value)):
+            return "<num|nan>"
+        value = float(value)
+        if value == 0.0:
+            return "<num|zero>"
+        sign = "-" if value < 0 else "+"
+        mag = abs(value)
+        exponent = int(np.floor(np.log10(mag)))
+        exponent = int(np.clip(exponent, binner.min_exponent, binner.max_exponent))
+        mantissa = mag / (10.0**exponent)
+        frac = np.log10(np.clip(mantissa, 1.0, 10.0 - 1e-12))
+        sub_bin = min(int(frac * binner.bins_per_decade), binner.bins_per_decade - 1)
+        return f"<num|{sign}e{exponent}|b{sub_bin}>"
+
+    @pytest.mark.parametrize(
+        "binner",
+        [NumericBinner(), NumericBinner(bins_per_decade=10, min_exponent=-6, max_exponent=20)],
+        ids=["default", "fine"],
+    )
+    def test_bin_equals_np_clip_formula(self, binner, small_dataset):
+        """Bit-identical to the np.clip formula on sub-bin boundaries (and
+        their float neighbours), the clip extremes and real feature values."""
+        values = [1e-300, 5e-324, 1.7e308]
+        for k in range(-4, 16):
+            for j in range(5):
+                boundary = 10.0 ** (k + j / 4)
+                values += [
+                    boundary,
+                    float(np.nextafter(boundary, 0.0)),
+                    float(np.nextafter(boundary, np.inf)),
+                ]
+        values += [-v for v in values]
+        for sentence in small_dataset.train.sentences() + small_dataset.test.sentences():
+            for match in _WORD_RE.finditer(sentence):
+                if _NUMBER_RE.match(match.group(0)):
+                    values.append(float(match.group(0)))
+        for value in values:
+            assert binner.bin(value) == self.np_clip_reference(binner, value), value
 
 
 class TestVocabulary:
