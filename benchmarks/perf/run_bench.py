@@ -10,7 +10,7 @@ Measures, for the decoder-LM stack that powers every ICL experiment
 * continuous batching — the iteration-level
   :class:`~repro.serving.ContinuousBatchingEngine` on a staggered-arrival
   trace with data-dependent generation lengths vs. the flush-bounded
-  padded-batch baseline (PR-2 ``BatchScheduler`` semantics), with
+  padded-batch baseline (closed batches decoded to completion), with
   engine == flush == sequential == uncached token equivalence;
 * concurrent serving — N async clients with Poisson-ish staggered arrivals
   driving the :class:`~repro.serving.AsyncEngine` (background stepping
@@ -191,10 +191,10 @@ def bench_continuous_batching(
     The workload is the one continuous batching exists for: every request
     shares the same decode parameters (token cap + stop set) but greedy
     generation lengths vary with the data, and requests arrive staggered
-    (two per decode step).  The flush-bounded baseline reproduces the PR-2
-    ``BatchScheduler``: padded batches of ``max_rows`` rows in submit order,
-    each decoded to completion — so each batch's wall clock is its
-    longest member's, and a slot freed by an early stop stays idle.  The
+    (two per decode step).  The flush-bounded baseline decodes padded
+    batches of ``max_rows`` rows in submit order, each to completion — so
+    each batch's wall clock is its longest member's, and a slot freed by an
+    early stop stays idle.  The
     engine admits arrivals into the *running* batch (grouping small
     admissions to amortise the prefill forward), retires rows the moment
     they stop and refills the slots from the queue, so total steps track
@@ -292,10 +292,10 @@ def bench_concurrent_serving(
     independent clients submit with Poisson-ish (seeded exponential)
     inter-arrival gaps.  The :class:`~repro.serving.AsyncEngine` admits each
     arrival into the running batch at the next step boundary, so decoding
-    overlaps the arrival ramp.  The synchronous flush baseline is the PR-2/3
-    ``BatchScheduler.flush`` serving model: the front door must *pre-collect*
-    — it waits out the arrival schedule, then decodes padded batches of
-    ``max_rows`` to completion.  Same prompts, same decode parameters, same
+    overlaps the arrival ramp.  The synchronous flush baseline is a
+    flush-bounded front door that must *pre-collect* — it waits out the
+    arrival schedule, then decodes padded batches of ``max_rows`` to
+    completion.  Same prompts, same decode parameters, same
     arrival schedule; wall clock runs from the first arrival until the last
     result.
 
@@ -858,7 +858,7 @@ def bench_fleet(
     its pool hit rate collapses back toward the single engine's.
     """
     pool_kwargs = {"max_entries": pool_entries}
-    engine_kwargs = {"max_batch_rows": 4}
+    config = EngineConfig(max_batch_rows=4)
     prompts = [p for wave in passes for p in wave]
 
     # Single-engine reference (one replica's resources) + token identity
@@ -872,9 +872,7 @@ def bench_fleet(
     def run_single() -> float:
         single_model = builder()
         pool = PrefixCachePool(single_model, **pool_kwargs)
-        engine = ContinuousBatchingEngine(
-            single_model, cache_pool=pool, **engine_kwargs
-        )
+        engine = ContinuousBatchingEngine(single_model, config=config, cache_pool=pool)
         requests = []
         start = time.perf_counter()
         for wave in passes:
@@ -898,7 +896,7 @@ def bench_fleet(
                 num_workers,
                 routing=routing,
                 affinity_tokens=affinity_tokens,
-                engine_kwargs=engine_kwargs,
+                config=config,
                 pool_kwargs=pool_kwargs,
             ) as fleet:
                 handles = []

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.flowbench import generate_dataset
 from repro.models import DecoderLM, get_config
-from repro.serving import AsyncEngine, RequestCancelled, RequestTimeout
+from repro.serving import AsyncEngine, EngineConfig, RequestCancelled, RequestTimeout
 from repro.tokenization import LogTokenizer
 
 NUM_CLIENTS = 16
@@ -124,9 +124,11 @@ def main() -> None:
           f"(max_batch_rows=6, staggered arrivals):")
     engine = AsyncEngine(
         model,
-        max_batch_rows=6,
-        min_admit_rows=2,
-        prefill_chunk_tokens=PREFILL_CHUNK_TOKENS,
+        config=EngineConfig(
+            max_batch_rows=6,
+            min_admit_rows=2,
+            prefill_chunk_tokens=PREFILL_CHUNK_TOKENS,
+        ),
     )
     t0 = time.perf_counter()
     asyncio.run(serve(engine, prompts))

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.flowbench import generate_dataset
 from repro.models import DecoderLM, get_config
-from repro.serving import ReplicaFleet
+from repro.serving import EngineConfig, ReplicaFleet
 from repro.tokenization import LogTokenizer
 
 NUM_WORKERS = 2
@@ -81,7 +81,7 @@ def serve(routing: str, passes: list[list[np.ndarray]]) -> None:
         NUM_WORKERS,
         routing=routing,
         affinity_tokens=AFFINITY_TOKENS,
-        engine_kwargs={"max_batch_rows": 4},
+        config=EngineConfig(max_batch_rows=4),
         pool_kwargs={"max_entries": 4},
     ) as fleet:
         t0 = time.perf_counter()

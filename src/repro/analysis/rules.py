@@ -18,7 +18,7 @@ Each rule encodes an invariant this codebase has already paid for once:
   access must hold that lock.
 * **RPR004** — serving constructors taking ``config=`` must route engine
   tunables through :class:`~repro.serving.config.EngineConfig` instead of
-  growing fresh bare keyword arguments.
+  growing fresh bare keyword arguments or a ``**kwargs`` catch-all.
 * **RPR005** — functions annotated ``# table-edit`` are bookkeeping-only
   paths (paged-KV admission/retirement/rollback); array copies
   (``np.concatenate``, ``.copy()``, …) inside them silently re-introduce
@@ -326,6 +326,18 @@ class ConfigRouting(Rule):
                     "passed via config= (structural wiring can be allowed "
                     "inline or baselined with a justification)",
                     key=f"{cls.name}:{arg.arg}",
+                )
+                if found:
+                    yield found
+            # A catch-all is a side channel for any option at all.
+            if args.kwarg is not None:
+                found = self.finding(
+                    src,
+                    args.kwarg,
+                    f"{cls.name}.__init__ takes a **{args.kwarg.arg} catch-all "
+                    "beside config=; engine options must be EngineConfig "
+                    "fields, not untyped keyword arguments",
+                    key=f"{cls.name}:**{args.kwarg.arg}",
                 )
                 if found:
                     yield found

@@ -500,8 +500,7 @@ class MultiHeadAttention(Module):
     matmul of shape ``(3H, H)``.  The fused weight rows are initialised from
     the same three rng streams the historical separate ``q_proj``/``k_proj``/
     ``v_proj`` layers drew from, so models seeded before the fusion produce
-    bit-identical weights, and :meth:`_upgrade_state_dict` converts legacy
-    checkpoints with separate projection keys on load.
+    bit-identical weights.
     """
 
     def __init__(
@@ -530,15 +529,6 @@ class MultiHeadAttention(Module):
         )
         self.out_proj = Linear(hidden_size, hidden_size, rng=rngs[3])
         self.attn_dropout = Dropout(dropout, rng=rngs[4])
-
-    def _upgrade_state_dict(self, state: dict, prefix: str) -> None:
-        """Fuse legacy ``{q,k,v}_proj`` checkpoint keys into ``qkv_proj``."""
-        for kind in ("weight", "bias"):
-            legacy = [f"{prefix}{n}_proj.{kind}" for n in "qkv"]
-            if f"{prefix}qkv_proj.{kind}" not in state and all(k in state for k in legacy):
-                state[f"{prefix}qkv_proj.{kind}"] = np.concatenate(
-                    [np.asarray(state.pop(k)) for k in legacy], axis=0
-                )
 
     def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
         # (B, S, H) -> (B, heads, S, head_dim)

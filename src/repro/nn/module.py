@@ -139,19 +139,8 @@ class Module:
                 state[key] = np.asarray(buf).copy()
         return state
 
-    def _upgrade_state_dict(self, state: dict, prefix: str) -> None:
-        """Hook: rewrite legacy ``state`` keys under ``prefix`` in place.
-
-        Modules whose parameter layout changed across versions override this
-        to translate old checkpoints (e.g. fusing separate q/k/v projection
-        keys into the fused QKV weight).  The default is a no-op.
-        """
-
     def load_state_dict(self, state: Mapping[str, np.ndarray], strict: bool = True) -> None:
         """Load parameters (and buffers) previously produced by :meth:`state_dict`."""
-        state = dict(state)
-        for mod_name, module in self.named_modules():
-            module._upgrade_state_dict(state, f"{mod_name}." if mod_name else "")
         own = dict(self.named_parameters())
         missing = [k for k in own if k not in state]
         unexpected = [k for k in state if k not in own and not self._is_buffer_key(k)]

@@ -16,23 +16,19 @@ pieces that turn single-stream inference into a serving stack:
   stepping thread owns the engine, clients get a future per request
   (``submit``), awaitables (``generate``/``score``), per-request token
   streams, cancellation and timeouts, and drain/abort shutdown.
-* :class:`BatchScheduler` — a thin sync adapter: queues generate/score
-  requests and, on ``flush``, submits them to the async engine in one
-  atomic batch and blocks on the futures.
 * :class:`SpeculativeDecoder` — draft-then-verify decoding: a small
   drafter proposes ``draft_k`` tokens, the target verifies them in one
   forward, rejected tails roll back via per-row cache truncation.  Both
-  engines enable it with ``draft_model=``; greedy outputs stay
-  token-identical to plain stepping.
+  engines enable it with ``EngineConfig(draft_model=...)``; greedy outputs
+  stay token-identical to plain stepping.
 * :class:`ReplicaFleet` — data-parallel scale-out: N engine workers in
   separate processes, each with a private model/pool/engine, behind a
   prefix-affinity router that pins prompt families to the replica whose
   pool already holds their KV blocks (load-aware spill when saturated),
   with warm-prefix migration over the pool's serialized byte format.
 * :class:`EngineConfig` — the one frozen, validated configuration object
-  every constructor above accepts as ``config=``; JSON round-trippable,
-  picklable across fleet workers, with deprecation-warned legacy-kwarg
-  compatibility via :meth:`EngineConfig.from_kwargs`.
+  every engine constructor above takes as ``config=``; JSON
+  round-trippable and picklable across fleet workers.
 * :class:`HttpServer` — the production HTTP front end over
   :class:`AsyncEngine`: SSE token streaming, request priorities and
   deadlines, per-tenant token-bucket rate limits, queue-depth load
@@ -41,7 +37,6 @@ pieces that turn single-stream inference into a serving stack:
 
 from repro.serving.config import EngineConfig
 from repro.serving.pool import PoolStats, PrefixCachePool, stable_prefix_key
-from repro.serving.scheduler import BatchScheduler, SchedulerStats, ServingRequest
 from repro.serving.engine import ContinuousBatchingEngine, EngineRequest, EngineStats
 from repro.serving.aio import AsyncEngine, AsyncRequest, RequestCancelled, RequestTimeout
 from repro.serving.speculative import SpeculativeDecoder
@@ -56,9 +51,6 @@ __all__ = [
     "FleetRequest",
     "FleetStats",
     "ReplicaFleet",
-    "BatchScheduler",
-    "SchedulerStats",
-    "ServingRequest",
     "ContinuousBatchingEngine",
     "EngineRequest",
     "EngineStats",

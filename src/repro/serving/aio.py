@@ -273,29 +273,28 @@ class AsyncEngine:
         clock=time.perf_counter,
         rng: np.random.Generator | int | None = None,
         on_step: Callable[["AsyncEngine"], None] | None = None,
-        **legacy,
     ) -> None:
-        # Validate the whole configuration *before* any resource exists: a
-        # bad config must raise here with no default pool registered, no
-        # scorer built and no stepping thread startable — previously the
-        # pool was allocated first and a failing engine constructor leaked
-        # it into the process-wide registry.
-        config = EngineConfig.from_kwargs(legacy, base=config, owner="AsyncEngine")
+        if config is None:
+            config = EngineConfig()
         self.config = config
         self.model = model
-        # An empty pool is falsy (``__len__``), so test for None explicitly.
-        if cache_pool is None:
-            cache_pool = PrefixCachePool.default(model, config.kv_layout, config.kv_dtype)
-        self.cache_pool = cache_pool
         self.clock = clock
         self.rng = new_rng(rng)
+        # Build the engine first: it can still raise (drafter resolution,
+        # the speculative vocab check), and the default pool registers the
+        # model process-wide, so it must not exist until nothing else fails.
         self.engine = ContinuousBatchingEngine(
             model,
             config=config,
-            cache_pool=self.cache_pool,
+            cache_pool=cache_pool,
             clock=clock,
             rng=self.rng,
         )
+        # An empty pool is falsy (``__len__``), so test for None explicitly.
+        if cache_pool is None:
+            cache_pool = PrefixCachePool.default(model, config.kv_layout, config.kv_dtype)
+            self.engine.cache_pool = cache_pool
+        self.cache_pool = cache_pool
         self._scorer = PrefixCachedScorer(model, pool=self.cache_pool)
         self.on_step = on_step
         self._lock = maybe_watch_lock("aio", threading.Lock())
@@ -439,9 +438,10 @@ class AsyncEngine:
 
         Each spec is a dict of :meth:`submit` keyword arguments (score
         requests use ``{"kind": "score", "prompt_ids": ..., "candidates":
-        ...}``).  Atomicity matters to sync adapters: the stepping thread
-        drains the whole inbox before stepping, so a batch submitted here
-        is admitted exactly as if the engine had been driven synchronously.
+        ...}``).  The stepping thread drains the whole inbox before
+        stepping, so a batch submitted here is admitted exactly as if the
+        engine had been driven synchronously; call ``.result()`` on each
+        handle to collect the outputs in submit order.
         """
         prepared = [self._build_request(spec) for spec in specs]
         self._register(prepared)

@@ -1,20 +1,14 @@
 """Unified engine configuration: one validated object for every front end.
 
-Before this module, :class:`~repro.serving.engine.ContinuousBatchingEngine`,
-:class:`~repro.serving.aio.AsyncEngine`, :class:`~repro.serving.scheduler
-.BatchScheduler` and the fleet worker builder each re-declared the same
-dozen keyword arguments (batch geometry, admission policy, KV storage,
-speculative decoding) and re-implemented the same validation — three
-copies that could and did drift.  :class:`EngineConfig` is the single
-source of truth: a *frozen* dataclass validated at construction, accepted
-by every constructor as ``config=``, picklable (so it crosses the fleet's
-process boundary unchanged) and JSON round-trippable (so the HTTP server
-and the benchmark driver configure engines declaratively).
-
-Legacy keyword arguments keep working everywhere through
-:meth:`EngineConfig.from_kwargs`, which folds them into a config and emits
-a :class:`DeprecationWarning` — existing call sites migrate at their own
-pace without a behaviour change.
+:class:`~repro.serving.engine.ContinuousBatchingEngine`,
+:class:`~repro.serving.aio.AsyncEngine` and the fleet's worker builder all
+take their tunables (batch geometry, admission policy, KV storage,
+speculative decoding) from one :class:`EngineConfig` passed as ``config=``
+(``None`` means the defaults), so the validation lives in one place.  The
+config is a *frozen* dataclass validated at construction, picklable (so
+it crosses the fleet's process boundary unchanged) and JSON
+round-trippable (so the HTTP server and the benchmark script configure
+engines declaratively).
 
 ``draft_model`` may be a live :class:`~repro.models.decoder.DecoderLM`
 (in-process use) or a registry model *name* (declarative / cross-process
@@ -27,24 +21,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass
 
 __all__ = ["EngineConfig"]
-
-
-#: Config fields that legacy engine keyword arguments map onto, in the
-#: order the old constructors declared them.
-_LEGACY_FIELDS = (
-    "max_batch_rows",
-    "admit_deadline",
-    "min_admit_rows",
-    "prefill_chunk_tokens",
-    "kv_layout",
-    "kv_dtype",
-    "draft_model",
-    "draft_k",
-)
 
 
 @dataclass(frozen=True)
@@ -112,45 +91,6 @@ class EngineConfig:
     def replace(self, **changes) -> "EngineConfig":
         """A copy with ``changes`` applied (re-validated on construction)."""
         return dataclasses.replace(self, **changes)
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_kwargs(
-        cls,
-        kwargs: dict,
-        *,
-        base: "EngineConfig | None" = None,
-        owner: str = "engine",
-        warn: bool = True,
-    ) -> "EngineConfig":
-        """Fold legacy engine keyword arguments into a config.
-
-        ``kwargs`` is consumed destructively (recognised keys are popped) so
-        callers can forward the remainder; unknown keys raise ``TypeError``
-        exactly like a misspelled keyword argument used to.  Passing any
-        legacy key alongside an explicit ``base`` config is ambiguous and
-        raises; with no legacy keys the ``base`` (or the defaults) is
-        returned unchanged and nothing is warned.
-        """
-        legacy = {k: kwargs.pop(k) for k in _LEGACY_FIELDS if k in kwargs}
-        if kwargs:
-            unknown = ", ".join(sorted(kwargs))
-            raise TypeError(f"{owner} got unexpected keyword arguments: {unknown}")
-        if not legacy:
-            return base if base is not None else cls()
-        if base is not None:
-            raise TypeError(
-                f"{owner} got both config= and legacy keyword arguments "
-                f"({', '.join(sorted(legacy))}); pass one or the other"
-            )
-        if warn:
-            warnings.warn(
-                f"passing {', '.join(sorted(legacy))} directly to the {owner} "
-                f"is deprecated; pass config=EngineConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return cls(**legacy)
 
     # ------------------------------------------------------------------ #
     def resolve_draft_model(self):

@@ -1,11 +1,10 @@
 """Iteration-level (continuous) batching engine — the Orca/vLLM-style design.
 
-The flush-bounded :class:`~repro.serving.BatchScheduler` of PR 2 decodes a
-*closed* batch to completion: a long generation blocks every batchmate, and
-requests arriving mid-decode wait for the whole batch to drain.  The
-:class:`ContinuousBatchingEngine` schedules at *iteration* granularity
-instead, driving the :class:`~repro.models.decoder.DecodeBatch` stepping
-core directly:
+A flush-bounded scheduler decodes a *closed* batch to completion: a long
+generation blocks every batchmate, and requests arriving mid-decode wait
+for the whole batch to drain.  The :class:`ContinuousBatchingEngine`
+schedules at *iteration* granularity instead, driving the
+:class:`~repro.models.decoder.DecodeBatch` stepping core directly:
 
 * between any two decode steps, queued requests are admitted into the live
   batch (up to ``max_batch_rows``): prompts overlapping a pooled prefix are
@@ -30,9 +29,8 @@ core directly:
 
 Per-request SLA timings (queue, prefill, decode, time-to-first-token) are
 stamped on every :class:`EngineRequest` from an injectable ``clock`` and
-aggregated in :class:`EngineStats` — which extends the flush-era
-:class:`~repro.serving.scheduler.SchedulerStats`, recording each admission
-group as one "batch" so existing dashboards keep reading.
+aggregated in :class:`EngineStats`, which also records the row count of
+every admission group.
 
 Greedy outputs are identical to the sequential cached path regardless of
 arrival order or batch membership; per-request sampling parameters
@@ -51,7 +49,6 @@ import numpy as np
 from repro.models.decoder import DecodeBatch, DecodeState, DecoderLM
 from repro.serving.config import EngineConfig
 from repro.serving.pool import PrefixCachePool
-from repro.serving.scheduler import SchedulerStats
 from repro.utils.rng import new_rng
 
 __all__ = [
@@ -65,9 +62,9 @@ __all__ = [
 def validate_prompt(model: DecoderLM, prompt_ids: np.ndarray) -> np.ndarray:
     """Coerce and admission-check one prompt (shared by every front end).
 
-    The scheduler, the async engine and the engine itself must agree on
-    what is admissible — batched decoding validates whole padded batches,
-    so an oversized prompt slipping past one layer would fail all of its
+    The async engine and the engine itself must agree on what is
+    admissible — batched decoding validates whole padded batches, so an
+    oversized prompt slipping past one layer would fail all of its
     batchmates later.
     """
     prompt = np.asarray(prompt_ids, dtype=np.int64).ravel()
@@ -195,12 +192,8 @@ class EngineRequest:
 
 
 @dataclass
-class EngineStats(SchedulerStats):
+class EngineStats:
     """Iteration-level counters and SLA aggregates.
-
-    The inherited :class:`SchedulerStats` fields keep their meaning at the
-    engine's granularity: ``generate_batches`` counts admission groups and
-    ``batch_sizes`` their row counts.
 
     Thread contract: all *writes* happen on the thread driving the engine
     (the async stepping thread, or the caller of a synchronous engine).
@@ -212,8 +205,13 @@ class EngineStats(SchedulerStats):
     under an ongoing reduction.
     """
 
+    #: Requests handed to :meth:`ContinuousBatchingEngine.submit`.
+    submitted: int = 0
     steps: int = 0
+    #: Admission groups (rows admitted together between two steps) and
+    #: each group's row count.
     admissions: int = 0
+    batch_sizes: list = field(default_factory=list)
     admitted_rows: int = 0
     finished: int = 0
     peak_rows: int = 0
@@ -381,14 +379,10 @@ class ContinuousBatchingEngine:
         cache_pool: PrefixCachePool | None = None,
         clock=time.perf_counter,
         rng: np.random.Generator | int | None = None,
-        **legacy,
     ) -> None:
-        # All tunables travel in one validated, immutable EngineConfig;
-        # legacy keyword arguments (max_batch_rows=..., kv_layout=..., ...)
-        # keep working through from_kwargs, which warns and folds them in.
-        config = EngineConfig.from_kwargs(
-            legacy, base=config, owner="ContinuousBatchingEngine"
-        )
+        # All tunables travel in one validated, immutable EngineConfig.
+        if config is None:
+            config = EngineConfig()
         self.config = config
         self.model = model
         self.max_batch_rows = config.max_batch_rows
@@ -758,7 +752,6 @@ class ContinuousBatchingEngine:
         finished = self._admit_group(group)
         self.stats.admissions += 1
         self.stats.admitted_rows += len(group)
-        self.stats.generate_batches += 1
         self.stats.batch_sizes.append(len(group))
         self.stats.peak_rows = max(self.stats.peak_rows, self.batch.num_rows)
         return finished

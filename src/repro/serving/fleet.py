@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.serving.config import EngineConfig
 from repro.serving.pool import stable_prefix_key
 
 __all__ = ["FleetRequest", "FleetStats", "ReplicaFleet"]
@@ -44,7 +45,7 @@ __all__ = ["FleetRequest", "FleetStats", "ReplicaFleet"]
 # ---------------------------------------------------------------------- #
 # Worker process
 # ---------------------------------------------------------------------- #
-def _worker_main(conn, builder, engine_kwargs: dict, pool_kwargs: dict, seed: int) -> None:
+def _worker_main(conn, builder, config, pool_kwargs: dict, seed: int) -> None:
     """Engine-worker loop: build the replica, then serve the pipe.
 
     Wire protocol (parent -> worker):
@@ -59,7 +60,6 @@ def _worker_main(conn, builder, engine_kwargs: dict, pool_kwargs: dict, seed: in
       ("done", rid, result, meta) / ("error", rid, msg) per request.
     """
     # Imports happen in the child so a spawn-started worker pays them itself.
-    from repro.serving.config import EngineConfig
     from repro.serving.engine import ContinuousBatchingEngine
     from repro.serving.pool import PrefixCachePool
 
@@ -67,15 +67,6 @@ def _worker_main(conn, builder, engine_kwargs: dict, pool_kwargs: dict, seed: in
         model = builder()
         model.eval()
         pool = PrefixCachePool(model, **pool_kwargs)
-        # The parent ships either a ready EngineConfig or legacy kwargs;
-        # fold the latter without a deprecation warning (engine_kwargs is
-        # the fleet's own documented surface, warning here would spam one
-        # line per worker).
-        engine_kwargs = dict(engine_kwargs)
-        config = engine_kwargs.pop("config", None)
-        config = EngineConfig.from_kwargs(
-            engine_kwargs, base=config, owner="fleet worker", warn=False
-        )
         engine = ContinuousBatchingEngine(
             model, cache_pool=pool, rng=seed, config=config
         )
@@ -263,8 +254,7 @@ class ReplicaFleet:
         routing: str = "affinity",
         affinity_tokens: int = 32,
         spill_threshold: int | None = None,
-        config=None,
-        engine_kwargs: dict | None = None,
+        config: EngineConfig | None = None,
         pool_kwargs: dict | None = None,
         start_method: str | None = None,
         seed: int = 0,
@@ -276,26 +266,16 @@ class ReplicaFleet:
             raise ValueError(f"routing must be 'affinity' or 'round_robin', got {routing!r}")
         if affinity_tokens <= 0:
             raise ValueError(f"affinity_tokens must be positive, got {affinity_tokens}")
-        engine_kwargs = dict(engine_kwargs or {})
         pool_kwargs = dict(pool_kwargs or {})
-        if "cache_pool" in engine_kwargs:
-            raise ValueError("each worker builds its own pool; pass pool_kwargs instead")
-        if config is not None:
-            # One validated EngineConfig for every worker's engine.  It is
-            # validated here, in the parent, so a bad config fails before N
-            # processes spawn; it crosses the process boundary by pickle
-            # (a draft model must therefore be a registry *name*, not a
-            # live model instance).
-            if engine_kwargs:
-                raise ValueError(
-                    "pass either config= or engine_kwargs, not both"
-                )
-            engine_kwargs["config"] = config
-            max_batch_rows = config.max_batch_rows
-        else:
-            max_batch_rows = engine_kwargs.get("max_batch_rows", 8)
+        # One EngineConfig for every worker's engine.  It validates on
+        # construction, in the parent, so a bad config fails before N
+        # processes spawn; it crosses the process boundary by pickle (a
+        # draft model must therefore be a registry *name*, not a live
+        # model instance).
+        if config is None:
+            config = EngineConfig()
         if spill_threshold is None:
-            spill_threshold = 2 * max_batch_rows
+            spill_threshold = 2 * config.max_batch_rows
         if spill_threshold <= 0:
             raise ValueError(f"spill_threshold must be positive, got {spill_threshold}")
 
@@ -322,7 +302,7 @@ class ReplicaFleet:
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(child_conn, builder, engine_kwargs, pool_kwargs, seed + i),
+                    args=(child_conn, builder, config, pool_kwargs, seed + i),
                     name=f"fleet-worker-{i}",
                     daemon=True,
                 )

@@ -56,6 +56,13 @@ def test_clean_twin_passes(rule_id):
     assert findings == [], [f.message for f in findings]
 
 
+def test_config_routing_flags_kwargs_catch_all():
+    findings, _ = run_paths([FIXTURES / "rpr004_bad.py"], all_rules())
+    messages = [f.message for f in findings]
+    assert any("'shiny_new_knob'" in m for m in messages)
+    assert any("**options catch-all" in m for m in messages)
+
+
 def test_fingerprint_is_line_number_free():
     text = (FIXTURES / "rpr001_bad.py").read_text(encoding="utf-8")
     original, _ = run_paths([FIXTURES / "rpr001_bad.py"], all_rules())

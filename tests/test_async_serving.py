@@ -13,8 +13,8 @@ Pins the async-layer invariants:
   a no-op;
 * shutdown drains (finishing all queued and live work) or aborts
   (cancelling it), and either way leaves every future resolved;
-* the reworked :class:`~repro.serving.BatchScheduler` is a thin sync
-  adapter: a flush behaves exactly like the pre-async synchronous drain.
+* ``submit_batch`` queues a whole batch atomically, so collecting its
+  handles behaves exactly like a synchronous drain of the engine.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from parity import assert_generations_equal
 from repro.models import DecoderLM, get_config
 from repro.serving import (
     AsyncEngine,
-    BatchScheduler,
     EngineConfig,
     PrefixCachePool,
     RequestCancelled,
@@ -81,7 +80,9 @@ class TestAsyncParity:
         budgets = [int(b) for b in rng.integers(3, 10, size=len(ragged_prompts))]
         delays = [float(d) for d in rng.uniform(0.0, 0.03, size=len(ragged_prompts))]
         with AsyncEngine(
-            model, max_batch_rows=3, cache_pool=PrefixCachePool(model, max_entries=4)
+            model,
+            config=EngineConfig(max_batch_rows=3),
+            cache_pool=PrefixCachePool(model, max_entries=4),
         ) as engine:
 
             async def client(i):
@@ -105,7 +106,7 @@ class TestAsyncParity:
 
     def test_submissions_from_plain_threads(self, model, ragged_prompts):
         """submit()/result() need no event loop; submitters race from threads."""
-        with AsyncEngine(model, max_batch_rows=4) as engine:
+        with AsyncEngine(model, config=EngineConfig(max_batch_rows=4)) as engine:
             results: dict[int, np.ndarray] = {}
 
             def worker(indices):
@@ -131,7 +132,7 @@ class TestAsyncParity:
             assert_no_leaked_rows(engine)
 
     def test_streaming_delivers_generated_tail(self, model, ragged_prompts):
-        with AsyncEngine(model, max_batch_rows=2) as engine:
+        with AsyncEngine(model, config=EngineConfig(max_batch_rows=2)) as engine:
 
             async def main():
                 tokens = []
@@ -144,7 +145,7 @@ class TestAsyncParity:
             assert tokens == [int(t) for t in reference[len(ragged_prompts[1]) :]]
 
     def test_mid_decode_subscription_replays_backlog(self, model, ragged_prompts):
-        with AsyncEngine(model, max_batch_rows=2) as engine:
+        with AsyncEngine(model, config=EngineConfig(max_batch_rows=2)) as engine:
             request = engine.submit(ragged_prompts[2], max_new_tokens=8)
             wait_until(
                 lambda: request.engine_request is not None
@@ -159,7 +160,7 @@ class TestAsyncParity:
             assert tokens == [int(t) for t in reference[len(ragged_prompts[2]) :]]
 
     def test_zero_token_budget_resolves_immediately(self, model, ragged_prompts):
-        with AsyncEngine(model, max_batch_rows=2) as engine:
+        with AsyncEngine(model, config=EngineConfig(max_batch_rows=2)) as engine:
             request = engine.submit(ragged_prompts[0], max_new_tokens=0)
             np.testing.assert_array_equal(request.result(timeout=30), ragged_prompts[0])
             assert request.finish_reason == "length"
@@ -167,7 +168,7 @@ class TestAsyncParity:
 
     def test_async_score_matches_direct_call(self, model, ragged_prompts):
         candidates = [np.array([3]), np.array([4, 5]), np.array([6, 7, 8])]
-        with AsyncEngine(model, max_batch_rows=2) as engine:
+        with AsyncEngine(model, config=EngineConfig(max_batch_rows=2)) as engine:
             scores = asyncio.run(engine.score(ragged_prompts[0], candidates))
         np.testing.assert_allclose(
             scores,
@@ -187,7 +188,7 @@ class TestAsyncParity:
         assert len(pool) == 1
 
     def test_submit_validation_raises_at_call_site(self, model):
-        with AsyncEngine(model, max_batch_rows=2) as engine:
+        with AsyncEngine(model, config=EngineConfig(max_batch_rows=2)) as engine:
             with pytest.raises(ValueError):
                 engine.submit(np.empty(0, dtype=np.int64))
             with pytest.raises(ValueError):
@@ -214,7 +215,7 @@ class TestCancellation:
             resume.wait(10)
             resume.clear()
 
-        engine = AsyncEngine(model, max_batch_rows=2, on_step=hook)
+        engine = AsyncEngine(model, config=EngineConfig(max_batch_rows=2), on_step=hook)
         try:
             request = engine.submit(ragged_prompts[0], max_new_tokens=50)
             sibling = engine.submit(ragged_prompts[1], max_new_tokens=6)
@@ -249,7 +250,7 @@ class TestCancellation:
         assert_no_leaked_rows(engine)
 
     def test_cancel_queued_request_never_admitted(self, model, ragged_prompts):
-        with AsyncEngine(model, max_batch_rows=1) as engine:
+        with AsyncEngine(model, config=EngineConfig(max_batch_rows=1)) as engine:
             blocker = engine.submit(ragged_prompts[0], max_new_tokens=40)
             queued = engine.submit(ragged_prompts[1], max_new_tokens=5)
             wait_until(lambda: blocker.engine_request is not None)
@@ -261,7 +262,7 @@ class TestCancellation:
             assert_no_leaked_rows(engine)
 
     def test_cancel_racing_retirement_is_a_noop(self, model, ragged_prompts):
-        with AsyncEngine(model, max_batch_rows=2) as engine:
+        with AsyncEngine(model, config=EngineConfig(max_batch_rows=2)) as engine:
             request = engine.submit(ragged_prompts[0], max_new_tokens=1)
             result = request.result(timeout=30)
             assert request.cancel() is False  # already finished: result stands
@@ -272,7 +273,7 @@ class TestCancellation:
             assert engine.stats.cancelled == 0
 
     def test_timeout_on_live_request(self, model, ragged_prompts):
-        with AsyncEngine(model, max_batch_rows=2) as engine:
+        with AsyncEngine(model, config=EngineConfig(max_batch_rows=2)) as engine:
             request = engine.submit(
                 ragged_prompts[2], max_new_tokens=10_000, timeout=0.05
             )
@@ -288,7 +289,7 @@ class TestCancellation:
             assert_no_leaked_rows(engine)
 
     def test_timeout_while_queued_takes_no_row(self, model, ragged_prompts):
-        with AsyncEngine(model, max_batch_rows=1) as engine:
+        with AsyncEngine(model, config=EngineConfig(max_batch_rows=1)) as engine:
             blocker = engine.submit(ragged_prompts[0], max_new_tokens=200)
             victim = engine.submit(ragged_prompts[1], max_new_tokens=5, timeout=0.03)
             with pytest.raises(RequestTimeout) as info:
@@ -299,7 +300,7 @@ class TestCancellation:
             assert_no_leaked_rows(engine)
 
     def test_cancelling_the_awaiting_task_cancels_the_request(self, model, ragged_prompts):
-        with AsyncEngine(model, max_batch_rows=2) as engine:
+        with AsyncEngine(model, config=EngineConfig(max_batch_rows=2)) as engine:
 
             async def main():
                 task = asyncio.ensure_future(
@@ -319,7 +320,7 @@ class TestCancellation:
 # ---------------------------------------------------------------------- #
 class TestShutdown:
     def test_drain_finishes_all_work_then_rejects(self, model, ragged_prompts):
-        engine = AsyncEngine(model, max_batch_rows=2)
+        engine = AsyncEngine(model, config=EngineConfig(max_batch_rows=2))
         handles = [
             engine.submit(p, max_new_tokens=5) for p in ragged_prompts[:5]
         ]
@@ -335,7 +336,7 @@ class TestShutdown:
         engine.shutdown()  # idempotent
 
     def test_abort_cancels_queued_and_live(self, model, ragged_prompts):
-        engine = AsyncEngine(model, max_batch_rows=1)
+        engine = AsyncEngine(model, config=EngineConfig(max_batch_rows=1))
         handles = [
             engine.submit(p, max_new_tokens=10_000) for p in ragged_prompts[:3]
         ]
@@ -349,59 +350,140 @@ class TestShutdown:
         assert inner.batch.num_rows == 0 and not inner._live
 
     def test_shutdown_without_ever_starting(self, model):
-        engine = AsyncEngine(model, max_batch_rows=2)
+        engine = AsyncEngine(model, config=EngineConfig(max_batch_rows=2))
         engine.shutdown()  # no thread was started; must not hang
         with pytest.raises(RuntimeError):
             engine.submit(np.array([1, 2, 3]))
 
 
 # ---------------------------------------------------------------------- #
-# the sync adapter
+# atomic batch submission
 # ---------------------------------------------------------------------- #
-class TestSchedulerAdapter:
-    def test_flush_is_equivalent_to_sync_drain(self, model, ragged_prompts):
-        """Atomic batch submission keeps admission groups and steps identical."""
-        with BatchScheduler(
-            model, max_batch_size=3, cache_pool=PrefixCachePool(model, max_entries=4)
-        ) as scheduler:
-            requests = [
-                scheduler.submit_generate(p, max_new_tokens=4)
-                for p in ragged_prompts[:5]
-            ]
-            scheduler.flush()
-            assert scheduler.stats.batch_sizes == [3, 2]
-            expected = [
-                model.generate(p, max_new_tokens=4) for p in ragged_prompts[:5]
-            ]
-            assert_generations_equal(
-                [r.result for r in requests], expected, context="adapter flush"
-            )
-            # The stepping thread parked after the flush — stats flow through.
-            assert scheduler.engine.stats.finished == 5
-            assert scheduler.engine.stats.peak_queue_depth >= 1
+class TestSubmitBatch:
+    def test_mixed_results_in_submit_order_match_direct_calls(
+        self, model, ragged_prompts
+    ):
+        candidates = [np.array([3]), np.array([4, 5])]
+        specs = [{"prompt_ids": p, "max_new_tokens": 6} for p in ragged_prompts[:5]]
+        specs.append(
+            {"kind": "score", "prompt_ids": ragged_prompts[0], "candidates": candidates}
+        )
+        with AsyncEngine(
+            model,
+            config=EngineConfig(max_batch_rows=4),
+            cache_pool=PrefixCachePool(model, max_entries=4),
+        ) as engine:
+            handles = engine.submit_batch(specs)
+            results = [h.result(timeout=60) for h in handles]
+        assert [h.request_id for h in handles] == list(range(6))
+        expected = [model.generate(p, max_new_tokens=6) for p in ragged_prompts[:5]]
+        assert_generations_equal(results[:5], expected, context="batch generate")
+        np.testing.assert_allclose(
+            results[5],
+            model.score_continuations(ragged_prompts[0], candidates),
+            rtol=1e-5,
+            atol=1e-5,
+        )
 
-    def test_flush_from_a_worker_thread(self, model, ragged_prompts):
-        with BatchScheduler(model, max_batch_size=2) as scheduler:
-            for p in ragged_prompts[:3]:
-                scheduler.submit_generate(p, max_new_tokens=4)
-            done: list = []
-            worker = threading.Thread(target=lambda: done.extend(scheduler.flush()))
-            worker.start()
-            worker.join(60)
-            assert len(done) == 3 and all(r.done for r in done)
-            expected = [
-                model.generate(p, max_new_tokens=4) for p in ragged_prompts[:3]
-            ]
-            assert_generations_equal(
-                [r.result for r in done], expected, context="flush off-thread"
+    def test_freed_slots_refill_with_mixed_budgets(self, model, ragged_prompts):
+        """Six requests against three rows: the engine admits 3, decodes
+        them to completion (mnt=4), then refills all three freed slots in
+        one second admission group — the mnt=9 request needs no private
+        batch."""
+        specs = [{"prompt_ids": p, "max_new_tokens": 4} for p in ragged_prompts[:5]]
+        specs.append({"prompt_ids": ragged_prompts[5], "max_new_tokens": 9})
+        with AsyncEngine(
+            model,
+            config=EngineConfig(max_batch_rows=3),
+            cache_pool=PrefixCachePool(model, max_entries=4),
+        ) as engine:
+            results = [h.result(timeout=60) for h in engine.submit_batch(specs)]
+            assert engine.stats.batch_sizes == [3, 3]
+            # 4 steps for the first wave, then the refilled wave runs 9 more
+            # (its two mnt=4 rows retire mid-wave) — not 4 + 4 + 9 serial.
+            assert engine.stats.steps == 13
+        expected = [
+            model.generate(p, max_new_tokens=4) for p in ragged_prompts[:5]
+        ] + [model.generate(ragged_prompts[5], max_new_tokens=9)]
+        assert_generations_equal(results, expected, context="mixed-budget batch")
+
+    def test_batch_admits_like_a_sync_drain(self, model, ragged_prompts):
+        """Atomic submission keeps admission groups identical to a drain."""
+        specs = [{"prompt_ids": p, "max_new_tokens": 4} for p in ragged_prompts[:5]]
+        with AsyncEngine(
+            model,
+            config=EngineConfig(max_batch_rows=3),
+            cache_pool=PrefixCachePool(model, max_entries=4),
+        ) as engine:
+            results = [h.result(timeout=60) for h in engine.submit_batch(specs)]
+            assert engine.stats.batch_sizes == [3, 2]
+            assert engine.stats.finished == 5
+            assert engine.stats.peak_queue_depth >= 1
+        expected = [model.generate(p, max_new_tokens=4) for p in ragged_prompts[:5]]
+        assert_generations_equal(results, expected, context="atomic batch")
+
+    def test_submit_batch_from_a_worker_thread(self, model, ragged_prompts):
+        specs = [{"prompt_ids": p, "max_new_tokens": 4} for p in ragged_prompts[:3]]
+        with AsyncEngine(model, config=EngineConfig(max_batch_rows=2)) as engine:
+            results: list = []
+
+            def worker():
+                handles = engine.submit_batch(specs)
+                results.extend(h.result(timeout=60) for h in handles)
+
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join(60)
+            assert not thread.is_alive()
+        expected = [model.generate(p, max_new_tokens=4) for p in ragged_prompts[:3]]
+        assert_generations_equal(results, expected, context="batch off-thread")
+
+    def test_failing_score_does_not_strand_its_batchmate(self, model):
+        good_prompt, good_candidates = np.array([1, 2, 3]), [np.array([4])]
+        with AsyncEngine(
+            model, cache_pool=PrefixCachePool(model, max_entries=2)
+        ) as engine:
+            # Prompt + candidate exceed the context window: scoring raises.
+            bad, good = engine.submit_batch(
+                [
+                    {
+                        "kind": "score",
+                        "prompt_ids": np.ones(model.config.max_position, dtype=np.int64),
+                        "candidates": [np.array([1, 2])],
+                    },
+                    {
+                        "kind": "score",
+                        "prompt_ids": good_prompt,
+                        "candidates": good_candidates,
+                    },
+                ]
+            )
+            with pytest.raises(ValueError):
+                bad.result(timeout=60)
+            np.testing.assert_allclose(
+                good.result(timeout=60),
+                model.score_continuations(good_prompt, good_candidates),
+                rtol=1e-5,
+                atol=1e-5,
             )
 
-    def test_close_is_idempotent_and_rejects_new_flushes(self, model, ragged_prompts):
-        scheduler = BatchScheduler(model, max_batch_size=2)
-        scheduler.submit_generate(ragged_prompts[0], max_new_tokens=3)
-        scheduler.flush()
-        scheduler.close()
-        scheduler.close()
-        scheduler.submit_generate(ragged_prompts[1], max_new_tokens=3)
-        flushed = scheduler.flush()
-        assert flushed[0].error  # engine is shut down; reported, not hung
+    def test_invalid_spec_rejects_the_whole_batch(self, model, ragged_prompts):
+        with AsyncEngine(model, config=EngineConfig(max_batch_rows=2)) as engine:
+            assert engine.submit_batch([]) == []
+            empty = np.empty(0, dtype=np.int64)
+            for bad in (
+                {"prompt_ids": empty},
+                {"kind": "score", "prompt_ids": empty, "candidates": [np.array([1])]},
+            ):
+                with pytest.raises(ValueError):
+                    engine.submit_batch([{"prompt_ids": ragged_prompts[0]}, bad])
+            assert engine.num_pending == 0  # the valid batchmate was not queued
+
+    def test_submit_batch_after_shutdown_raises(self, model, ragged_prompts):
+        engine = AsyncEngine(model, config=EngineConfig(max_batch_rows=2))
+        (handle,) = engine.submit_batch([{"prompt_ids": ragged_prompts[0]}])
+        handle.result(timeout=60)
+        engine.shutdown()
+        engine.shutdown()  # idempotent
+        with pytest.raises(RuntimeError):
+            engine.submit_batch([{"prompt_ids": ragged_prompts[1]}])

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models import DecoderLM, get_config
-from repro.serving import ContinuousBatchingEngine, PrefixCachePool
+from repro.serving import ContinuousBatchingEngine, EngineConfig, PrefixCachePool
 
 VOCAB = 61
 STOP_IDS = {3, 5, 7}
@@ -67,16 +67,14 @@ def _prompts(seed: int, lengths) -> list[np.ndarray]:
     return [rng.integers(1, VOCAB, size=int(n)) for n in lengths]
 
 
-def _run(model, prompts, *, chunk=None, pool=None, clock=None, **kwargs):
-    if clock is not None:
-        kwargs["clock"] = clock
-    engine = ContinuousBatchingEngine(
-        model,
-        max_batch_rows=4,
-        prefill_chunk_tokens=chunk,
-        cache_pool=pool,
-        **kwargs,
-    )
+def _run(model, prompts, *, chunk=None, pool=None, clock=None, **config_fields):
+    config = EngineConfig(max_batch_rows=4, prefill_chunk_tokens=chunk, **config_fields)
+    if clock is None:
+        engine = ContinuousBatchingEngine(model, config=config, cache_pool=pool)
+    else:
+        engine = ContinuousBatchingEngine(
+            model, config=config, cache_pool=pool, clock=clock
+        )
     requests = [
         engine.submit(p, max_new_tokens=10, stop_ids=STOP_IDS) for p in prompts
     ]
@@ -183,9 +181,12 @@ class TestChunkedSLA:
 
     def test_invalid_budget_rejected(self, model):
         with pytest.raises(ValueError):
-            ContinuousBatchingEngine(model, prefill_chunk_tokens=0)
+            ContinuousBatchingEngine(model, config=EngineConfig(prefill_chunk_tokens=0))
         with pytest.raises(ValueError):
-            ContinuousBatchingEngine(model, prefill_chunk_tokens=-4)
+            ContinuousBatchingEngine(
+                model,
+                config=EngineConfig(prefill_chunk_tokens=-4),
+            )
 
 
 # ---------------------------------------------------------------------- #
@@ -205,10 +206,12 @@ class TestChunkedPool:
         pool = PrefixCachePool.default(model, "paged", "fp32")
         engine = ContinuousBatchingEngine(
             model,
-            max_batch_rows=4,
-            prefill_chunk_tokens=8,
+            config=EngineConfig(
+                max_batch_rows=4,
+                prefill_chunk_tokens=8,
+                kv_layout="paged",
+            ),
             cache_pool=pool,
-            kv_layout="paged",
         )
         requests = []
         for prompt in prompts:  # sequential, so the head gets banked first
@@ -227,10 +230,12 @@ class TestChunkedPool:
         pool = PrefixCachePool.default(model, "paged", "fp32")
         engine = ContinuousBatchingEngine(
             model,
-            max_batch_rows=2,
-            prefill_chunk_tokens=8,
+            config=EngineConfig(
+                max_batch_rows=2,
+                prefill_chunk_tokens=8,
+                kv_layout="paged",
+            ),
             cache_pool=pool,
-            kv_layout="paged",
         )
         request = engine.submit(prompt, max_new_tokens=4)
         engine.step(force_admit=True)  # one 8-token chunk only
@@ -254,9 +259,11 @@ class TestMidPrefillReclaim:
         prompt = rng.integers(1, VOCAB, size=60)
         engine = ContinuousBatchingEngine(
             model,
-            max_batch_rows=2,
-            prefill_chunk_tokens=8,
-            kv_layout="paged",
+            config=EngineConfig(
+                max_batch_rows=2,
+                prefill_chunk_tokens=8,
+                kv_layout="paged",
+            ),
         )
         allocator = engine.batch.cache.allocator
         baseline = allocator.blocks_in_use
@@ -281,9 +288,11 @@ class TestMidPrefillReclaim:
         rng = np.random.default_rng(37)
         engine = ContinuousBatchingEngine(
             model,
-            max_batch_rows=4,
-            prefill_chunk_tokens=4,
-            kv_layout="paged",
+            config=EngineConfig(
+                max_batch_rows=4,
+                prefill_chunk_tokens=4,
+                kv_layout="paged",
+            ),
         )
         allocator = engine.batch.cache.allocator
         baseline = allocator.blocks_in_use
@@ -305,9 +314,11 @@ class TestChunkedAdmissionPolicy:
         held back by ``min_admit_rows`` exactly as on the atomic path."""
         engine = ContinuousBatchingEngine(
             model,
-            max_batch_rows=4,
-            min_admit_rows=2,
-            prefill_chunk_tokens=4,
+            config=EngineConfig(
+                max_batch_rows=4,
+                min_admit_rows=2,
+                prefill_chunk_tokens=4,
+            ),
         )
         rng = np.random.default_rng(41)
         engine.submit(rng.integers(1, VOCAB, size=30), max_new_tokens=8)
@@ -327,9 +338,11 @@ class TestChunkedAdmissionPolicy:
         clock = ManualClock()
         engine = ContinuousBatchingEngine(
             model,
-            max_batch_rows=4,
-            admit_deadline=0.5,
-            prefill_chunk_tokens=8,
+            config=EngineConfig(
+                max_batch_rows=4,
+                admit_deadline=0.5,
+                prefill_chunk_tokens=8,
+            ),
             clock=clock,
         )
         rng = np.random.default_rng(43)

@@ -27,7 +27,7 @@ import pytest
 from parity import assert_generations_equal
 from repro.models import DecoderLM, get_config
 from repro.models.decoder import DecodeState
-from repro.serving import ContinuousBatchingEngine, PrefixCachePool
+from repro.serving import ContinuousBatchingEngine, EngineConfig, PrefixCachePool
 from repro.tensor import no_grad
 
 VOCAB = 64
@@ -223,7 +223,7 @@ class TestDecodeBatch:
 # ---------------------------------------------------------------------- #
 class TestContinuousBatchingEngine:
     def test_staggered_arrivals_three_way_parity(self, model, ragged_prompts):
-        engine = ContinuousBatchingEngine(model, max_batch_rows=3)
+        engine = ContinuousBatchingEngine(model, config=EngineConfig(max_batch_rows=3))
         handles = [engine.submit(p, max_new_tokens=9) for p in ragged_prompts[:2]]
         engine.step()
         engine.step()
@@ -253,7 +253,10 @@ class TestContinuousBatchingEngine:
         prompts = ragged_prompts[:5]
 
         def run(order):
-            engine = ContinuousBatchingEngine(model, max_batch_rows=2)
+            engine = ContinuousBatchingEngine(
+                model,
+                config=EngineConfig(max_batch_rows=2),
+            )
             handles = {}
             for idx in order[:2]:
                 handles[idx] = engine.submit(prompts[idx], max_new_tokens=7)
@@ -276,7 +279,7 @@ class TestContinuousBatchingEngine:
             )
 
     def test_mid_decode_admission_does_not_restart(self, model, ragged_prompts):
-        engine = ContinuousBatchingEngine(model, max_batch_rows=4)
+        engine = ContinuousBatchingEngine(model, config=EngineConfig(max_batch_rows=4))
         first = engine.submit(ragged_prompts[0], max_new_tokens=10)
         for _ in range(4):
             engine.step()
@@ -301,7 +304,7 @@ class TestContinuousBatchingEngine:
     def test_early_retirement_frees_slot_for_queued_request(self, model, ragged_prompts):
         stopper = ragged_prompts[0]
         stop_token = int(np.argmax(model.next_token_log_probs(stopper)))
-        engine = ContinuousBatchingEngine(model, max_batch_rows=2)
+        engine = ContinuousBatchingEngine(model, config=EngineConfig(max_batch_rows=2))
         h_stop = engine.submit(stopper, max_new_tokens=8, stop_ids={stop_token})
         h_long = engine.submit(ragged_prompts[1], max_new_tokens=8)
         h_queued = engine.submit(ragged_prompts[2], max_new_tokens=8)
@@ -325,7 +328,11 @@ class TestContinuousBatchingEngine:
         )
 
     def test_per_request_budgets_and_temperatures_coexist(self, model, ragged_prompts):
-        engine = ContinuousBatchingEngine(model, max_batch_rows=4, rng=7)
+        engine = ContinuousBatchingEngine(
+            model,
+            config=EngineConfig(max_batch_rows=4),
+            rng=7,
+        )
         greedy_a = engine.submit(ragged_prompts[0], max_new_tokens=4)
         sampled = engine.submit(ragged_prompts[1], max_new_tokens=9, temperature=0.8)
         greedy_b = engine.submit(ragged_prompts[2], max_new_tokens=6)
@@ -346,7 +353,9 @@ class TestContinuousBatchingEngine:
     def test_deadline_based_batch_closing(self, model, ragged_prompts):
         clock = ManualClock()
         engine = ContinuousBatchingEngine(
-            model, max_batch_rows=4, admit_deadline=5.0, clock=clock
+            model,
+            config=EngineConfig(max_batch_rows=4, admit_deadline=5.0),
+            clock=clock,
         )
         engine.submit(ragged_prompts[0], max_new_tokens=4)
         engine.submit(ragged_prompts[1], max_new_tokens=4)
@@ -356,7 +365,9 @@ class TestContinuousBatchingEngine:
         assert engine.num_active == 2 and engine.stats.batch_sizes == [2]
         # A full batch closes immediately, deadline notwithstanding.
         engine2 = ContinuousBatchingEngine(
-            model, max_batch_rows=2, admit_deadline=1000.0, clock=ManualClock()
+            model,
+            config=EngineConfig(max_batch_rows=2, admit_deadline=1000.0),
+            clock=ManualClock(),
         )
         engine2.submit(ragged_prompts[0], max_new_tokens=4)
         assert engine2.step() == [] and engine2.num_active == 0
@@ -370,7 +381,10 @@ class TestContinuousBatchingEngine:
 
     def test_admission_grouping_hold_is_bounded(self, model, ragged_prompts):
         """min_admit_rows may hold a straggler, but never until the batch drains."""
-        engine = ContinuousBatchingEngine(model, max_batch_rows=3, min_admit_rows=2)
+        engine = ContinuousBatchingEngine(
+            model,
+            config=EngineConfig(max_batch_rows=3, min_admit_rows=2),
+        )
         for p in ragged_prompts[:2]:
             engine.submit(p, max_new_tokens=20)
         engine.step()
@@ -402,7 +416,7 @@ class TestContinuousBatchingEngine:
         assert (pool.stats.hits, pool.stats.misses) == stats_before
 
     def test_unstartable_requests_finish_without_rows(self, model, ragged_prompts):
-        engine = ContinuousBatchingEngine(model, max_batch_rows=2)
+        engine = ContinuousBatchingEngine(model, config=EngineConfig(max_batch_rows=2))
         zero_budget = engine.submit(ragged_prompts[0], max_new_tokens=0)
         at_limit = engine.submit(
             np.ones(model.config.max_position, dtype=np.int64), max_new_tokens=4
@@ -426,7 +440,11 @@ class TestContinuousBatchingEngine:
 
     def test_pool_prefill_reuse_keeps_outputs_identical(self, model, ragged_prompts):
         pool = PrefixCachePool(model, max_entries=4)
-        engine = ContinuousBatchingEngine(model, max_batch_rows=2, cache_pool=pool)
+        engine = ContinuousBatchingEngine(
+            model,
+            config=EngineConfig(max_batch_rows=2),
+            cache_pool=pool,
+        )
         head = np.arange(1, 13, dtype=np.int64)
         first = np.concatenate([head, ragged_prompts[0]])
         second = np.concatenate([head, ragged_prompts[1]])
@@ -447,7 +465,9 @@ class TestContinuousBatchingEngine:
 
     def test_sla_stats_internally_consistent(self, model, ragged_prompts):
         engine = ContinuousBatchingEngine(
-            model, max_batch_rows=3, clock=TickingClock()
+            model,
+            config=EngineConfig(max_batch_rows=3),
+            clock=TickingClock(),
         )
         handles = [engine.submit(p, max_new_tokens=n) for p, n in
                    zip(ragged_prompts[:6], (3, 8, 5, 2, 7, 4))]
@@ -485,7 +505,7 @@ class TestContinuousBatchingEngine:
         assert summary["requests"] == 7 and summary["peak_rows"] <= 3
 
     def test_engine_is_reusable_after_drain(self, model, ragged_prompts):
-        engine = ContinuousBatchingEngine(model, max_batch_rows=2)
+        engine = ContinuousBatchingEngine(model, config=EngineConfig(max_batch_rows=2))
         first = engine.submit(ragged_prompts[0], max_new_tokens=4)
         engine.drain()
         assert not engine.has_work
@@ -506,7 +526,7 @@ class TestContinuousBatchingEngine:
 # ---------------------------------------------------------------------- #
 class TestEngineEdgeCases:
     def test_step_on_an_empty_engine_is_a_noop(self, model):
-        engine = ContinuousBatchingEngine(model, max_batch_rows=2)
+        engine = ContinuousBatchingEngine(model, config=EngineConfig(max_batch_rows=2))
         assert engine.step() == []
         assert engine.step(force_admit=True) == []
         assert engine.drain() == []
@@ -514,7 +534,7 @@ class TestEngineEdgeCases:
         assert engine.batch.num_rows == 0
 
     def test_cancel_queued_and_live_requests_reclaims_rows(self, model, ragged_prompts):
-        engine = ContinuousBatchingEngine(model, max_batch_rows=2)
+        engine = ContinuousBatchingEngine(model, config=EngineConfig(max_batch_rows=2))
         live_a = engine.submit(ragged_prompts[0], max_new_tokens=8)
         live_b = engine.submit(ragged_prompts[1], max_new_tokens=8)
         queued = engine.submit(ragged_prompts[2], max_new_tokens=8)
@@ -550,7 +570,7 @@ class TestEngineEdgeCases:
         assert live_b.finish_reason == "length"
 
     def test_resubmission_after_drain_with_cancellations(self, model, ragged_prompts):
-        engine = ContinuousBatchingEngine(model, max_batch_rows=2)
+        engine = ContinuousBatchingEngine(model, config=EngineConfig(max_batch_rows=2))
         doomed = engine.submit(ragged_prompts[0], max_new_tokens=6)
         engine.step()
         engine.cancel(doomed)
@@ -565,7 +585,7 @@ class TestEngineEdgeCases:
         )
 
     def test_zero_token_budget_requests_never_take_a_row(self, model, ragged_prompts):
-        engine = ContinuousBatchingEngine(model, max_batch_rows=2)
+        engine = ContinuousBatchingEngine(model, config=EngineConfig(max_batch_rows=2))
         zero = engine.submit(ragged_prompts[0], max_new_tokens=0)
         sibling = engine.submit(ragged_prompts[1], max_new_tokens=3)
         finished = engine.step()
@@ -581,7 +601,7 @@ class TestEngineEdgeCases:
         )
 
     def test_cancelled_slot_refills_from_the_queue(self, model, ragged_prompts):
-        engine = ContinuousBatchingEngine(model, max_batch_rows=2)
+        engine = ContinuousBatchingEngine(model, config=EngineConfig(max_batch_rows=2))
         hog = engine.submit(ragged_prompts[0], max_new_tokens=50)
         other = engine.submit(ragged_prompts[1], max_new_tokens=6)
         waiting = engine.submit(ragged_prompts[2], max_new_tokens=6)

@@ -23,7 +23,12 @@ import numpy as np
 import pytest
 
 from repro.models import DecoderLM, get_config
-from repro.serving import ContinuousBatchingEngine, PrefixCachePool, ReplicaFleet
+from repro.serving import (
+    ContinuousBatchingEngine,
+    EngineConfig,
+    PrefixCachePool,
+    ReplicaFleet,
+)
 
 VOCAB = 64
 
@@ -66,14 +71,16 @@ class TestFleetServing:
 
         model = _build_model()
         engine = ContinuousBatchingEngine(
-            model, cache_pool=PrefixCachePool(model), max_batch_rows=4
+            model,
+            cache_pool=PrefixCachePool(model),
+            config=EngineConfig(max_batch_rows=4),
         )
         requests = [engine.submit(p, max_new_tokens=8) for p in prompts]
         engine.drain()
         reference = [r.result for r in requests]
 
         with ReplicaFleet(
-            _build_model, 2, engine_kwargs={"max_batch_rows": 4}
+            _build_model, 2, config=EngineConfig(max_batch_rows=4)
         ) as fleet:
             outputs = fleet.generate(prompts, max_new_tokens=8)
         for got, want in zip(outputs, reference):
@@ -90,7 +97,7 @@ class TestFleetServing:
                 2,
                 routing=routing,
                 affinity_tokens=16,  # inside the 24-token shared head
-                engine_kwargs={"max_batch_rows": 4},
+                config=EngineConfig(max_batch_rows=4),
                 pool_kwargs={"max_entries": 4},
             ) as fleet:
                 handles = []
@@ -177,8 +184,8 @@ class TestFleetLifecycle:
             ReplicaFleet(_build_model, 0)
         with pytest.raises(ValueError, match="routing"):
             ReplicaFleet(_build_model, 1, routing="random")
-        with pytest.raises(ValueError, match="pool_kwargs"):
-            ReplicaFleet(_build_model, 1, engine_kwargs={"cache_pool": object()})
+        with pytest.raises(ValueError, match="spill_threshold"):
+            ReplicaFleet(_build_model, 1, spill_threshold=0)
 
 
 def _broken_builder():

@@ -3,9 +3,9 @@
 Pins the API-redesign invariants:
 
 * :class:`~repro.serving.EngineConfig` is the single validated config: bad
-  fields raise before any engine resource exists (the AsyncEngine
-  leak-regression), legacy kwargs fold in with a ``DeprecationWarning``,
-  JSON round-trips exactly, and every constructor accepts ``config=``;
+  fields raise before any engine resource exists, a failing engine build
+  leaks no shared pool (the AsyncEngine leak-regression), JSON
+  round-trips exactly, and ``config=`` is the only way to set a tunable;
 * the prefix pool's eviction pins protect a preempted request's resume
   state from LRU pressure and die with the entry that holds them;
 * preemption retires a low-priority decoding row to the pool and resumes
@@ -24,7 +24,6 @@ import asyncio
 import json
 import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +32,6 @@ from repro.models import DecoderLM, get_config
 from repro.tensor import no_grad
 from repro.serving import (
     AsyncEngine,
-    BatchScheduler,
     ContinuousBatchingEngine,
     EngineConfig,
     HttpServer,
@@ -85,28 +83,6 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             config.replace(max_batch_rows=-1)  # replace re-validates
 
-    def test_from_kwargs_folds_legacy_with_deprecation_warning(self):
-        kwargs = {"max_batch_rows": 3, "kv_layout": "paged"}
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            config = EngineConfig.from_kwargs(kwargs, owner="test")
-        assert config.max_batch_rows == 3 and config.kv_layout == "paged"
-        assert not kwargs  # consumed destructively
-
-    def test_from_kwargs_rejects_unknown_and_mixed(self):
-        with pytest.raises(TypeError, match="unexpected keyword arguments: max_rowz"):
-            EngineConfig.from_kwargs({"max_rowz": 3}, owner="test")
-        with pytest.raises(TypeError, match="both config= and legacy"):
-            EngineConfig.from_kwargs(
-                {"max_batch_rows": 3}, base=EngineConfig(), owner="test"
-            )
-
-    def test_from_kwargs_passthrough_no_warning(self):
-        base = EngineConfig(max_batch_rows=5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert EngineConfig.from_kwargs({}, base=base) is base
-            assert EngineConfig.from_kwargs({}) == EngineConfig()
-
     def test_json_round_trip(self):
         config = EngineConfig(
             max_batch_rows=6,
@@ -136,30 +112,27 @@ class TestConfigPlumbing:
         assert engine.max_batch_rows == 2
         assert engine.min_admit_rows == 2
         assert engine.kv_layout == "paged"
+        assert ContinuousBatchingEngine(model).config == EngineConfig()
 
-    def test_engine_legacy_kwargs_warn_but_work(self, model):
-        with pytest.warns(DeprecationWarning):
-            engine = ContinuousBatchingEngine(model, max_batch_rows=3)
-        assert engine.max_batch_rows == 3
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            ContinuousBatchingEngine(model, max_batch_rowz=3)
-
-    def test_scheduler_accepts_config(self, model):
-        with BatchScheduler(model, config=EngineConfig(max_batch_rows=3)) as sched:
-            assert sched.max_batch_size == 3
-            assert sched.aio.config.max_batch_rows == 3
+    def test_engine_rejects_bare_config_fields(self, model):
+        """Tunables travel only in config=; a bare field is a TypeError."""
+        with pytest.raises(TypeError):
+            ContinuousBatchingEngine(model, max_batch_rows=3)
+        with pytest.raises(TypeError):
+            AsyncEngine(model, max_batch_rows=3)
 
     def test_async_engine_bad_config_leaks_nothing(self, model):
-        """Validation must precede resource allocation: a bad config leaves
-        no stepping thread and registers no process-wide shared pool."""
+        """A failing engine build leaves no stepping thread and registers
+        no process-wide shared pool: here the drafter's vocabulary does not
+        match the target's, which only the engine constructor detects."""
         from repro.serving.pool import _SHARED_POOLS
 
         victim = DecoderLM(get_config("gpt2"), VOCAB, rng=1)
         victim.eval()
+        drafter = DecoderLM(get_config("gpt2"), VOCAB + 1, rng=2)
         threads_before = threading.active_count()
-        with pytest.raises(ValueError, match="max_batch_rows must be positive"):
-            with pytest.warns(DeprecationWarning):
-                AsyncEngine(victim, max_batch_rows=0)
+        with pytest.raises(ValueError, match="drafter vocab size"):
+            AsyncEngine(victim, config=EngineConfig(draft_model=drafter))
         assert victim not in _SHARED_POOLS
         assert threading.active_count() == threads_before
 

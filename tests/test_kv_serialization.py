@@ -33,7 +33,7 @@ from hypothesis import given, settings, strategies as st
 from repro.models import DecoderLM, get_config
 from repro.nn import BlockAllocator, KVCache, PagedKVCache
 from repro.nn.serialization import MAGIC, peek_kind
-from repro.serving import ContinuousBatchingEngine, PrefixCachePool
+from repro.serving import ContinuousBatchingEngine, EngineConfig, PrefixCachePool
 
 VOCAB = 64
 NUM_LAYERS = 2
@@ -245,7 +245,9 @@ class TestPoolEntryRoundTrip:
         receiver = PrefixCachePool(model, kv_layout=kv_layout, kv_dtype=kv_dtype)
         receiver.import_entry(blob)
         engine = ContinuousBatchingEngine(
-            model, cache_pool=receiver, kv_layout=kv_layout, kv_dtype=kv_dtype
+            model,
+            cache_pool=receiver,
+            config=EngineConfig(kv_layout=kv_layout, kv_dtype=kv_dtype),
         )
         request = engine.submit(prompt, max_new_tokens=8)
         engine.drain()

@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 from parity import assert_generations_equal
 from repro.models import DecoderLM, get_config
 from repro.nn import BlockAllocator, KVCache, PagedKVCache
-from repro.serving import ContinuousBatchingEngine, PrefixCachePool
+from repro.serving import ContinuousBatchingEngine, EngineConfig, PrefixCachePool
 from repro.tensor import no_grad
 
 VOCAB = 64
@@ -570,10 +570,9 @@ class TestBlockSharing:
 # engine-level parity
 # ---------------------------------------------------------------------- #
 class TestEngineParity:
-    def _run_engine(self, model, prompts, stop_ids, **engine_kwargs):
-        engine = ContinuousBatchingEngine(
-            model, max_batch_rows=4, min_admit_rows=2, **engine_kwargs
-        )
+    def _run_engine(self, model, prompts, stop_ids, **config_fields):
+        config = EngineConfig(max_batch_rows=4, min_admit_rows=2, **config_fields)
+        engine = ContinuousBatchingEngine(model, config=config)
         results = [None] * len(prompts)
         submitted = 0
         while submitted < len(prompts) or engine.has_work:
@@ -604,7 +603,10 @@ class TestEngineParity:
         assert_generations_equal(paged, sequential, context="paged vs sequential")
 
     def test_paged_engine_releases_every_block_after_drain(self, model, ragged_prompts):
-        engine = ContinuousBatchingEngine(model, max_batch_rows=4, kv_layout="paged")
+        engine = ContinuousBatchingEngine(
+            model,
+            config=EngineConfig(max_batch_rows=4, kv_layout="paged"),
+        )
         allocator = model.paged_allocator()
         for prompt in ragged_prompts:
             engine.submit(prompt, max_new_tokens=8, stop_ids={3})
@@ -627,7 +629,9 @@ class TestEngineParity:
         baseline = self._run_engine(model, prompts, {3}, kv_layout="paged")
 
         engine = ContinuousBatchingEngine(
-            model, max_batch_rows=2, cache_pool=pool, kv_layout="paged"
+            model,
+            config=EngineConfig(max_batch_rows=2, kv_layout="paged"),
+            cache_pool=pool,
         )
         results = [None] * len(prompts)
         submitted = 0
@@ -653,6 +657,9 @@ class TestEngineParity:
 
     def test_dense_engine_rejects_int8(self, model):
         with pytest.raises(ValueError, match="paged"):
-            ContinuousBatchingEngine(model, kv_layout="dense", kv_dtype="int8")
+            ContinuousBatchingEngine(
+                model,
+                config=EngineConfig(kv_layout="dense", kv_dtype="int8"),
+            )
         with pytest.raises(ValueError, match="kv_layout"):
             model.make_decode_batch(kv_layout="ragged")

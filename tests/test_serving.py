@@ -2,16 +2,13 @@
 
 Pins the serving-subsystem invariants:
 
-* fused QKV projection == unfused reference, and legacy (separate q/k/v)
-  checkpoints still load bit-exactly through the state-dict shim;
+* fused QKV projection == unfused reference, and the fused rows keep the
+  historical q/k/v rng streams, so seeded weights are unchanged;
 * batched left-padded ``generate_batch`` == per-prompt sequential
   ``generate`` == the uncached reference, across ragged prompt lengths, and
   greedy decoding is deterministic under batch reordering;
 * the LRU :class:`~repro.serving.PrefixCachePool` counts hits/misses,
-  bounds its capacity via eviction, and pooled scoring matches unpooled;
-* the :class:`~repro.serving.BatchScheduler` — now a front door over the
-  continuous-batching engine — returns results in submit order that match
-  direct model calls, with admission groups bounded by ``max_batch_size``
+  bounds its capacity via eviction, and pooled scoring matches unpooled
   (engine-level invariants live in ``test_continuous_batching.py``).
 """
 
@@ -23,7 +20,7 @@ import pytest
 from parity import assert_generations_equal, assert_logits_close
 from repro.models import DecoderLM, get_config
 from repro.models.decoder import PrefixCachedScorer, left_pad_batch
-from repro.serving import BatchScheduler, PrefixCachePool
+from repro.serving import PrefixCachePool
 from repro.tensor import Tensor, no_grad
 
 VOCAB = 64
@@ -60,26 +57,6 @@ class TestFusedQKV:
             assert_logits_close(
                 fused[:, :, block * h : (block + 1) * h], ref, context=f"{name} projection"
             )
-
-    def test_legacy_checkpoint_layout_loads_bit_exact(self, model, ragged_prompts):
-        """A pre-fusion state dict (separate q/k/v keys) loads via the shim."""
-        state = model.state_dict()
-        legacy = {}
-        for key, value in state.items():
-            if ".qkv_proj." in key:
-                h = value.shape[0] // 3
-                base, kind = key.rsplit("qkv_proj.", 1)
-                legacy[f"{base}q_proj.{kind}"] = value[:h]
-                legacy[f"{base}k_proj.{kind}"] = value[h : 2 * h]
-                legacy[f"{base}v_proj.{kind}"] = value[2 * h :]
-            else:
-                legacy[key] = value
-        other = DecoderLM(get_config("gpt2"), VOCAB, rng=99)
-        other.eval()
-        other.load_state_dict(legacy)
-        ids = ragged_prompts[1][None, :]
-        with no_grad():
-            assert_logits_close(other(ids), model(ids), context="legacy checkpoint load")
 
     def test_seeded_weights_unchanged_by_fusion(self, model):
         """The fused rows draw from the historical q/k/v rng streams."""
@@ -306,100 +283,3 @@ class TestPrefixCachePool:
             assert_logits_close(got, expected, context="pooled scorer")
         # Later prompts found the shared head in the pool.
         assert pool.stats.hits >= len(prompts) - 1
-
-
-# ---------------------------------------------------------------------- #
-# batch scheduler
-# ---------------------------------------------------------------------- #
-class TestBatchScheduler:
-    def test_results_in_submit_order_and_match_direct_calls(self, model, ragged_prompts):
-        scheduler = BatchScheduler(
-            model, max_batch_size=4, cache_pool=PrefixCachePool(model, max_entries=4)
-        )
-        gen_requests = [
-            scheduler.submit_generate(p, max_new_tokens=6) for p in ragged_prompts[:5]
-        ]
-        candidates = [np.array([3]), np.array([4, 5])]
-        score_request = scheduler.submit_score(ragged_prompts[0], candidates)
-        assert scheduler.pending == 6
-
-        done = scheduler.flush()
-        assert scheduler.pending == 0
-        assert [r.request_id for r in done] == list(range(6))
-        assert all(r.done for r in done)
-
-        expected = [model.generate(p, max_new_tokens=6) for p in ragged_prompts[:5]]
-        assert_generations_equal(
-            [r.result for r in gen_requests], expected, context="scheduler generate"
-        )
-        assert_logits_close(
-            score_request.result,
-            model.score_continuations(ragged_prompts[0], candidates),
-            context="scheduler score",
-        )
-
-    def test_fresh_empty_pool_is_the_one_used(self, model):
-        pool = PrefixCachePool(model, max_entries=4)
-        scheduler = BatchScheduler(model, cache_pool=pool)
-        try:
-            assert scheduler.cache_pool is pool and scheduler.aio.cache_pool is pool
-        finally:
-            scheduler.close()
-
-    def test_admission_groups_respect_max_batch_size_and_refill(self, model, ragged_prompts):
-        """Mixed decode parameters share one live batch; slots refill on retirement.
-
-        Six requests against three rows: the engine admits 3, decodes them to
-        completion (mnt=4), then refills all three freed slots in one second
-        admission group — the mnt=9 request no longer needs a private batch.
-        """
-        scheduler = BatchScheduler(
-            model, max_batch_size=3, cache_pool=PrefixCachePool(model, max_entries=4)
-        )
-        requests = [
-            scheduler.submit_generate(p, max_new_tokens=4) for p in ragged_prompts[:5]
-        ]
-        requests.append(scheduler.submit_generate(ragged_prompts[5], max_new_tokens=9))
-        scheduler.flush()
-        assert scheduler.stats.generate_batches == 2  # two admission groups
-        assert scheduler.stats.batch_sizes == [3, 3]
-        assert scheduler.stats.largest_batch == 3
-        # 4 steps for the first wave, then the refilled wave runs 9 more
-        # (its two mnt=4 rows retire mid-wave) — not 4 + 4 + 9 serial.
-        assert scheduler.engine.stats.steps == 13
-        expected = [
-            model.generate(p, max_new_tokens=4) for p in ragged_prompts[:5]
-        ] + [model.generate(ragged_prompts[5], max_new_tokens=9)]
-        assert_generations_equal(
-            [r.result for r in requests], expected, context="mixed-budget flush"
-        )
-
-    def test_flush_empty_and_validation(self, model):
-        scheduler = BatchScheduler(model)
-        assert scheduler.flush() == []
-        with pytest.raises(ValueError):
-            scheduler.submit_generate(np.empty(0, dtype=np.int64))
-        with pytest.raises(ValueError):
-            scheduler.submit_score(np.empty(0, dtype=np.int64), [np.array([1])])
-        with pytest.raises(ValueError):
-            BatchScheduler(model, max_batch_size=0)
-
-    def test_failed_request_does_not_strand_the_rest(self, model):
-        """A request that errors mid-flush is reported, not silently dropped."""
-        scheduler = BatchScheduler(
-            model, cache_pool=PrefixCachePool(model, max_entries=2)
-        )
-        # Prompt + candidate exceed the context window: scoring raises.
-        bad = scheduler.submit_score(
-            np.ones(model.config.max_position, dtype=np.int64), [np.array([1, 2])]
-        )
-        good = scheduler.submit_score(np.array([1, 2, 3]), [np.array([4])])
-        done = scheduler.flush()
-        assert len(done) == 2 and scheduler.pending == 0
-        assert bad.done and bad.result is None and bad.error
-        assert good.done and good.error is None
-        assert_logits_close(
-            good.result,
-            model.score_continuations(np.array([1, 2, 3]), [np.array([4])]),
-            context="request after failed one",
-        )

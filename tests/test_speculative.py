@@ -26,7 +26,7 @@ import pytest
 from parity import assert_generations_equal
 from repro.models import DecoderLM, get_config
 from repro.models.decoder import DecodeBatch, DecodeState
-from repro.serving import ContinuousBatchingEngine, SpeculativeDecoder
+from repro.serving import ContinuousBatchingEngine, EngineConfig, SpeculativeDecoder
 
 VOCAB = 64
 STOP_IDS = {3, 5, 7}
@@ -233,10 +233,9 @@ class TestRollbackAndStepping:
 # engine integration
 # ---------------------------------------------------------------------- #
 class TestEngineIntegration:
-    def _run_engine(self, model, prompts, **engine_kwargs):
-        engine = ContinuousBatchingEngine(
-            model, max_batch_rows=4, min_admit_rows=2, **engine_kwargs
-        )
+    def _run_engine(self, model, prompts, **config_fields):
+        config = EngineConfig(max_batch_rows=4, min_admit_rows=2, **config_fields)
+        engine = ContinuousBatchingEngine(model, config=config)
         results = [None] * len(prompts)
         requests = []
         submitted = 0
