@@ -365,12 +365,12 @@ def block_sanitizer_class():
         def write(self, block, offset, k, v):
             with self._lock:
                 self._check_live([block], "write")
-                return super().write(block, offset, k, v)
+                super().write(block, offset, k, v)
 
         def write_scatter(self, blocks, offsets, k, v):
             with self._lock:
                 self._check_live(set(int(b) for b in blocks), "write_scatter")
-                return super().write_scatter(blocks, offsets, k, v)
+                super().write_scatter(blocks, offsets, k, v)
 
         def gather_row(self, table, width, out_k, out_v, start):
             with self._lock:

@@ -214,8 +214,8 @@ class DecodeBatch:
         #: Compact once the live end overhangs the widest row by this many
         #: columns.  Without it the live end creeps monotonically under
         #: continuous admission/retirement and every step attends over the
-        #: dead columns departed rows left behind.  (For a paged batch only
-        #: the workspace window moves; the block tables are re-aligned by
+        #: dead columns departed rows left behind.  (A paged batch moves no
+        #: data: its rows' start columns are derived, so compaction is
         #: bookkeeping alone.)
         self.compact_slack = compact_slack
         # The shared dense cache starts small and doubles on demand
@@ -224,9 +224,7 @@ class DecodeBatch:
         # model's maximum context.  A paged cache has nothing to
         # preallocate — blocks are claimed as rows fill them.
         self.cache = self._make_cache(
-            0,
-            min(capacity, 64) if kv_layout == "dense" else capacity,
-            native=True,
+            0, min(capacity, 64) if kv_layout == "dense" else capacity
         )
         self.states: list[DecodeState] = []
         #: Requests admitted via :meth:`admit_chunked`, still consuming their
@@ -241,19 +239,11 @@ class DecodeBatch:
         self._prefill: dict[int, tuple] = {}
         self._mask = np.zeros((0, capacity), dtype=bool)
 
-    def _make_cache(self, batch_size: int, capacity: int, *, native: bool = False):
-        """A fresh cache in this batch's configured KV layout/dtype.
-
-        ``native`` selects the paged cache's native-attention mode (block
-        gather reads, tail-only workspace) — used for the live batch cache;
-        prefill/staging caches stay in window mode, whose slab appends suit
-        multi-token prefills.
-        """
+    def _make_cache(self, batch_size: int, capacity: int):
+        """A fresh cache in this batch's configured KV layout/dtype."""
         if self.kv_layout == "dense":
             return self.model.make_cache(batch_size, capacity)
-        return self.model.make_paged_cache(
-            batch_size, capacity, kv_dtype=self.kv_dtype, native=native
-        )
+        return self.model.make_paged_cache(batch_size, capacity, kv_dtype=self.kv_dtype)
 
     def _ensure_columns(self, needed: int) -> None:
         """Grow the allocated cache so ``needed`` columns fit (within capacity)."""
@@ -743,16 +733,14 @@ class DecoderLM(Module):
         *,
         kv_dtype: str = "fp32",
         block_size: int | None = None,
-        native: bool = False,
     ) -> PagedKVCache:
         """Allocate an empty block-paged KV cache (optionally int8-quantized).
 
         Implements the same protocol as :meth:`make_cache`'s dense result,
         storing rows as ref-counted block tables — see
         :mod:`repro.nn.paged`.  ``capacity`` is a logical bound only;
-        nothing is preallocated.  ``native=True`` selects the native
-        paged-attention mode: attention gathers persisted spans straight
-        from the block store and only each row's unpersisted tail stays
+        nothing is preallocated.  Attention gathers persisted spans straight
+        from the block store, and only each row's unpersisted tail stays
         resident in float32.
         """
         return PagedKVCache(
@@ -760,7 +748,6 @@ class DecoderLM(Module):
             batch_size,
             self.paged_allocator(kv_dtype, block_size),
             capacity or self.config.max_position,
-            native=native,
         )
 
     def forward_incremental(

@@ -575,8 +575,8 @@ class MultiHeadAttention(Module):
             if not self.causal:
                 raise ValueError("KV caching requires causal attention")
             # Cached keys/values are constants (inference only): detach to
-            # plain arrays before appending.  Window-mode caches hand back
-            # zero-copy array views; a native paged cache hands back a
+            # plain arrays before appending.  A dense cache hands back
+            # zero-copy array views; a paged cache hands back a
             # PagedAttentionView whose gather assembles the attended window
             # straight from the block store (plus live tails) as a
             # transient activation.

@@ -25,54 +25,40 @@ layout, adapted to this repo's numpy stepping core:
   retirement is a table edit, and ``clone_prefix`` / ``expand`` are pure
   ref-count bumps — the copies the dense pool pays per checkout simply do
   not happen.
-* Attention never reads blocks directly.  Each cache maintains a dense
-  float32 **workspace** — the gathered window of its live rows, in exactly
-  the right-aligned layout the dense cache's buffers have — written
-  *through* on every append and handed to
-  :class:`~repro.nn.MultiHeadAttention` as zero-copy views, so the
-  steady-state decode step costs the same as the dense path.  (On a GPU
-  this materialisation is what a fused paged-attention kernel does per
-  step in registers; in numpy it is a resident window, counted honestly in
-  :meth:`PagedKVCache.kv_bytes`.)  The workspace is *disposable*: pool
-  entries drop theirs at check-in (:meth:`PagedKVCache.release_workspace`)
-  and it is rebuilt from the blocks on the next use, which is what makes a
-  pooled paged entry cost its blocks — shared, exact-width, optionally
-  int8 — rather than a full-context rectangle.
+* Attention reads the blocks through the tables.  ``append`` returns a
+  :class:`PagedAttentionView`, and :class:`~repro.nn.MultiHeadAttention`
+  calls :meth:`PagedAttentionView.gather_kv` to assemble the attended
+  window — persisted spans via one batched block-table gather
+  (:meth:`BlockAllocator.gather_batch`), spliced with each row's
+  unpersisted suffix — as a transient activation, exactly like its scores
+  matrix.  (On a GPU this is what a fused paged-attention kernel does per
+  step in registers.)  The only resident float32 state is a per-row
+  **tail** buffer holding what the blocks do not yet hold; it is counted in
+  :meth:`PagedKVCache.kv_bytes` and dropped at pool check-in
+  (:meth:`PagedKVCache.release_workspace`), so a pooled entry costs its
+  blocks — shared, exact-width, optionally int8 — rather than a
+  full-context rectangle.  Because a row's logical start column is
+  derived, admitting a block-aligned shared row, realigning the batch and
+  rolling a row back are table edits that move no key/value bytes.
 
-A cache can instead run in **native** paged-attention mode
-(``native=True``): attention reads persisted spans *directly* from the
-block store via a batched block-table gather
-(:meth:`BlockAllocator.gather_batch`), and the float32 workspace shrinks
-to a small per-row **tail** buffer holding only the not-yet-persisted
-suffix of each row.  ``append`` then returns a
-:class:`PagedAttentionView` instead of dense array views;
-:class:`~repro.nn.MultiHeadAttention` calls :meth:`PagedAttentionView.
-gather_kv` to assemble the attended window (block gather + tail splice)
-as a transient activation, exactly like its scores matrix.  Admission of
-a block-aligned shared row becomes a pure table edit — no workspace copy
-at all — and the resident footprint of a live batch drops from a full
-(rows x window) rectangle to blocks + tails.  Float32 tails auto-flush
-once they span two blocks (block writes are byte-identical to the
-workspace, so this is free); int8 tails are kept float32 and never
-auto-flushed, preserving the window mode's exact quantization boundaries
-(a position is quantized at the same sharing/pooling boundary in both
-modes, so native int8 decoding emits the window mode's exact tokens).
+Float32 tails auto-flush once they span two blocks (block writes are
+byte-identical to the tail, so no reader can tell), which keeps the tail
+buffer a couple of blocks wide regardless of context length.
 
 With ``kv_dtype="int8"`` the block store quantizes each (head, position)
-vector to signed bytes with a float32 scale (relative error ~1/254).  A
-position is quantized exactly once — at its first flush — and the stored
-values are echoed back into the flushing workspace, so from the moment a
-position is *persisted* every reader (the owner's workspace, a sharing
-cache's copy, a later rebuild from the blocks) sees the identical
-dequantized bytes: results never depend on when a workspace happened to
-be rebuilt.  Unpersisted positions (a live row's not-yet-shared tail)
-exist only in their own float32 workspace — quantization applies to KV
-state *at rest*, exactly like the dense-vs-int8 trade a recompute-vs-
-cache-hit makes.  Float32 pages hold bit-identical copies of the dense
-cache's keys/values, so greedy decoding through a paged batch emits the
-same tokens as the dense path; int8 decoding stays token-identical in
-practice on the models this repo serves (pinned, with fixed seeds, by
-``tests/test_paged_kv.py``).
+vector to signed bytes with a float32 scale (relative error ~1/254).  int8
+tails never auto-flush: a position is quantized exactly once, at its first
+flush — admission into a batch, sharing into a clone or expansion, or pool
+check-in — and from then on every reader (this cache, a sharing cache, a
+restored checkpoint) sees the identical dequantized bytes, so results
+never depend on flush timing.  Unpersisted positions (a live row's
+not-yet-shared tail) exist only in their own float32 tail — quantization
+applies to KV state *at rest*, exactly like the dense-vs-int8 trade a
+recompute-vs-cache-hit makes.  Float32 pages hold bit-identical copies of
+the dense cache's keys/values, so greedy decoding through a paged batch
+emits the same tokens as the dense path; int8 decoding stays
+token-identical in practice on the models this repo serves (pinned, with
+fixed seeds, by ``tests/test_paged_kv.py``).
 """
 
 from __future__ import annotations
@@ -303,16 +289,11 @@ class BlockAllocator:
         q = np.clip(np.round(x / scale[..., None]), -_Q_MAX, _Q_MAX).astype(np.int8)
         return q, scale
 
-    def write(
-        self, block: int, offset: int, k: np.ndarray, v: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def write(self, block: int, offset: int, k: np.ndarray, v: np.ndarray) -> None:
         """Store float32 ``k``/``v`` of shape (heads, n, head_dim) at ``offset``.
 
         The caller must own the block exclusively (``ensure_exclusive`` /
-        ``make_writable``).  Returns the *stored* values as float32 —
-        identical to the inputs for fp32 blocks, the dequantized codes for
-        int8 — so flushing workspaces can mirror exactly what a later
-        gather will read.  Quantization happens per position, so a block's
+        ``make_writable``).  Quantization happens per position, so a block's
         stored bytes depend only on the token history it holds, never on
         when or in which batch the positions were appended.
         """
@@ -322,7 +303,7 @@ class BlockAllocator:
             with self._lock:
                 self._keys[:, block, offset:stop] = k
                 self._values[:, block, offset:stop] = v
-            return k, v
+            return
         qk, sk = self._quantize(np.asarray(k, dtype=np.float32))
         qv, sv = self._quantize(np.asarray(v, dtype=np.float32))
         with self._lock:
@@ -330,7 +311,6 @@ class BlockAllocator:
             self._values[:, block, offset:stop] = qv
             self._key_scales[:, block, offset:stop] = sk
             self._value_scales[:, block, offset:stop] = sv
-        return qk.astype(np.float32) * sk[..., None], qv.astype(np.float32) * sv[..., None]
 
     def write_scatter(
         self,
@@ -338,17 +318,17 @@ class BlockAllocator:
         offsets: np.ndarray,
         k: np.ndarray,
         v: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> None:
         """Store (heads, s, head_dim) positions at per-position block/offset
         pairs in one advanced-index write — the multi-block flush path.
 
-        Same ownership contract and stored-value echo as :meth:`write`.
+        Same ownership contract as :meth:`write`.
         """
         if self.kv_dtype == "fp32":
             with self._lock:
                 self._keys[:, blocks, offsets] = k
                 self._values[:, blocks, offsets] = v
-            return k, v
+            return
         qk, sk = self._quantize(np.asarray(k, dtype=np.float32))
         qv, sv = self._quantize(np.asarray(v, dtype=np.float32))
         with self._lock:
@@ -356,7 +336,6 @@ class BlockAllocator:
             self._values[:, blocks, offsets] = qv
             self._key_scales[:, blocks, offsets] = sk
             self._value_scales[:, blocks, offsets] = sv
-        return qk.astype(np.float32) * sk[..., None], qv.astype(np.float32) * sv[..., None]
 
     def gather_row(
         self,
@@ -402,8 +381,8 @@ class BlockAllocator:
         """Assemble many rows' leading ``widths[i]`` positions into dense
         float32 (rows, heads, columns, head_dim) outputs in one pass.
 
-        The batched form of :meth:`gather_row` — the native paged-attention
-        read path.  Per-row tables are padded to the widest table into one
+        The batched form of :meth:`gather_row` — the paged-attention read
+        path.  Per-row tables are padded to the widest table into one
         index matrix so the storage is touched by a single fancy-index per
         tensor (padding references block 0 but only ``widths[i]`` positions
         of row ``i`` are ever copied out, so the padding is never read
@@ -566,24 +545,27 @@ class PagedLayerKVCache:
     a shared logical ``length`` with every row's filled span right-aligned
     against it.  Physically each row owns only its ``width`` filled
     positions; the logical start column ``length - width`` is derived,
-    which is why sharing and table edits replace the dense path's copies.
+    which is why sharing, realignment and rollback are table edits where
+    the dense path copies.
 
     Storage is two-tier, *write-behind*:
 
-    * the **workspace** — a dense float32 window over the live rows,
-      row-slack-allocated like the dense buffers — receives every append
-      and serves every read while resident;
-    * the **block store** receives a row's positions lazily, when the row
-      crosses a persistence boundary: the cache is checked into the prefix
-      pool (:meth:`release_workspace`), the row is shared into another
-      cache (``admit_row`` / ``clone_prefix`` / ``expand``), or someone
-      asks for a flush explicitly.  ``flushed[row]`` tracks how many
-      positions the blocks hold; rows that retire before ever being shared
-      are simply discarded and never pay a block write.
+    * the **block store** holds each row's persisted prefix
+      ``[0, flushed[row])`` — exact-width, ref-counted, copy-on-write
+      shareable, optionally int8;
+    * the **tail buffer** — float32, one row per batch row, left-aligned at
+      column 0 (its origin is the row's ``flushed`` count) — holds the
+      unpersisted suffix ``[flushed[row], width)`` and receives every
+      append.
 
-    The steady-state decode step therefore performs exactly the dense
-    cache's stores, while the persistent state keeps the paged properties:
-    exact-width, ref-counted, copy-on-write shareable, optionally int8.
+    A row is flushed (tail -> blocks) when it crosses a persistence
+    boundary: admission into a batch, sharing into another cache
+    (``clone_prefix`` / ``expand``), pool check-in
+    (:meth:`release_workspace`), an explicit :meth:`flush_row`, or — float32
+    only — once its tail spans two blocks.  Rows that retire before any of
+    these are simply discarded and never pay a block write.  Reads go
+    through :class:`PagedAttentionView` (block gather plus tail splice) or
+    :meth:`read_span`.
     """
 
     __slots__ = (
@@ -592,32 +574,19 @@ class PagedLayerKVCache:
         "widths",
         "flushed",
         "length",
-        "native",
         "_capacity",
         "_ws_k",
         "_ws_v",
     )
 
-    def __init__(
-        self,
-        allocator: BlockAllocator,
-        batch_size: int,
-        capacity: int,
-        native: bool = False,
-    ) -> None:
+    def __init__(self, allocator: BlockAllocator, batch_size: int, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
-        #: Native paged-attention mode: the workspace holds only each row's
-        #: unpersisted tail (left-aligned at column 0, its origin being the
-        #: row's ``flushed`` count) and ``append`` returns a
-        #: :class:`PagedAttentionView` that gathers the attended window
-        #: straight from the block store.
-        self.native = native
         self.allocator = allocator
         self.tables: list[list[int]] = [[] for _ in range(batch_size)]
         self.widths: list[int] = [0] * batch_size
         #: Per-row count of positions persisted to the block store; the
-        #: suffix ``[flushed, width)`` lives only in the workspace.
+        #: suffix ``[flushed, width)`` lives only in the tail buffer.
         self.flushed: list[int] = [0] * batch_size
         self.length = 0
         self._capacity = capacity
@@ -641,16 +610,12 @@ class PagedLayerKVCache:
     def head_dim(self) -> int:
         return self.allocator.head_dim
 
-    @property
-    def has_workspace(self) -> bool:
-        return self._ws_k is not None
-
     def _blocks_for(self, width: int) -> int:
         bs = self.allocator.block_size
         return (width + bs - 1) // bs
 
     # ------------------------------------------------------------------ #
-    # workspace maintenance
+    # tail buffer maintenance
     # ------------------------------------------------------------------ #
     def workspace_bytes(self) -> int:
         if self._ws_k is None:
@@ -658,10 +623,10 @@ class PagedLayerKVCache:
         return self._ws_k.nbytes + self._ws_v.nbytes
 
     def _ensure_tail(self, rows: int, cols: int) -> None:
-        """Native-mode workspace sizing: make the tail buffer at least
-        (rows, cols).  Tails are left-aligned at column 0, so growth copies
-        the old buffer verbatim; a released buffer implies every tail was
-        flushed, so a fresh zero buffer needs no rebuild."""
+        """Make the tail buffer at least (rows, cols).  Tails are
+        left-aligned at column 0, so growth copies the old buffer verbatim;
+        a released buffer implies every tail was flushed, so a fresh zero
+        buffer needs no rebuild."""
         ws = self._ws_k
         if ws is not None and ws.shape[0] >= rows and ws.shape[2] >= cols:
             return
@@ -687,62 +652,18 @@ class PagedLayerKVCache:
             new[:have_rows, :, :have_cols] = old
             setattr(self, name, new)
 
-    def _ensure_workspace(self, rows: int, cols: int) -> None:
-        """Make the workspace valid and at least (rows, cols); rebuild from
-        the blocks when it was released (every position is flushed then)."""
-        if self.native:
-            raise RuntimeError("native caches size their tail buffers via _ensure_tail")
-        ws = self._ws_k
-        if ws is not None and ws.shape[0] >= rows and ws.shape[2] >= cols:
-            return  # steady-state decode: nothing to do
-        rows = max(rows, self.batch_size)
-        cols = min(max(cols, self.length, 1), max(self._capacity, 1))
-        if ws is None:
-            shape = (rows, self.num_heads, cols, self.head_dim)
-            self._ws_k = np.zeros(shape, dtype=np.float32)
-            self._ws_v = np.zeros(shape, dtype=np.float32)
-            for row in range(self.batch_size):
-                width = self.widths[row]
-                self.allocator.gather_row(
-                    self.tables[row],
-                    width,
-                    self._ws_k[row],
-                    self._ws_v[row],
-                    self.length - width,
-                )
-            return
-        have_rows, _, have_cols, _ = ws.shape
-        # Amortised growth (like the dense buffers): row slack so a stream
-        # of admissions appends in place, column doubling bounded by the
-        # logical capacity.
-        new_rows = have_rows
-        if rows > have_rows:
-            new_rows = max(rows, have_rows + max(2, have_rows // 2))
-        new_cols = have_cols
-        if cols > have_cols:
-            new_cols = min(max(cols, 2 * have_cols), max(self._capacity, cols))
-        for name in ("_ws_k", "_ws_v"):
-            old = getattr(self, name)
-            new = np.zeros(
-                (new_rows, self.num_heads, new_cols, self.head_dim), dtype=np.float32
-            )
-            new[: self.batch_size, :, : self.length] = old[
-                : self.batch_size, :, : self.length
-            ]
-            setattr(self, name, new)
-
     def flush_row(self, row: int) -> None:
-        """Persist the row's workspace-only suffix ``[flushed, width)`` into
-        the block store (one batched scatter; no-op when already flushed).
+        """Persist the row's tail ``[flushed, width)`` into the block store
+        (one write or batched scatter; no-op when already flushed).
 
+        The tail buffer's origin *is* ``flushed``: the unpersisted suffix
+        sits at tail columns ``[0, width - flushed)``, so persisting it just
+        advances ``flushed`` and empties the tail with no data movement.
         Quantization — when the store is int8 — happens here, once per
-        position: a position's stored bytes are fixed at its first flush
-        and never rewritten, so block contents depend only on the token
-        history, never on batch membership or flush timing.  The *stored*
-        values are echoed back into the workspace, so from the moment a
-        position is persisted every reader — this cache's workspace, a
-        sharing cache's copy, a later rebuild from the blocks — sees the
-        identical (for int8: dequantized) bytes.
+        position: a position's stored bytes are fixed at its first flush and
+        never rewritten, so block contents depend only on the token history,
+        never on batch membership or flush timing, and every later read of
+        the position sees the same (for int8: dequantized) bytes.
         """
         width = self.widths[row]
         start = self.flushed[row]
@@ -752,34 +673,22 @@ class PagedLayerKVCache:
         bs = allocator.block_size
         table = self.tables[row]
         allocator.make_writable(table, start // bs, (width - 1) // bs)
-        if self.native:
-            # The tail buffer's origin *is* ``flushed``: the unpersisted
-            # suffix sits at columns [0, width - start).  Persisting it
-            # simply advances ``flushed`` — the tail empties with no data
-            # movement and no echo (nothing reads the stale columns).
-            k = self._ws_k[row, :, : width - start]
-            v = self._ws_v[row, :, : width - start]
-        else:
-            ws_col = self.length - width
-            k = self._ws_k[row, :, ws_col + start : ws_col + width]
-            v = self._ws_v[row, :, ws_col + start : ws_col + width]
+        k = self._ws_k[row, :, : width - start]
+        v = self._ws_v[row, :, : width - start]
         if start // bs == (width - 1) // bs:
-            stored_k, stored_v = allocator.write(table[start // bs], start % bs, k, v)
+            allocator.write(table[start // bs], start % bs, k, v)
         else:
             positions = np.arange(start, width)
             blocks = np.asarray(table, dtype=np.int64)[positions // bs]
-            stored_k, stored_v = allocator.write_scatter(blocks, positions % bs, k, v)
-        if allocator.kv_dtype != "fp32" and not self.native:
-            self._ws_k[row, :, ws_col + start : ws_col + width] = stored_k
-            self._ws_v[row, :, ws_col + start : ws_col + width] = stored_v
+            allocator.write_scatter(blocks, positions % bs, k, v)
         self.flushed[row] = width
 
     def release_workspace(self) -> None:
-        """Flush every row to the block store, then drop the dense window.
+        """Flush every row to the block store, then drop the tail buffer.
 
         The prefix pool calls this at check-in so a resting pooled entry
-        costs exactly its (shared, possibly int8) blocks; the next
-        structural use rebuilds the window from them.
+        costs exactly its (shared, possibly int8) blocks; the next append
+        allocates a fresh tail buffer.
         """
         if self._ws_k is None:
             return
@@ -791,22 +700,16 @@ class PagedLayerKVCache:
     # ------------------------------------------------------------------ #
     # the dense-layer protocol
     # ------------------------------------------------------------------ #
-    def append(self, k: np.ndarray, v: np.ndarray):
+    def append(self, k: np.ndarray, v: np.ndarray) -> "PagedAttentionView":
         """Store (batch, heads, s, head_dim) new positions.
 
-        Window mode returns zero-copy workspace views of the full attended
-        history and performs exactly the dense cache's stores (two
-        vectorised writes); the block store is not touched — rows persist
-        lazily at sharing/pooling boundaries, and rows that retire first
-        never pay a block write at all.
-
-        Native mode appends into the per-row tail buffers and returns a
-        :class:`PagedAttentionView`; float32 tails that have grown to two
-        full blocks are flushed eagerly (byte-identical to the workspace,
-        so the read path cannot tell), which keeps the resident tail buffer
-        a couple of blocks wide regardless of context length.  int8 tails
-        are *never* auto-flushed: quantization stays pinned to the same
-        sharing/pooling boundaries as window mode.
+        The positions land in the per-row tail buffers; the returned
+        :class:`PagedAttentionView` gathers the attended window on demand.
+        Float32 tails that have grown to two full blocks are flushed eagerly
+        (byte-identical to the tail, so the read path cannot tell), which
+        keeps the resident tail buffer a couple of blocks wide regardless of
+        context length.  int8 tails are *never* auto-flushed: quantization
+        stays pinned to the admission/sharing/pooling boundaries.
         """
         batch, _, s, _ = k.shape
         if batch != self.batch_size:
@@ -819,66 +722,37 @@ class PagedLayerKVCache:
                 f"KV cache overflow: appending {s} positions at length "
                 f"{self.length} exceeds capacity {self.capacity}"
             )
-        if self.native:
-            tails = np.array(
-                [self.widths[row] - self.flushed[row] for row in range(batch)],
-                dtype=np.int64,
-            )
-            self._ensure_tail(batch, int(tails.max(initial=0)) + s)
-            if s == 1:
-                rows = np.arange(batch)
-                self._ws_k[rows, :, tails] = k[:, :, 0]
-                self._ws_v[rows, :, tails] = v[:, :, 0]
-            else:
-                for row in range(batch):
-                    t = int(tails[row])
-                    self._ws_k[row, :, t : t + s] = k[row]
-                    self._ws_v[row, :, t : t + s] = v[row]
+        tails = np.array(
+            [self.widths[row] - self.flushed[row] for row in range(batch)],
+            dtype=np.int64,
+        )
+        self._ensure_tail(batch, int(tails.max(initial=0)) + s)
+        if s == 1:
+            rows = np.arange(batch)
+            self._ws_k[rows, :, tails] = k[:, :, 0]
+            self._ws_v[rows, :, tails] = v[:, :, 0]
+        else:
             for row in range(batch):
-                self.widths[row] += s
-            self.length = stop
-            if self.allocator.kv_dtype == "fp32":
-                limit = 2 * self.allocator.block_size
-                for row in range(batch):
-                    if self.widths[row] - self.flushed[row] >= limit:
-                        self.flush_row(row)
-            return PagedAttentionView(self, batch, stop)
-        self._ensure_workspace(batch, max(stop, min(2 * self.length, self._capacity)))
-        self._ws_k[:batch, :, self.length : stop] = k
-        self._ws_v[:batch, :, self.length : stop] = v
+                t = int(tails[row])
+                self._ws_k[row, :, t : t + s] = k[row]
+                self._ws_v[row, :, t : t + s] = v[row]
         for row in range(batch):
             self.widths[row] += s
         self.length = stop
-        return self._ws_k[:batch, :, :stop], self._ws_v[:batch, :, :stop]
-
-    def gather(self) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-copy (batch, heads, length, head_dim) float32 views of the
-        live window (building the workspace from the blocks if needed).
-
-        Rows shorter than ``length`` carry zeros before their span — exactly
-        the columns the decode mask already excludes, so attention results
-        match the dense layout (masked scores underflow to an attention
-        weight of exactly 0.0 either way).
-
-        In native mode the window is materialised *transiently* (block
-        gather + tail splice) rather than kept resident.
-        """
-        if self.native:
-            return PagedAttentionView(self, self.batch_size, self.length).gather_kv()
-        self._ensure_workspace(self.batch_size, self.length)
-        return (
-            self._ws_k[: self.batch_size, :, : self.length],
-            self._ws_v[: self.batch_size, :, : self.length],
-        )
+        if self.allocator.kv_dtype == "fp32":
+            limit = 2 * self.allocator.block_size
+            for row in range(batch):
+                if self.widths[row] - self.flushed[row] >= limit:
+                    self.flush_row(row)
+        return PagedAttentionView(self, batch, stop)
 
     def read_span(self, row: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Float32 keys/values of one row's logical columns ``[start, stop)``.
 
         The cross-layout interop primitive (see
         :meth:`~repro.nn.attention.LayerKVCache.read_span`): the requested
-        columns must lie inside the row's filled span.  Served from the
-        workspace when resident (which always covers the whole span),
-        gathered from the blocks otherwise.
+        columns must lie inside the row's filled span.  Persisted columns
+        are gathered from the blocks, unpersisted ones read from the tail.
         """
         if not 0 <= row < self.batch_size:
             raise ValueError(f"row {row} outside batch of {self.batch_size}")
@@ -888,26 +762,20 @@ class PagedLayerKVCache:
                 f"columns [{start}, {stop}) outside row {row}'s filled span "
                 f"[{row_start}, {self.length})"
             )
-        if self.native:
-            flushed = self.flushed[row]
-            phys_start, phys_stop = start - row_start, stop - row_start
-            if phys_stop <= flushed:
-                return self.allocator.read_positions(self.tables[row], phys_start, phys_stop)
-            if phys_start >= flushed:
-                lo, hi = phys_start - flushed, phys_stop - flushed
-                return self._ws_k[row, :, lo:hi], self._ws_v[row, :, lo:hi]
-            block_k, block_v = self.allocator.read_positions(
-                self.tables[row], phys_start, flushed
-            )
-            tail = phys_stop - flushed
-            return (
-                np.concatenate([block_k, self._ws_k[row, :, :tail]], axis=1),
-                np.concatenate([block_v, self._ws_v[row, :, :tail]], axis=1),
-            )
-        if self._ws_k is not None:
-            return self._ws_k[row, :, start:stop], self._ws_v[row, :, start:stop]
-        return self.allocator.read_positions(
-            self.tables[row], start - row_start, stop - row_start
+        flushed = self.flushed[row]
+        phys_start, phys_stop = start - row_start, stop - row_start
+        if phys_stop <= flushed:
+            return self.allocator.read_positions(self.tables[row], phys_start, phys_stop)
+        if phys_start >= flushed:
+            lo, hi = phys_start - flushed, phys_stop - flushed
+            return self._ws_k[row, :, lo:hi], self._ws_v[row, :, lo:hi]
+        block_k, block_v = self.allocator.read_positions(
+            self.tables[row], phys_start, flushed
+        )
+        tail = phys_stop - flushed
+        return (
+            np.concatenate([block_k, self._ws_k[row, :, :tail]], axis=1),
+            np.concatenate([block_v, self._ws_v[row, :, :tail]], axis=1),
         )
 
     # table-edit
@@ -943,20 +811,20 @@ class PagedLayerKVCache:
                 self._shrink_row(row, min(drop, self.widths[row]))
         self.length = length
 
+    # table-edit
     def truncate_row(self, row: int, length: int) -> None:
         """Roll *one* row back ``self.length - length`` positions.
 
         The speculative-decode rollback primitive, mirroring the dense
         :meth:`~repro.nn.attention.LayerKVCache.truncate_row`: the row's
-        rejected tail is dropped and its kept span re-right-aligned so it
-        still ends at the (unchanged) live end, while batch neighbours keep
-        their accepted positions.  In window mode the kept columns shift
-        right inside the workspace; in native mode the tail buffer's origin
-        is ``flushed``, so the cut is pure bookkeeping — either the tail
-        shrinks from its end in place, or the cut lands below ``flushed``
-        and empties the tail entirely.  Either way a partially kept,
-        possibly CoW-shared block is reclaimed only later, by
-        ``flush_row``'s ``make_writable`` claim (see :meth:`_shrink_row`).
+        rejected tail is dropped and its kept span still ends at the
+        (unchanged) live end, while batch neighbours keep their accepted
+        positions.  The tail buffer's origin is ``flushed``, so the cut is
+        pure bookkeeping — either the tail shrinks from its end in place,
+        or the cut lands below ``flushed`` and empties the tail entirely.
+        Either way a partially kept, possibly CoW-shared block is reclaimed
+        only later, by ``flush_row``'s ``make_writable`` claim (see
+        :meth:`_shrink_row`).
         """
         if not 0 <= row < self.batch_size:
             raise ValueError(f"row {row} outside batch of {self.batch_size}")
@@ -973,24 +841,19 @@ class PagedLayerKVCache:
                 f"{self.widths[row]}-position span"
             )
         self._shrink_row(row, drop)
-        if not self.native and self._ws_k is not None:
-            # Re-right-align the kept columns so the row's span ends at the
-            # live end again (.copy(): source and destination overlap).
-            self._ws_k[row, :, drop : self.length] = self._ws_k[row, :, :length].copy()
-            self._ws_v[row, :, drop : self.length] = self._ws_v[row, :, :length].copy()
 
     # table-edit
     def grow(self, capacity: int) -> None:
         """Raise the logical column capacity.  Blocks are allocated on
-        demand and the workspace grows on first need, so this is free."""
+        demand and the tail buffer grows on first need, so this is free."""
         self._capacity = max(self._capacity, capacity)
 
     # table-edit
     def release(self) -> None:
-        """Drop every block reference and the workspace (idempotent).
+        """Drop every block reference and the tail buffer (idempotent).
 
-        Unflushed workspace data is discarded, not persisted — releasing is
-        how retiring caches die, not how pooled ones rest (those go through
+        Unflushed tails are discarded, not persisted — releasing is how
+        retiring caches die, not how pooled ones rest (those go through
         :meth:`release_workspace`).
         """
         for table in self.tables:
@@ -1012,15 +875,15 @@ class PagedLayerKVCache:
 
 
 class PagedAttentionView:
-    """Lazy handle over a native layer's attended window at one append.
+    """Lazy handle over a layer's attended window at one append.
 
-    Returned by a native :meth:`PagedLayerKVCache.append` instead of dense
-    array views.  :meth:`gather_kv` assembles the (batch, heads, length,
-    head_dim) float32 window — persisted prefixes via one batched
-    block-table gather, live tails spliced from the tail buffers — as a
-    *transient* activation owned by the caller, the numpy analogue of a
-    fused paged-attention kernel reading blocks in registers.  Nothing
-    dense stays resident between steps.
+    Returned by :meth:`PagedLayerKVCache.append`.  :meth:`gather_kv`
+    assembles the (batch, heads, length, head_dim) float32 window —
+    persisted prefixes via one batched block-table gather, live tails
+    spliced from the tail buffers — as a *transient* activation owned by
+    the caller, the numpy analogue of a fused paged-attention kernel
+    reading blocks in registers.  Nothing dense stays resident between
+    steps.
     """
 
     __slots__ = ("layer", "batch", "length")
@@ -1074,13 +937,10 @@ class PagedKVCache:
         batch_size: int,
         allocator: BlockAllocator,
         capacity: int,
-        native: bool = False,
     ) -> None:
         self.allocator = allocator
-        self.native = native
         self.layers = [
-            PagedLayerKVCache(allocator, batch_size, capacity, native=native)
-            for _ in range(num_layers)
+            PagedLayerKVCache(allocator, batch_size, capacity) for _ in range(num_layers)
         ]
 
     # ------------------------------------------------------------------ #
@@ -1118,7 +978,7 @@ class PagedKVCache:
             layer.grow(capacity)
 
     def release_workspace(self) -> None:
-        """Flush every layer to the block store and drop the dense windows.
+        """Flush every layer to the block store and drop the tail buffers.
 
         Called by the prefix pool at check-in: a resting pooled entry then
         costs exactly its (shared, possibly int8) blocks.
@@ -1140,13 +1000,13 @@ class PagedKVCache:
             pass
 
     def kv_bytes(self) -> int:
-        """Resident KV bytes: distinct referenced blocks plus any workspaces."""
+        """Resident KV bytes: distinct referenced blocks plus the tail buffers."""
         ids: set[int] = set()
-        workspace = 0
+        tails = 0
         for layer in self.layers:
             ids.update(layer.block_ids())
-            workspace += layer.workspace_bytes()
-        return len(ids) * self.allocator.block_bytes + workspace
+            tails += layer.workspace_bytes()
+        return len(ids) * self.allocator.block_bytes + tails
 
     # ------------------------------------------------------------------ #
     # checkpoint-to-bytes (fleet migration, pool warm-start)
@@ -1195,7 +1055,6 @@ class PagedKVCache:
         data: bytes,
         allocator: BlockAllocator,
         capacity: int | None = None,
-        native: bool = False,
     ) -> "PagedKVCache":
         """Rebuild a cache from :meth:`serialize` bytes onto ``allocator``.
 
@@ -1271,7 +1130,7 @@ class PagedKVCache:
             raise ValueError(
                 f"restore capacity {capacity} cannot hold the {length}-position snapshot"
             )
-        out = cls(num_layers, batch, allocator, max(capacity or length, 1), native=native)
+        out = cls(num_layers, batch, allocator, max(capacity or length, 1))
         index = 0
         for layer, layer_widths in zip(out.layers, widths):
             for row, width in enumerate(layer_widths):
@@ -1291,8 +1150,8 @@ class PagedKVCache:
         are flushed to the block store (amortised — typically already done
         by a pool check-in), the clone's tables reference the donor's
         blocks (ref-counted), a partially covered tail block is only copied
-        if one side later appends over it, and the clone materialises its
-        workspace lazily on first use.
+        if one side later appends over it, and the clone allocates its tail
+        buffer on first append.
         """
         if not 0 <= length <= self.length:
             raise ValueError(f"cannot clone {length} positions of a length-{self.length} cache")
@@ -1353,12 +1212,11 @@ class PagedKVCache:
 
         Same contract as :meth:`repro.nn.attention.KVCache.admit_row`.  When
         ``src`` is paged on the same allocator and the copied span starts on
-        a block boundary, the row's persistent state is admitted by sharing
-        its (flushed) blocks — ref-count bump — and only the workspace
-        window receives a copy of the span: the prefill -> live-batch
-        handoff.  Otherwise the span is read through the layout-agnostic
-        ``read_span`` into the workspace alone, to be persisted lazily if
-        this row is ever shared onward: one row's cost, never the batch's.
+        a block boundary, the row is admitted by sharing the donor's
+        (flushed) blocks — a ref-count bump and no data movement: the
+        prefill -> live-batch handoff.  Otherwise the span is read through
+        the layout-agnostic ``read_span`` and persisted into the row's own
+        blocks: one row's cost, never the batch's.
         """
         if self.layers and src.layers:
             src_layer = src.layers[0]
@@ -1390,13 +1248,10 @@ class PagedKVCache:
         bs = self.allocator.block_size
         for own, other in zip(self.layers, src.layers):
             row = own.batch_size
-            if own.native:
-                if own._ws_k is not None:
-                    own._ensure_tail(row + 1, 1)
-            else:
-                own._ensure_workspace(row + 1, max(new_length, 1))
-                own._ws_k[row] = 0.0
-                own._ws_v[row] = 0.0
+            # A resident tail buffer must cover every row: retire_rows
+            # re-packs it by row index.
+            if own._ws_k is not None:
+                own._ensure_tail(row + 1, 1)
             shared = (
                 isinstance(other, PagedLayerKVCache)
                 and other.allocator is self.allocator
@@ -1420,39 +1275,28 @@ class PagedKVCache:
                 own.widths.append(width)
                 own.flushed.append(0)
             own.length = new_length
-            if width > 0:
+            if width > 0 and not shared:
                 # An unshared span is copied in through the layout-agnostic
                 # read_span, then persisted immediately: fp32 block writes
-                # are byte-identical to the workspace, and quantizing int8
-                # spans *at admission* — whatever path they arrived by —
-                # keeps the admitted row's bytes a function of the token
-                # history alone, never of admission grouping, padding
-                # alignment or prefill chunking.  A block-shared span needs
-                # no persistence (its donor flush already covered it); in
-                # native mode sharing is a pure table edit, while window
-                # mode must still mirror the span into the workspace the
-                # attention window reads from.
-                if own.native:
-                    if not shared:
-                        k_span, v_span = other.read_span(src_row, src_start, src.length)
-                        own._ensure_tail(row + 1, width)
-                        own._ws_k[row, :, :width] = k_span
-                        own._ws_v[row, :, :width] = v_span
-                        own.flush_row(row)
-                else:
-                    k_span, v_span = other.read_span(src_row, src_start, src.length)
-                    own._ws_k[row, :, start:new_length] = k_span
-                    own._ws_v[row, :, start:new_length] = v_span
-                    if not shared and self.allocator.kv_dtype != "fp32":
-                        own.flush_row(row)
+                # are byte-identical to the tail, and quantizing int8 spans
+                # *at admission* — whatever path they arrived by — keeps the
+                # admitted row's bytes a function of the token history
+                # alone, never of admission grouping, padding alignment or
+                # prefill chunking.  A block-shared span needs neither: its
+                # donor's flush already persisted it.
+                k_span, v_span = other.read_span(src_row, src_start, src.length)
+                own._ensure_tail(row + 1, width)
+                own._ws_k[row, :, :width] = k_span
+                own._ws_v[row, :, :width] = v_span
+                own.flush_row(row)
         return start
 
     # table-edit
     def retire_rows(self, keep: np.ndarray) -> None:
         """Drop every row not listed in ``keep``: the persistent state is a
         pure table edit (dropped rows' blocks are dereferenced, unflushed
-        rows simply vanish, no key/value bytes move); only the workspace
-        window re-packs its rows, exactly like the dense buffers do."""
+        rows simply vanish, no block bytes move); only the tail buffer
+        re-packs its rows."""
         keep = np.asarray(keep, dtype=np.int64).ravel()
         if keep.size:
             if keep.min() < 0 or keep.max() >= self.batch_size:
@@ -1467,7 +1311,7 @@ class PagedKVCache:
         kept = set(int(i) for i in keep)
         indices = [int(i) for i in keep]
         # The common retirement (ascending keep, e.g. the decode loop's) can
-        # compact the workspace in place, touching only the rows that move;
+        # compact the tail buffer in place, touching only the rows that move;
         # an order-changing keep falls back to a gathered copy.
         ascending = all(b > a for a, b in zip(indices, indices[1:]))
         dropped: list[int] = []
@@ -1480,8 +1324,8 @@ class PagedKVCache:
             layer.flushed = [layer.flushed[i] for i in indices]
             if layer._ws_k is not None:
                 if keep.size == 0:
-                    # An emptied batch drops its window like the dense cache
-                    # drops to zero rows; the next admission re-sizes it.
+                    # An emptied batch drops its tail buffer like the dense
+                    # cache drops to zero rows; the next admission re-sizes it.
                     layer._ws_k = None
                     layer._ws_v = None
                 elif ascending:
@@ -1498,16 +1342,16 @@ class PagedKVCache:
             # One locked pass for every layer's dropped tables.
             self.allocator.decref(dropped)
 
+    # table-edit
     def realign(self, starts: np.ndarray, new_length: int) -> np.ndarray:
         """Move every row's span to end at ``new_length``.
 
-        The persistent state is pure bookkeeping — a paged row's logical
-        start column is *derived* (``length - width``), so no blocks are
-        touched for either compaction or pre-admission growth.  Only the
-        workspace window shifts its spans (the same move the dense buffers
-        make).  ``starts`` must match the rows' actual filled spans: a paged
-        row's history is intrinsic to its table, so unlike the dense buffer
-        there are no dead leading columns to silently abandon.
+        Pure bookkeeping: a paged row's logical start column is *derived*
+        (``length - width``) and its tail sits at column 0 with origin
+        ``flushed``, so neither compaction nor pre-admission growth moves
+        any data.  ``starts`` must match the rows' actual filled spans: a
+        paged row's history is intrinsic to its table, so unlike the dense
+        buffer there are no dead leading columns to silently abandon.
         """
         starts = np.asarray(starts, dtype=np.int64).ravel()
         if starts.size != self.batch_size:
@@ -1523,31 +1367,11 @@ class PagedKVCache:
             )
         if new_length > self.capacity:
             raise ValueError(f"new length {new_length} exceeds capacity {self.capacity}")
-        new_starts = new_length - widths
-        length = self.length
         for layer in self.layers:
             if list(widths) != layer.widths:
                 raise ValueError(
                     f"realign starts imply widths {widths.tolist()} but the rows "
                     f"hold {layer.widths}"
                 )
-            if layer.native:
-                # Tails live at column 0 with origin ``flushed`` — a row's
-                # logical start column is derived, so realignment (both
-                # compaction and pre-admission growth) is pure bookkeeping.
-                layer.length = new_length
-                continue
-            if layer._ws_k is not None:
-                layer._ensure_workspace(layer.batch_size, new_length)
-                for i in range(starts.size):
-                    if new_starts[i] == starts[i]:
-                        continue
-                    # .copy(): source and destination spans may overlap.
-                    layer._ws_k[i, :, new_starts[i] : new_length] = layer._ws_k[
-                        i, :, starts[i] : length
-                    ].copy()
-                    layer._ws_v[i, :, new_starts[i] : new_length] = layer._ws_v[
-                        i, :, starts[i] : length
-                    ].copy()
             layer.length = new_length
-        return new_starts
+        return new_length - widths

@@ -371,8 +371,8 @@ class PrefixCachePool:
         ids = prompt_ids[: cache.length].copy()
         key = self._key(ids)
         # A resting paged entry costs its (shared, possibly int8) blocks
-        # only: the dense gather window is dropped here and rebuilt from the
-        # blocks on the next checkout that extends the entry.
+        # only: the tails are flushed and the tail buffer is dropped here; a
+        # checkout that extends the entry appends into a fresh one.
         if hasattr(cache, "release_workspace"):
             cache.release_workspace()
         with self._lock:

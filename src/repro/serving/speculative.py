@@ -64,18 +64,16 @@ class _DrafterBatch:
         self.kv_dtype = kv_dtype
         self.capacity = draft_model.config.max_position
         self.cache = self._make_cache(
-            0, min(self.capacity, 64) if kv_layout == "dense" else self.capacity, native=True
+            0, min(self.capacity, 64) if kv_layout == "dense" else self.capacity
         )
         self.states: list[DecodeState] = []
         self.col_start: list[int] = []
         self.rows: dict[int, int] = {}  # id(state) -> row index
         self.mask = np.zeros((0, self.capacity), dtype=bool)
 
-    def _make_cache(self, rows: int, capacity: int, *, native: bool = False):
+    def _make_cache(self, rows: int, capacity: int):
         if self.kv_layout == "paged":
-            return self.model.make_paged_cache(
-                rows, capacity, kv_dtype=self.kv_dtype, native=native
-            )
+            return self.model.make_paged_cache(rows, capacity, kv_dtype=self.kv_dtype)
         return self.model.make_cache(rows, capacity)
 
     def row_length(self, row: int) -> int:
