@@ -7,6 +7,9 @@ sails straight through them.  This tool compares the freshly measured
 root and fails when any section's ``speedup`` drops more than
 ``--max-drop`` (default 15%) below the committed value — so the perf
 trajectory is gated *relative to where it was*, not just above a floor.
+``run_bench.py`` reports each ``speedup`` as a ratio of the arms' medians,
+so this gates medians; the table also prints each section's spread
+(``speedup_iqr``, the quartiles of the per-repeat ratios).
 
 Usage::
 
@@ -40,21 +43,36 @@ def load_speedups(report: dict) -> dict[str, float]:
     }
 
 
+def spread(report: dict, name: str) -> str:
+    """A section's ``speedup_iqr`` as ``q1-q3``, or ``-`` when not reported."""
+    iqr = report.get(name, {}).get("speedup_iqr")
+    return f"{iqr[0]:.2f}-{iqr[1]:.2f}" if iqr else "-"
+
+
 def compare(baseline: dict, fresh: dict, max_drop: float) -> tuple[list[str], list[str]]:
     """Returns ``(lines, failures)``: a report table and the failed sections."""
     base_speedups = load_speedups(baseline)
     fresh_speedups = load_speedups(fresh)
     lines: list[str] = []
     failures: list[str] = []
-    header = f"{'section':<24} {'committed':>10} {'fresh':>10} {'ratio':>8}  status"
+    header = (
+        f"{'section':<24} {'committed':>10} {'fresh':>10} {'fresh IQR':>11} "
+        f"{'ratio':>8}  status"
+    )
     lines.append(header)
     lines.append("-" * len(header))
     for name in sorted(set(base_speedups) | set(fresh_speedups)):
         if name not in fresh_speedups:
-            lines.append(f"{name:<24} {base_speedups[name]:>10.2f} {'-':>10} {'-':>8}  retired (not gated)")
+            lines.append(
+                f"{name:<24} {base_speedups[name]:>10.2f} {'-':>10} {'-':>11} {'-':>8}  "
+                "retired (not gated)"
+            )
             continue
         if name not in base_speedups:
-            lines.append(f"{name:<24} {'-':>10} {fresh_speedups[name]:>10.2f} {'-':>8}  new (not gated)")
+            lines.append(
+                f"{name:<24} {'-':>10} {fresh_speedups[name]:>10.2f} "
+                f"{spread(fresh, name):>11} {'-':>8}  new (not gated)"
+            )
             continue
         committed = base_speedups[name]
         measured = fresh_speedups[name]
@@ -62,7 +80,8 @@ def compare(baseline: dict, fresh: dict, max_drop: float) -> tuple[list[str], li
         ok = measured >= committed * (1.0 - max_drop)
         status = "ok" if ok else f"REGRESSED >{max_drop:.0%}"
         lines.append(
-            f"{name:<24} {committed:>10.2f} {measured:>10.2f} {ratio:>7.2f}x  {status}"
+            f"{name:<24} {committed:>10.2f} {measured:>10.2f} {spread(fresh, name):>11} "
+            f"{ratio:>7.2f}x  {status}"
         )
         if not ok:
             failures.append(
@@ -72,7 +91,7 @@ def compare(baseline: dict, fresh: dict, max_drop: float) -> tuple[list[str], li
     return lines, failures
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline", type=Path, help="committed BENCH_inference.json")
     parser.add_argument("fresh", type=Path, help="freshly measured report")
@@ -89,7 +108,7 @@ def main() -> int:
         help="warn and skip (exit 0) instead of failing when the reports "
         "were taken at different scales",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     baseline = json.loads(args.baseline.read_text())
     fresh = json.loads(args.fresh.read_text())

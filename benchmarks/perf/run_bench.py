@@ -3,53 +3,42 @@
 Measures, for the decoder-LM stack that powers every ICL experiment
 (Tables III/IV, Figs 12-14):
 
-* ``generate`` throughput (tokens/sec), KV-cached vs. full-recompute;
-* ``generate_batch`` throughput — one left-padded cache-backed decode loop
-  over 8 ragged prompts vs. 8 sequential cached generates (and vs. the
-  uncached per-row reference logits);
-* continuous batching — the iteration-level
-  :class:`~repro.serving.ContinuousBatchingEngine` on a staggered-arrival
-  trace with data-dependent generation lengths vs. the flush-bounded
-  padded-batch baseline (closed batches decoded to completion), with
-  engine == flush == sequential == uncached token equivalence;
-* concurrent serving — N async clients with Poisson-ish staggered arrivals
-  driving the :class:`~repro.serving.AsyncEngine` (background stepping
-  thread, arrival-driven admission) vs. the synchronous pre-collect-then-
-  flush front door on the same trace;
-* paged KV storage — the continuous-batching engine over block-paged
-  (and int8-quantized) KV caches vs. the dense layout on a long-context
-  multi-family trace with byte-budgeted prefix pools: tokens/s at an equal
-  pool byte budget (exact-width, copy-on-write-shared paged entries keep
-  every prompt family resident where dense rectangles thrash) plus the
-  peak resident KV bytes at equal pool capability;
+* ``generate`` throughput, KV-cached vs. full-recompute;
+* ``generate_batch`` — one left-padded cache-backed decode loop over 8
+  ragged prompts vs. 8 sequential cached generates (and vs. the uncached
+  per-row reference logits);
+* the HTTP front end under matched 1x/2x open-loop load, with shedding,
+  priority preemption and preempt/resume token parity;
+* paged KV storage — the continuous-batching engine over block-paged (and
+  int8-quantized) KV caches vs. the dense layout on a long-context
+  multi-family trace with byte-budgeted prefix pools;
+* chunked prefill vs. atomic admission on an adversarial prompt-length mix;
 * speculative decoding — a registry-pretrained drafter (``gpt2`` config)
-  proposing for a ``mistral-7b``-config target, batched draft-then-verify
-  vs. plain cached decode in the single-stream latency-bound regime (and,
-  ungated, over a small decode batch), with accept rate and greedy
-  token identity;
-* replica fleet — tokens/s of a data-parallel :class:`~repro.serving.
-  ReplicaFleet` at 1/2/4 workers vs a single engine at equal total traffic
-  on a multi-family prompt trace sized to overflow any one replica's prefix
-  pool, with prefix-affinity vs round-robin hit rates and greedy token
-  identity against the single engine;
-* ``ICLEngine.evaluate`` throughput (queries/sec) with a shared few-shot
-  example block, prefix-cached batched scoring vs. the per-query loop;
+  proposing for a ``mistral-7b``-config target vs. plain cached decode;
+* replica fleet — a data-parallel :class:`~repro.serving.ReplicaFleet` at
+  1/2/4 workers vs a single engine at equal total traffic, with
+  prefix-affinity vs round-robin hit rates;
+* ``ICLEngine.evaluate`` queries/sec with a shared few-shot example block,
+  prefix-cached batched scoring vs. the per-query loop;
 * pooled ICL serving — several engines sharing one LRU
-  :class:`~repro.serving.PrefixCachePool` vs. the same engines with private
-  caches (hit rate and wall-clock);
+  :class:`~repro.serving.PrefixCachePool` vs. private caches;
 * numerical equivalence of the optimised paths (batched / cached / uncached
   logits must agree to float32 tolerance, rtol 1e-5).
 
-Results are written to ``BENCH_inference.json`` at the repository root so the
-performance trajectory is tracked from PR to PR.
+Every section is one entry of :data:`SECTIONS`.  It builds its inputs,
+runs its arms through :func:`measure` (arms interleaved, every repeat
+kept), checks that the arms agree token for token, and reports each arm's
+median and IQR.  ``speedup`` is a ratio of medians, ``speedup_iqr`` the
+quartiles of the per-repeat ratios.  ``--check`` evaluates the sections'
+declared gate rows.  Results are written to ``BENCH_inference.json`` at the
+repository root so the performance trajectory is tracked from PR to PR.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/perf/run_bench.py            # full run
     PYTHONPATH=src python benchmarks/perf/run_bench.py --smoke    # CI-sized
     PYTHONPATH=src python benchmarks/perf/run_bench.py --smoke --check
-        # exit non-zero if cached inference is slower than uncached or the
-        # cached/uncached logits disagree (the CI perf gate)
+        # exit non-zero if a floor or an identity gate fails (the CI perf gate)
 """
 
 from __future__ import annotations
@@ -58,15 +47,20 @@ import argparse
 import asyncio
 import functools
 import json
+import operator
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 
+from harness import open_loop  # noqa: E402
 from repro.flowbench import generate_dataset  # noqa: E402
 from repro.icl import FewShotSelector, ICLEngine  # noqa: E402
 from repro.models.config import get_config  # noqa: E402
@@ -84,680 +78,223 @@ from repro.serving import (  # noqa: E402
 from repro.tensor import no_grad  # noqa: E402
 from repro.tokenization import LogTokenizer  # noqa: E402
 
+# --------------------------------------------------------------------------- #
+# The harness: interleaved repeats, medians, ratios, gates
+# --------------------------------------------------------------------------- #
 
-def _best_of(fn, repeats: int) -> float:
-    """Minimum wall-clock over ``repeats`` calls (robust to scheduler noise)."""
-    best = float("inf")
-    for _ in range(repeats):
+#: ``{arm: {measurement: [one value per repeat]}}``
+Samples = dict[str, dict[str, list[float]]]
+
+
+def timed(fn: Callable[[], object]) -> Callable[[], float]:
+    """An arm that measures the wall-clock seconds of one ``fn()`` call."""
+
+    def arm() -> float:
         start = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+        return time.perf_counter() - start
+
+    return arm
 
 
-def bench_generate(model: DecoderLM, prompt: np.ndarray, new_tokens: int, repeats: int) -> dict:
-    """Tokens/sec of cached vs uncached autoregressive decoding."""
-    out_cached = model.generate(prompt, max_new_tokens=new_tokens, use_cache=True)
-    out_uncached = model.generate(prompt, max_new_tokens=new_tokens, use_cache=False)
-    t_cached = _best_of(
-        lambda: model.generate(prompt, max_new_tokens=new_tokens, use_cache=True), repeats
-    )
-    t_uncached = _best_of(
-        lambda: model.generate(prompt, max_new_tokens=new_tokens, use_cache=False), repeats
-    )
-    generated = len(out_cached) - len(prompt)
+def measure(arms: dict[str, Callable[[], float | dict]], repeats: int) -> Samples:
+    """Run every arm ``repeats`` times and keep every measurement.
+
+    An arm returns its seconds, or a dict of named measurements.  The arms
+    run interleaved (a, b, a, b, ...) so a slow drift of the host is spread
+    over all of them instead of being charged to whichever ran last.
+    """
+    samples: Samples = {name: {} for name in arms}
+    for _ in range(repeats):
+        for name, arm in arms.items():
+            out = arm()
+            for key, value in (out if isinstance(out, dict) else {"seconds": out}).items():
+                samples[name].setdefault(key, []).append(float(value))
+    return samples
+
+
+def median(samples: Samples, arm: str, key: str = "seconds") -> float:
+    return float(np.median(samples[arm][key]))
+
+
+def ratio(
+    samples: Samples, num: str, den: str | None = None, key: str = "seconds"
+) -> tuple[float, list[float]]:
+    """``num``'s median over ``den``'s (``num``'s own median when ``den`` is
+    None), with the quartiles of the per-repeat values as its spread."""
+    per_repeat = np.asarray(samples[num][key])
+    value = float(np.median(per_repeat))
+    if den is not None:
+        per_repeat = per_repeat / np.asarray(samples[den][key])
+        value /= median(samples, den, key)
+    q1, q3 = np.percentile(per_repeat, [25, 75])
+    return value, [float(q1), float(q3)]
+
+
+def report(
+    samples: Samples, num: str, den: str | None = None, key: str = "seconds", **fields
+) -> dict:
+    """A section's JSON: each arm's median and IQR, the headline ``speedup``
+    (see :func:`ratio`) with its ``speedup_iqr``, then ``fields``."""
+    speedup, spread = ratio(samples, num, den, key)
+    arms = {}
+    for arm, measurements in samples.items():
+        arms[arm] = {}
+        for name, values in measurements.items():
+            q1, mid, q3 = np.percentile(values, [25, 50, 75])
+            arms[arm][name] = {"median": float(mid), "iqr": float(q3 - q1)}
     return {
-        "prompt_tokens": int(len(prompt)),
-        "new_tokens": int(generated),
-        "total_sequence": int(len(out_cached)),
-        "cached_seconds": t_cached,
-        "uncached_seconds": t_uncached,
-        "cached_tokens_per_sec": generated / t_cached,
-        "uncached_tokens_per_sec": generated / t_uncached,
-        "speedup": t_uncached / t_cached,
-        "tokens_match": bool(np.array_equal(out_cached, out_uncached)),
+        "repeats": len(next(iter(samples[num].values()))),
+        "arms": arms,
+        "speedup": speedup,
+        "speedup_iqr": spread,
+        **fields,
     }
 
 
-def bench_batched_generate(
-    model: DecoderLM, prompts: list[np.ndarray], new_tokens: int, repeats: int
-) -> dict:
-    """One batched decode loop vs. the same prompts generated sequentially.
+#: A gate row: ``(key, comparison, threshold, message)``.  ``key`` is a dotted
+#: path into the section's report; a string ``threshold`` is another such path.
+Gate = tuple[str, str, object, str]
 
-    Also pins the three-way logits equivalence the serving layer promises:
-    the per-row last-prompt-token logits of the left-padded batched prefill
-    must match both the cached sequential path and the uncached full forward
-    to float32 tolerance.
+COMPARISONS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    ">=": operator.ge,
+    ">": operator.gt,
+}
+
+
+@dataclass(frozen=True)
+class Section:
+    name: str
+    run: Callable[["Context"], dict]
+    #: Report keys printed after the speedup and the arms' medians.
+    headline: tuple[str, ...] = ()
+    gates: tuple[Gate, ...] = ()
+
+
+def lookup(section_report: dict, key: str):
+    value = section_report
+    for part in key.split("."):
+        value = value[part]
+    return value
+
+
+def _format(value) -> str:
+    return f"{value:.3g}" if isinstance(value, float) else str(value)
+
+
+def check(results: dict, sections: Sequence[Section]) -> int:
+    """Evaluate every gate row of every section present in ``results``.
+
+    Prints one ``CHECK FAILED`` line per failing row and returns 1 if any
+    failed.  Sections that were not run are skipped, so a ``--sections``
+    subset gates the subset.
     """
-    batched = model.generate_batch(prompts, max_new_tokens=new_tokens)
-    sequential = [
-        model.generate(p, max_new_tokens=new_tokens, use_cache=True) for p in prompts
-    ]
-    tokens_match = all(np.array_equal(b, s) for b, s in zip(batched, sequential))
-
-    # Three-way prefill logits: batched (left-padded) vs uncached full forward.
-    ids, mask, positions, lengths = left_pad_batch(prompts)
-    max_len = int(lengths.max())
-    with no_grad():
-        cache = model.make_cache(len(prompts), max_len)
-        padded = model.forward_incremental(
-            ids, cache, attention_mask=mask, positions=positions
-        ).data
-        max_abs_diff = 0.0
-        allclose = True
-        for i, p in enumerate(prompts):
-            reference = model.forward(p[None, :]).data[0, -1]
-            max_abs_diff = max(max_abs_diff, float(np.abs(padded[i, -1] - reference).max()))
-            allclose = allclose and bool(
-                np.allclose(padded[i, -1], reference, rtol=1e-5, atol=1e-5)
-            )
-
-    t_batched = _best_of(
-        lambda: model.generate_batch(prompts, max_new_tokens=new_tokens), repeats
-    )
-    t_sequential = _best_of(
-        lambda: [
-            model.generate(p, max_new_tokens=new_tokens, use_cache=True) for p in prompts
-        ],
-        repeats,
-    )
-    generated = sum(len(b) - len(p) for b, p in zip(batched, prompts))
-    return {
-        "batch_size": len(prompts),
-        "prompt_tokens": [int(len(p)) for p in prompts],
-        "new_tokens_per_prompt": int(new_tokens),
-        "generated_tokens": int(generated),
-        "batched_seconds": t_batched,
-        "sequential_seconds": t_sequential,
-        "batched_tokens_per_sec": generated / t_batched,
-        "sequential_tokens_per_sec": generated / t_sequential,
-        "speedup": t_sequential / t_batched,
-        "tokens_match": bool(tokens_match),
-        "prefill_logits_max_abs_diff": max_abs_diff,
-        "prefill_logits_allclose": allclose,
-    }
-
-
-def bench_continuous_batching(
-    model: DecoderLM,
-    prompts: list[np.ndarray],
-    max_new_tokens: int,
-    stop_ids: set[int],
-    max_rows: int,
-    repeats: int,
-) -> dict:
-    """Iteration-level engine vs. the flush-bounded scheduler on one trace.
-
-    The workload is the one continuous batching exists for: every request
-    shares the same decode parameters (token cap + stop set) but greedy
-    generation lengths vary with the data, and requests arrive staggered
-    (two per decode step).  The flush-bounded baseline decodes padded
-    batches of ``max_rows`` rows in submit order, each to completion — so
-    each batch's wall clock is its longest member's, and a slot freed by an
-    early stop stays idle.  The
-    engine admits arrivals into the *running* batch (grouping small
-    admissions to amortise the prefill forward), retires rows the moment
-    they stop and refills the slots from the queue, so total steps track
-    total tokens, not per-batch maxima.
-
-    Also pins the three-way generation equivalence: engine == flush-bounded
-    == sequential cached == uncached reference, token for token.
-    """
-
-    def run_engine():
-        engine = ContinuousBatchingEngine(
-            model, config=EngineConfig(max_batch_rows=max_rows, min_admit_rows=2)
-        )
-        results = [None] * len(prompts)
-        submitted = 0
-        while submitted < len(prompts) or engine.has_work:
-            # Two arrivals per iteration: requests join a *running* batch.
-            for _ in range(2):
-                if submitted < len(prompts):
-                    engine.submit(
-                        prompts[submitted],
-                        max_new_tokens=max_new_tokens,
-                        stop_ids=stop_ids,
-                    )
-                    submitted += 1
-            for request in engine.step():
-                results[request.request_id] = request.result
-        return results, engine
-
-    def run_flush_bounded():
-        # PR-2 semantics: padded batches of max_rows in submit order (all
-        # requests share one batch key), each decoded to completion before
-        # the next batch starts.
-        results = []
-        for start in range(0, len(prompts), max_rows):
-            results.extend(
-                model.generate_batch(
-                    prompts[start : start + max_rows],
-                    max_new_tokens=max_new_tokens,
-                    stop_ids=stop_ids,
+    failures = []
+    for section in sections:
+        section_report = results.get(section.name)
+        if section_report is None:
+            continue
+        for key, comparison, threshold, message in section.gates:
+            value = lookup(section_report, key)
+            needs = f"{comparison} {_format(threshold)}"
+            bound = threshold
+            if isinstance(threshold, str):
+                bound = lookup(section_report, threshold)
+                needs += f" = {_format(bound)}"
+            if not COMPARISONS[comparison](value, bound):
+                failures.append(
+                    f"{section.name}: {message} ({key} = {_format(value)}, needs {needs})"
                 )
+    for failure in failures:
+        print(f"CHECK FAILED: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+def headline(section_report: dict, keys: Sequence[str]) -> str:
+    """One line: speedup with its spread, each arm's median seconds, ``keys``."""
+    parts = []
+    if "speedup" in section_report:
+        q1, q3 = section_report["speedup_iqr"]
+        parts.append(
+            f"speedup {section_report['speedup']:.2f}x (IQR {q1:.2f}-{q3:.2f}, "
+            f"{section_report['repeats']} repeats)"
+        )
+    for arm, measurements in section_report.get("arms", {}).items():
+        if "seconds" in measurements:
+            seconds = measurements["seconds"]
+            parts.append(
+                f"{arm} {seconds['median'] * 1e3:.1f}ms (IQR {seconds['iqr'] * 1e3:.1f})"
             )
-        return results
-
-    engine_results, engine = run_engine()
-    flush_results = run_flush_bounded()
-    sequential = [
-        model.generate(p, max_new_tokens=max_new_tokens, stop_ids=stop_ids)
-        for p in prompts
-    ]
-    uncached = [
-        model.generate(p, max_new_tokens=max_new_tokens, stop_ids=stop_ids, use_cache=False)
-        for p in prompts
-    ]
-    engine_match = all(np.array_equal(a, b) for a, b in zip(engine_results, sequential))
-    flush_match = all(np.array_equal(a, b) for a, b in zip(flush_results, sequential))
-    uncached_match = all(np.array_equal(a, b) for a, b in zip(sequential, uncached))
-
-    t_engine = _best_of(lambda: run_engine()[0], repeats)
-    t_flush = _best_of(run_flush_bounded, repeats)
-    generated = sum(len(r) - len(p) for r, p in zip(engine_results, prompts))
-    lengths = [len(r) - len(p) for r, p in zip(engine_results, prompts)]
-    return {
-        "num_requests": len(prompts),
-        "max_batch_rows": int(max_rows),
-        "max_new_tokens": int(max_new_tokens),
-        "generation_lengths": lengths,
-        "generated_tokens": int(generated),
-        "engine_seconds": t_engine,
-        "flush_bounded_seconds": t_flush,
-        "engine_tokens_per_sec": generated / t_engine,
-        "flush_bounded_tokens_per_sec": generated / t_flush,
-        "speedup": t_flush / t_engine,
-        "engine_steps": int(engine.stats.steps),
-        "mean_rows_per_step": engine.stats.mean_rows_per_step,
-        "sla": engine.stats.sla_summary(),
-        "tokens_match_engine_vs_sequential": bool(engine_match),
-        "tokens_match_flush_vs_sequential": bool(flush_match),
-        "tokens_match_cached_vs_uncached": bool(uncached_match),
-    }
+    parts.extend(f"{key}={_format(lookup(section_report, key))}" for key in keys)
+    return "; ".join(parts)
 
 
-def bench_concurrent_serving(
-    model: DecoderLM,
-    prompts: list[np.ndarray],
-    max_new_tokens: int,
-    stop_ids: set[int],
-    max_rows: int,
-    repeats: int,
-) -> dict:
-    """N async clients with staggered arrivals vs. the sync flush front door.
-
-    This measures the *serving* half of the async milestone, on top of the
-    compute-only engine-vs-flush comparison of ``continuous_batching``: N
-    independent clients submit with Poisson-ish (seeded exponential)
-    inter-arrival gaps.  The :class:`~repro.serving.AsyncEngine` admits each
-    arrival into the running batch at the next step boundary, so decoding
-    overlaps the arrival ramp.  The synchronous flush baseline is a
-    flush-bounded front door that must *pre-collect* — it waits out the
-    arrival schedule, then decodes padded batches of ``max_rows`` to
-    completion.  Same prompts, same decode parameters, same
-    arrival schedule; wall clock runs from the first arrival until the last
-    result.
-
-    Also pins the serving parity promise: async == flush == sequential
-    cached tokens, regardless of thread interleaving.
-    """
-    # Calibrate the arrival ramp to this machine's decode speed: with a
-    # fixed wall-clock gap, the ramp-to-compute proportion — and therefore
-    # the measured speedup ratio — would drift between machines (a slower
-    # runner sees a relatively shorter ramp).  One timed single-stream
-    # generation sets the unit; the ramp spans about three of them, so the
-    # ratio is comparable wherever the bench runs (incl. the trend gate).
-    t_unit = _best_of(
-        lambda: model.generate(prompts[0], max_new_tokens=max_new_tokens), 2
-    )
-    arrival_gap = 3.0 * t_unit / len(prompts)
-    arrival_rng = np.random.default_rng(211)
-    arrivals = np.cumsum(arrival_rng.exponential(arrival_gap, size=len(prompts)))
-    arrivals -= arrivals[0]  # the first client arrives at t=0
-
-    def run_async():
-        # A fresh private pool per run: without it the engine would default
-        # to the process-wide shared pool and the timed repeats would reuse
-        # prefills checked in by earlier runs — warming the flush baseline
-        # never gets.  Within-run reuse is real serving behaviour and stays.
-        engine = AsyncEngine(
-            model,
-            config=EngineConfig(max_batch_rows=max_rows, min_admit_rows=2),
-            cache_pool=PrefixCachePool(model, max_entries=8),
-        )
-        results: list = [None] * len(prompts)
-
-        async def client(i: int, t0: float) -> None:
-            delay = arrivals[i] - (time.perf_counter() - t0)
-            if delay > 0:
-                await asyncio.sleep(delay)
-            results[i] = await engine.generate(
-                prompts[i], max_new_tokens=max_new_tokens, stop_ids=stop_ids
-            )
-
-        async def main() -> None:
-            t0 = time.perf_counter()
-            await asyncio.gather(*(client(i, t0) for i in range(len(prompts))))
-
-        asyncio.run(main())
-        engine.shutdown()
-        return results, engine
-
-    def run_sync_flush():
-        # Synchronous front door: requests cannot drive the engine as they
-        # arrive, so the caller sits out the arrival ramp and then flushes
-        # padded batches (each decoded to completion) in submit order.
-        time.sleep(float(arrivals[-1]))
-        results = []
-        for start in range(0, len(prompts), max_rows):
-            results.extend(
-                model.generate_batch(
-                    prompts[start : start + max_rows],
-                    max_new_tokens=max_new_tokens,
-                    stop_ids=stop_ids,
-                )
-            )
-        return results
-
-    async_results, engine = run_async()
-    flush_results = run_sync_flush()
-    sequential = [
-        model.generate(p, max_new_tokens=max_new_tokens, stop_ids=stop_ids)
-        for p in prompts
-    ]
-    async_match = all(np.array_equal(a, b) for a, b in zip(async_results, sequential))
-    flush_match = all(np.array_equal(a, b) for a, b in zip(flush_results, sequential))
-
-    # One extra repeat vs the other sections: thread/asyncio scheduling
-    # makes this the noisiest ratio and best-of damps the downside spikes
-    # the trend gate would otherwise trip on.
-    t_async = _best_of(lambda: run_async()[0], repeats + 1)
-    t_flush = _best_of(run_sync_flush, repeats + 1)
-    generated = sum(len(r) - len(p) for r, p in zip(async_results, prompts))
-    sla = engine.stats.sla_summary()
-    return {
-        "num_clients": len(prompts),
-        "max_batch_rows": int(max_rows),
-        "max_new_tokens": int(max_new_tokens),
-        "calibration_unit_seconds": float(t_unit),
-        "arrival_gap_seconds": float(arrival_gap),
-        "arrival_span_seconds": float(arrivals[-1]),
-        "generated_tokens": int(generated),
-        "async_seconds": t_async,
-        "sync_flush_seconds": t_flush,
-        "async_tokens_per_sec": generated / t_async,
-        "sync_flush_tokens_per_sec": generated / t_flush,
-        "speedup": t_flush / t_async,
-        "mean_ttft_seconds": sla["mean_ttft_seconds"],
-        "sla": sla,
-        "tokens_match_async_vs_sequential": bool(async_match),
-        "tokens_match_flush_vs_sequential": bool(flush_match),
-    }
+def outputs_match(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> bool:
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-def bench_paged_kv(
-    model: DecoderLM,
-    families: list[np.ndarray],
-    prompts: list[np.ndarray],
-    max_new_tokens: int,
-    stop_ids: set[int],
-    max_rows: int,
-    pool_budget_bytes: int,
-    repeats: int,
-) -> dict:
-    """Block-paged (and int8) KV storage vs the dense layout, long context.
+@dataclass
+class Context:
+    """What every section draws its inputs from."""
 
-    The workload is the one paged KV exists for: staggered long-context
-    requests drawn from several prompt *families* (a shared template head
-    plus a per-request tail — the shape of ICL serving traffic), with the
-    prefix-cache pool in the loop.  Two comparisons:
+    smoke: bool
+    seed: int
+    repeats: int
+    dataset: object
+    sentences: list[str]
+    tokenizer: LogTokenizer
+    model: DecoderLM
+    #: Shared decode stop set: greedy generation lengths then vary with the
+    #: data, so slots free up at different steps.
+    stop_ids: set[int]
 
-    * **equal memory budget** — both layouts get a byte-capped pool.  A
-      dense entry costs a full-context rectangle, so the budget holds only
-      a couple of families and the LRU thrashes (hit rate ~0); paged
-      entries cost their exact-width (ref-counted, copy-on-write shared)
-      blocks, so the same bytes keep every family resident.  This is the
-      throughput headline: tokens/s paged vs dense.
-    * **equal capability** — both pools uncapped, so hit rates equalise.
-      The peak resident KV bytes (live batch + pool, sampled every step)
-      then show what holding the *same* reusable state costs each layout;
-      int8 block storage shrinks it further.
-
-    Greedy outputs must be token-identical across dense, paged and
-    int8-paged serving (the int8 store quantizes pooled prefixes only; the
-    live decode window stays float32).
-    """
-
-    def run(kv_layout: str, kv_dtype: str = "fp32", budget: int | None = None):
-        pool = PrefixCachePool(
-            model,
-            max_entries=32,
-            min_reuse_tokens=16,
-            max_bytes=budget,
-            kv_layout=kv_layout,
-            kv_dtype=kv_dtype,
-        )
-        engine = ContinuousBatchingEngine(
-            model,
-            config=EngineConfig(
-                max_batch_rows=max_rows,
-                min_admit_rows=1,
-                kv_layout=kv_layout,
-                kv_dtype=kv_dtype,
-            ),
-            cache_pool=pool,
-        )
-        results = [None] * len(prompts)
-        submitted = 0
-        peak = 0
-        while submitted < len(prompts) or engine.has_work:
-            if submitted < len(prompts):
-                engine.submit(
-                    prompts[submitted], max_new_tokens=max_new_tokens, stop_ids=stop_ids
-                )
-                submitted += 1
-            for request in engine.step():
-                results[request.request_id] = request.result
-            peak = max(peak, engine.batch.cache.kv_bytes() + pool.kv_bytes())
-        return results, peak, pool
-
-    budget = int(pool_budget_bytes)
-    dense_res, dense_budget_peak, dense_pool = run("dense", budget=budget)
-    paged_res, paged_budget_peak, paged_pool = run("paged", budget=budget)
-    int8_res, int8_budget_peak, int8_pool = run("paged", "int8", budget=budget)
-    paged_match = all(np.array_equal(a, b) for a, b in zip(dense_res, paged_res))
-    int8_match = all(np.array_equal(a, b) for a, b in zip(dense_res, int8_res))
-
-    # Equal capability: uncapped pools -> equal hit rates; compare bytes.
-    _, dense_peak, dense_free = run("dense")
-    _, paged_peak, paged_free = run("paged")
-    _, int8_peak, int8_free = run("paged", "int8")
-
-    t_dense = _best_of(lambda: run("dense", budget=budget), repeats)
-    t_paged = _best_of(lambda: run("paged", budget=budget), repeats)
-    t_int8 = _best_of(lambda: run("paged", "int8", budget=budget), repeats)
-    generated = sum(len(r) - len(p) for r, p in zip(dense_res, prompts))
-    return {
-        "num_requests": len(prompts),
-        "num_families": len(families),
-        "prompt_tokens": [int(len(p)) for p in prompts],
-        "max_new_tokens": int(max_new_tokens),
-        "max_batch_rows": int(max_rows),
-        "generated_tokens": int(generated),
-        "pool_budget_bytes": budget,
-        "dense_seconds": t_dense,
-        "paged_seconds": t_paged,
-        "int8_seconds": t_int8,
-        "dense_tokens_per_sec": generated / t_dense,
-        "paged_tokens_per_sec": generated / t_paged,
-        "int8_tokens_per_sec": generated / t_int8,
-        "speedup": t_dense / t_paged,
-        "int8_speedup": t_dense / t_int8,
-        "budget_hit_rate_dense": dense_pool.stats.hit_rate,
-        "budget_hit_rate_paged": paged_pool.stats.hit_rate,
-        "budget_hit_rate_int8": int8_pool.stats.hit_rate,
-        "budget_evictions_dense": int(dense_pool.stats.evictions),
-        "budget_evictions_paged": int(paged_pool.stats.evictions),
-        "budget_peak_kv_bytes": {
-            "dense": int(dense_budget_peak),
-            "paged": int(paged_budget_peak),
-            "int8": int(int8_budget_peak),
-        },
-        "iso_hit_rate": {
-            "dense": dense_free.stats.hit_rate,
-            "paged": paged_free.stats.hit_rate,
-            "int8": int8_free.stats.hit_rate,
-        },
-        "peak_kv_bytes": {
-            "dense": int(dense_peak),
-            "paged": int(paged_peak),
-            "int8": int(int8_peak),
-        },
-        "kv_bytes_ratio_dense_over_paged": dense_peak / paged_peak,
-        "kv_bytes_ratio_dense_over_int8": dense_peak / int8_peak,
-        "tokens_match_paged_vs_dense": bool(paged_match),
-        "tokens_match_int8_vs_dense": bool(int8_match),
-    }
-
-
-def bench_chunked_prefill(
-    model: DecoderLM,
-    prompts: list[np.ndarray],
-    long_every: int,
-    max_new_tokens: int,
-    stop_ids: set[int],
-    max_rows: int,
-    chunk_tokens: int,
-    repeats: int,
-) -> dict:
-    """Chunked-prefill piggybacking vs atomic admission, adversarial trace.
-
-    The workload is the one the per-step prefill budget exists for: a burst
-    of mostly-short requests with a long prompt every ``long_every``-th
-    position.  On the atomic path every admission group is left-padded to
-    its longest member, so one long prompt makes *every* co-admitted short
-    request pay a long-wide prefill forward before its first token — and
-    the whole batch stalls for that forward.  Under a
-    ``prefill_chunk_tokens`` budget each request enters the batch
-    immediately and consumes its prompt in bounded chunks beside the
-    running decodes: no padding, no monolithic stall.
-
-    Reported: p50/p99 TTFT (overall and short-request-only — the headline:
-    the tail latency longs inflict on their neighbours), end-to-end decode
-    throughput, and per-step occupancy from the engine's chunk stats.
-    Greedy outputs must be token-identical between the two paths.
-    """
-    short_idx = [i for i in range(len(prompts)) if i % long_every != 0]
-
-    def run(chunk: int | None):
-        engine = ContinuousBatchingEngine(
-            model,
-            config=EngineConfig(
-                max_batch_rows=max_rows,
-                min_admit_rows=1,
-                prefill_chunk_tokens=chunk,
-                kv_layout="paged",
-            ),
-        )
-        requests = [
-            engine.submit(p, max_new_tokens=max_new_tokens, stop_ids=stop_ids)
-            for p in prompts
+    def ids(self, index: int, length: int) -> np.ndarray:
+        """The first ``length`` token ids of training sentence ``index`` (wrapping)."""
+        return self.tokenizer.encode_causal(self.sentences[index % len(self.sentences)])[
+            :length
         ]
-        start = time.perf_counter()
-        while engine.has_work:
-            engine.step(force_admit=True)
-        wall = time.perf_counter() - start
-        ttfts = np.array([r.ttft_seconds for r in requests])
-        results = [r.result for r in requests]
-        return results, wall, ttfts, engine.stats
 
-    def best(chunk: int | None):
-        """Per-metric best-of over repeats (robust to scheduler noise)."""
-        walls, p50s, p99s, p50s_short, p99s_short = [], [], [], [], []
-        results = stats = None
-        for _ in range(repeats):
-            results, wall, ttfts, stats = run(chunk)
-            walls.append(wall)
-            p50s.append(float(np.percentile(ttfts, 50)))
-            p99s.append(float(np.percentile(ttfts, 99)))
-            p50s_short.append(float(np.percentile(ttfts[short_idx], 50)))
-            p99s_short.append(float(np.percentile(ttfts[short_idx], 99)))
-        return results, stats, {
-            "seconds": min(walls),
-            "p50_ttft_seconds": min(p50s),
-            "p99_ttft_seconds": min(p99s),
-            "p50_short_ttft_seconds": min(p50s_short),
-            "p99_short_ttft_seconds": min(p99s_short),
-        }
-
-    atomic_res, _, atomic = best(None)
-    chunked_res, chunked_stats, chunked = best(chunk_tokens)
-    tokens_match = all(np.array_equal(a, b) for a, b in zip(atomic_res, chunked_res))
-    generated = sum(len(r) - len(p) for r, p in zip(atomic_res, prompts))
-    return {
-        "num_requests": len(prompts),
-        "num_long": len(prompts) - len(short_idx),
-        "prompt_tokens": [int(len(p)) for p in prompts],
-        "max_new_tokens": int(max_new_tokens),
-        "max_batch_rows": int(max_rows),
-        "chunk_tokens": int(chunk_tokens),
-        "generated_tokens": int(generated),
-        "atomic": atomic,
-        "chunked": chunked,
-        "atomic_tokens_per_sec": generated / atomic["seconds"],
-        "chunked_tokens_per_sec": generated / chunked["seconds"],
-        # Headline: tail first-token latency of the short requests a long
-        # neighbour would otherwise stall.
-        "speedup": atomic["p99_short_ttft_seconds"] / chunked["p99_short_ttft_seconds"],
-        "p50_ttft_speedup": atomic["p50_ttft_seconds"] / chunked["p50_ttft_seconds"],
-        "p99_ttft_speedup": atomic["p99_ttft_seconds"] / chunked["p99_ttft_seconds"],
-        "decode_throughput_ratio": atomic["seconds"] / chunked["seconds"],
-        "prefill_chunks": int(chunked_stats.prefill_chunks),
-        "max_step_prefill_tokens": int(max(chunked_stats.step_prefill_tokens)),
-        "prefill_stall_histogram": chunked_stats.stall_histogram(),
-        "tokens_match": bool(tokens_match),
-    }
+    def rng(self) -> np.random.Generator:
+        """A fresh seeded stream, so a section's inputs do not depend on
+        which other sections ran before it."""
+        return np.random.default_rng(self.seed)
 
 
-def bench_speculative(
-    tokenizer: LogTokenizer,
-    corpus: list[str],
-    prompt: np.ndarray,
-    batch_prompts: list[np.ndarray],
-    new_tokens: int,
-    draft_k: int,
-    repeats: int,
-) -> dict:
-    """Draft-then-verify decoding vs plain cached decode, registry models.
+# --------------------------------------------------------------------------- #
+# Sections
+# --------------------------------------------------------------------------- #
 
-    The pairing speculative decoding exists for: a big target (``mistral-7b``
-    config) and a small drafter (``gpt2`` config) pre-trained on the *same*
-    registry corpus, so the drafter's greedy guesses usually match the
-    target's and each batched verify forward emits several tokens.  The
-    headline (gated) number is the **single-stream** regime — latency-bound
-    decode is where the technique pays, because the drafter decodes its
-    proposals off a batch-1 cache per request: at one live row, ``draft_k``
-    cheap drafter forwards replace ``draft_k`` full target forwards; at
-    many rows the per-row drafter loop competes against an already-batched
-    target step and speculation stops being worth it (reported as the
-    ungated ``batched_speedup``).
 
-    Greedy outputs must be token-identical to plain cached decode — the
-    drafter can only move throughput, never tokens.
-    """
-    registry = ModelRegistry(tokenizer, corpus, pretrain_steps=10, seed=0)
-    spec = SpeculativeDecoder.from_registry(
-        registry, "mistral-7b", "gpt2", draft_k=draft_k
+def bench_generate(ctx: Context) -> dict:
+    """Cached vs uncached autoregressive decoding of one prompt."""
+    prompt = ctx.ids(0, 8)
+    new_tokens = 56 if ctx.smoke else 240
+
+    def generate(use_cache: bool) -> np.ndarray:
+        return ctx.model.generate(prompt, max_new_tokens=new_tokens, use_cache=use_cache)
+
+    cached, uncached = generate(True), generate(False)
+    samples = measure(
+        {"cached": timed(lambda: generate(True)), "uncached": timed(lambda: generate(False))},
+        ctx.repeats,
     )
-    target = spec.model
-    spec_out = spec.generate(prompt, max_new_tokens=new_tokens)
-    plain_out = target.generate(prompt, max_new_tokens=new_tokens)
-    tokens_match = bool(np.array_equal(spec_out, plain_out))
-    accept_rate = spec.accept_rate  # measured over the parity run above
-
-    t_spec = _best_of(
-        lambda: spec.generate(prompt, max_new_tokens=new_tokens), repeats
+    return report(
+        samples,
+        "uncached",
+        "cached",
+        prompt_tokens=int(len(prompt)),
+        new_tokens=int(len(cached) - len(prompt)),
+        tokens_match=bool(np.array_equal(cached, uncached)),
     )
-    t_plain = _best_of(
-        lambda: target.generate(prompt, max_new_tokens=new_tokens), repeats
-    )
-    generated = len(spec_out) - len(prompt)
-
-    # Secondary, ungated: the same comparison over a small decode batch,
-    # where the per-row drafter loop erodes (and can invert) the win.
-    batch_spec_out = spec.generate_batch(batch_prompts, max_new_tokens=new_tokens)
-    batch_plain_out = target.generate_batch(batch_prompts, max_new_tokens=new_tokens)
-    batch_match = all(
-        np.array_equal(a, b) for a, b in zip(batch_spec_out, batch_plain_out)
-    )
-    t_batch_spec = _best_of(
-        lambda: spec.generate_batch(batch_prompts, max_new_tokens=new_tokens), repeats
-    )
-    t_batch_plain = _best_of(
-        lambda: target.generate_batch(batch_prompts, max_new_tokens=new_tokens),
-        repeats,
-    )
-    return {
-        "target_model": target.config.name,
-        "draft_model": spec.draft_model.config.name,
-        "draft_k": int(draft_k),
-        "prompt_tokens": int(len(prompt)),
-        "new_tokens": int(generated),
-        "accept_rate": float(accept_rate),
-        "drafted_tokens": int(spec.drafted),
-        "accepted_draft_tokens": int(spec.accepted),
-        "speculative_seconds": t_spec,
-        "plain_seconds": t_plain,
-        "speculative_tokens_per_sec": generated / t_spec,
-        "plain_tokens_per_sec": generated / t_plain,
-        "speedup": t_plain / t_spec,
-        "batch_size": len(batch_prompts),
-        "batched_speculative_seconds": t_batch_spec,
-        "batched_plain_seconds": t_batch_plain,
-        "batched_speedup": t_batch_plain / t_batch_spec,
-        "tokens_match": tokens_match,
-        "tokens_match_batched": bool(batch_match),
-    }
 
 
-def bench_pooled_icl(
-    model: DecoderLM,
-    tokenizer: LogTokenizer,
-    queries,
-    labels,
-    selector_factory,
-    num_examples: int,
-    num_engines: int,
-    repeats: int,
-) -> dict:
-    """Several engines over the same traffic: shared prefix pool vs private caches.
-
-    Models the serving scenario the pool exists for — many concurrently
-    constructed engines (sessions) classifying queries prompted with the
-    same few-shot block.  With the shared pool, engines after the first find
-    the example-block prefill already cached.
-    """
-
-    def run(pool: PrefixCachePool | None):
-        reports = []
-        for _ in range(num_engines):
-            engine = ICLEngine(model, tokenizer, cache_pool=pool)
-            reports.append(
-                engine.evaluate(
-                    queries, labels, selector=selector_factory(), num_examples=num_examples
-                )
-            )
-        return reports
-
-    stats_pool = PrefixCachePool(model, max_entries=8)
-    pooled_reports = run(stats_pool)
-    private_reports = run(None)
-    labels_match = [r.accuracy for r in pooled_reports] == [
-        r.accuracy for r in private_reports
-    ]
-
-    # A fresh pool per repeat: each timed pass is the cold engines-sharing-
-    # one-pass scenario (a warm pool carried across repeats would flatter
-    # the pooled number).
-    t_pooled = _best_of(lambda: run(PrefixCachePool(model, max_entries=8)), repeats)
-    t_private = _best_of(lambda: run(None), repeats)
-    return {
-        "num_engines": int(num_engines),
-        "num_queries": int(len(queries)),
-        "num_examples": int(num_examples),
-        "pooled_seconds": t_pooled,
-        "private_seconds": t_private,
-        "pooled_queries_per_sec": num_engines * len(queries) / t_pooled,
-        "private_queries_per_sec": num_engines * len(queries) / t_private,
-        "speedup": t_private / t_pooled,
-        "accuracies_match": bool(labels_match),
-        "pool_stats": stats_pool.stats.as_dict(),
-    }
-
-
-def bench_logits_equivalence(model: DecoderLM, ids: np.ndarray, rtol: float = 1e-5) -> dict:
+def bench_logits_equivalence(ctx: Context, rtol: float = 1e-5) -> dict:
     """Full forward vs. chunked incremental forward over the same tokens."""
+    ids = ctx.tokenizer.encode_causal(" ".join(ctx.sentences[:4]))[: 64 if ctx.smoke else 200]
+    model = ctx.model
     with no_grad():
         full = model.forward(ids[None, :]).data[0]
         cache = model.make_cache(1, len(ids))
@@ -769,234 +306,121 @@ def bench_logits_equivalence(model: DecoderLM, ids: np.ndarray, rtol: float = 1e
             parts.append(model.forward_incremental(ids[None, pos : pos + step], cache).data[0])
             pos += step
         incremental = np.concatenate(parts, axis=0)
-    max_abs_diff = float(np.abs(full - incremental).max())
     return {
         "sequence_length": int(len(ids)),
-        "max_abs_diff": max_abs_diff,
+        "max_abs_diff": float(np.abs(full - incremental).max()),
         "allclose": bool(np.allclose(full, incremental, rtol=rtol, atol=1e-5)),
         "rtol": rtol,
     }
 
 
-def bench_icl_evaluate(
-    engine_cached: ICLEngine,
-    engine_uncached: ICLEngine,
-    queries,
-    labels,
-    selector_factory,
-    num_examples: int,
-    repeats: int,
-) -> dict:
-    """Queries/sec of shared-few-shot evaluate, cached vs per-query loop."""
-    preds_cached = engine_cached.classify_batch(
-        queries, selector=selector_factory(), num_examples=num_examples
-    )
-    preds_uncached = engine_uncached.classify_batch(
-        queries, selector=selector_factory(), num_examples=num_examples
-    )
-    score_diff = max(
-        max(
-            abs(a.log_prob_normal - b.log_prob_normal),
-            abs(a.log_prob_abnormal - b.log_prob_abnormal),
-        )
-        for a, b in zip(preds_cached, preds_uncached)
-    )
-    t_cached = _best_of(
-        lambda: engine_cached.evaluate(
-            queries, labels, selector=selector_factory(), num_examples=num_examples
-        ),
-        repeats,
-    )
-    t_uncached = _best_of(
-        lambda: engine_uncached.evaluate(
-            queries, labels, selector=selector_factory(), num_examples=num_examples
-        ),
-        repeats,
-    )
-    return {
-        "num_queries": int(len(queries)),
-        "num_examples": int(num_examples),
-        "cached_seconds": t_cached,
-        "uncached_seconds": t_uncached,
-        "cached_queries_per_sec": len(queries) / t_cached,
-        "uncached_queries_per_sec": len(queries) / t_uncached,
-        "speedup": t_uncached / t_cached,
-        "labels_match": [p.label for p in preds_cached] == [p.label for p in preds_uncached],
-        "max_score_diff": float(score_diff),
-    }
+def bench_batched_generate(ctx: Context) -> dict:
+    """One batched decode loop vs. the same prompts generated sequentially.
 
-
-def _fleet_model(config_name: str, vocab_size: int, seed: int) -> DecoderLM:
-    """Picklable replica factory: deterministic weights from the seed, so
-    every fleet worker (and the single-engine reference) is bit-identical."""
-    model = DecoderLM(get_config(config_name), vocab_size, rng=seed)
-    model.eval()
-    return model
-
-
-def bench_fleet(
-    builder,
-    passes: list[list[np.ndarray]],
-    max_new_tokens: int,
-    *,
-    worker_counts: tuple[int, ...],
-    pool_entries: int,
-    affinity_tokens: int,
-    repeats: int,
-) -> dict:
-    """Data-parallel replica fleet vs. one engine at equal total traffic.
-
-    The trace is closed-loop: each pass visits every prompt family (long
-    shared head, short tail) once, and the next pass is submitted only after
-    the previous one drained — sustained repeat traffic, not one burst.
-    That is adversarial for a single per-replica-sized prefix pool, which
-    evicts every family before its next request returns.  The fleet's win on
-    a single core is *aggregate KV-pool capacity*: prefix-affinity routing
-    pins each family to one replica, whose pool then holds it resident, so
-    repeat passes prefill tails instead of heads.  Round-robin routing over
-    the same fleet is the control: same workers, same pools, no affinity —
-    its pool hit rate collapses back toward the single engine's.
+    Also pins the three-way logits equivalence the serving layer promises:
+    the per-row last-prompt-token logits of the left-padded batched prefill
+    must match both the cached sequential path and the uncached full forward
+    to float32 tolerance.
     """
-    pool_kwargs = {"max_entries": pool_entries}
-    config = EngineConfig(max_batch_rows=4)
-    prompts = [p for wave in passes for p in wave]
+    model, rng = ctx.model, ctx.rng()
+    prompts = [ctx.ids(i, int(rng.integers(6, 20))) for i in range(8)]
+    new_tokens = 24 if ctx.smoke else 64
 
-    # Single-engine reference (one replica's resources) + token identity
-    # oracle.  Best-of-``repeats`` with a fresh engine + pool per repeat,
-    # like every other section: repeats measure the architecture, not pool
-    # warming, and the minimum damps single-core scheduler noise (the fleet
-    # arm runs num_workers+1 processes on this box).
-    reference: list[np.ndarray] = []
-    single_hit_rate = 0.0
+    def batched():
+        return model.generate_batch(prompts, max_new_tokens=new_tokens)
 
-    def run_single() -> float:
-        single_model = builder()
-        pool = PrefixCachePool(single_model, **pool_kwargs)
-        engine = ContinuousBatchingEngine(single_model, config=config, cache_pool=pool)
-        requests = []
-        start = time.perf_counter()
-        for wave in passes:
-            requests.extend(engine.submit(p, max_new_tokens) for p in wave)
-            engine.drain()
-        seconds = time.perf_counter() - start
-        reference[:] = [r.result for r in requests]
-        nonlocal single_hit_rate
-        single_hit_rate = pool.stats.hit_rate
-        return seconds
+    def sequential():
+        return [model.generate(p, max_new_tokens=new_tokens, use_cache=True) for p in prompts]
 
-    single_seconds = _best_of(run_single, repeats)
-    generated = sum(len(out) - len(p) for out, p in zip(reference, prompts))
+    batched_out = batched()
+    tokens_match = outputs_match(batched_out, sequential())
 
-    def time_fleet(num_workers: int, routing: str) -> dict:
-        result: dict = {}
+    # Three-way prefill logits: batched (left-padded) vs uncached full forward.
+    ids, mask, positions, lengths = left_pad_batch(prompts)
+    with no_grad():
+        cache = model.make_cache(len(prompts), int(lengths.max()))
+        padded = model.forward_incremental(
+            ids, cache, attention_mask=mask, positions=positions
+        ).data
+        references = [model.forward(p[None, :]).data[0, -1] for p in prompts]
+    max_abs_diff = max(float(np.abs(padded[i, -1] - r).max()) for i, r in enumerate(references))
+    allclose = all(
+        np.allclose(padded[i, -1], r, rtol=1e-5, atol=1e-5) for i, r in enumerate(references)
+    )
 
-        def run_fleet() -> float:
-            with ReplicaFleet(
-                builder,
-                num_workers,
-                routing=routing,
-                affinity_tokens=affinity_tokens,
-                config=config,
-                pool_kwargs=pool_kwargs,
-            ) as fleet:
-                handles = []
-                start = time.perf_counter()
-                for wave in passes:
-                    handles.extend(fleet.submit(p, max_new_tokens) for p in wave)
-                    fleet.drain()
-                seconds = time.perf_counter() - start
-                outputs = [h.result for h in handles]
-                stats = fleet.worker_stats()
-                hits = sum(w["pool"]["hits"] for w in stats)
-                misses = sum(w["pool"]["misses"] for w in stats)
-                result.update(
-                    pool_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
-                    router=fleet.stats.as_dict(),
-                    tokens_match=bool(
-                        all(np.array_equal(a, b) for a, b in zip(reference, outputs))
-                    )
-                    and result.get("tokens_match", True),
-                )
-                return seconds
-
-        seconds = _best_of(run_fleet, repeats)
-        result.update(seconds=seconds, tokens_per_sec=generated / seconds)
-        return result
-
-    by_workers = {str(n): time_fleet(n, "affinity") for n in worker_counts}
-    round_robin = time_fleet(max(worker_counts), "round_robin")
-    top = by_workers[str(max(worker_counts))]
-    return {
-        "num_requests": len(prompts),
-        "num_passes": len(passes),
-        "generated_tokens": int(generated),
-        "max_new_tokens": int(max_new_tokens),
-        "pool_entries_per_replica": pool_entries,
-        "single": {
-            "seconds": single_seconds,
-            "tokens_per_sec": generated / single_seconds,
-            "pool_hit_rate": single_hit_rate,
-        },
-        "fleet": by_workers,
-        "round_robin": round_robin,
-        "speedup": top["tokens_per_sec"] / (generated / single_seconds),
-        "affinity_hit_rate": top["pool_hit_rate"],
-        "round_robin_hit_rate": round_robin["pool_hit_rate"],
-        "tokens_match": bool(
-            all(by_workers[str(n)]["tokens_match"] for n in worker_counts)
-            and round_robin["tokens_match"]
-        ),
-    }
+    samples = measure({"batched": timed(batched), "sequential": timed(sequential)}, ctx.repeats)
+    return report(
+        samples,
+        "sequential",
+        "batched",
+        batch_size=len(prompts),
+        prompt_tokens=[int(len(p)) for p in prompts],
+        generated_tokens=int(sum(len(b) - len(p) for b, p in zip(batched_out, prompts))),
+        tokens_match=tokens_match,
+        prefill_logits_max_abs_diff=max_abs_diff,
+        prefill_logits_allclose=bool(allclose),
+    )
 
 
 async def _http_stream_request(
-    server, prompt: np.ndarray, max_new_tokens: int, priority: int, tenant: str
+    server,
+    prompt: np.ndarray,
+    max_new_tokens: int,
+    priority: int,
+    tenant: str,
+    sent_at: float | None = None,
 ) -> dict:
     """One SSE generation over a raw socket; returns client-observed timings.
 
     ``ttft_seconds`` is the honest serving measurement — wall clock from
-    writing the request bytes to parsing the first token frame, including
-    queueing, admission, prefill and the HTTP layer itself.
+    ``sent_at`` (the time the request was due; default: now) to parsing the
+    first token frame, including queueing, admission, prefill and the HTTP
+    layer itself.
     """
-    t0 = time.perf_counter()
+    t0 = time.perf_counter() if sent_at is None else sent_at
     reader, writer = await asyncio.open_connection(server.host, server.port)
-    payload = json.dumps(
-        {
-            "prompt_ids": [int(t) for t in prompt],
-            "max_new_tokens": int(max_new_tokens),
-            "priority": int(priority),
-            "tenant": tenant,
-            "stream": True,
-        }
-    ).encode()
-    writer.write(
-        (
-            f"POST /v1/generate HTTP/1.1\r\nHost: {server.host}\r\n"
-            f"Content-Length: {len(payload)}\r\nConnection: close\r\n\r\n"
+    try:
+        payload = json.dumps(
+            {
+                "prompt_ids": [int(t) for t in prompt],
+                "max_new_tokens": int(max_new_tokens),
+                "priority": int(priority),
+                "tenant": tenant,
+                "stream": True,
+            }
         ).encode()
-        + payload
-    )
-    await writer.drain()
-    status = int((await reader.readline()).split(b" ", 2)[1])
-    while (await reader.readline()).strip():
-        pass  # headers
-    tokens: list[int] = []
-    ttft = None
-    if status == 200:
-        while True:
-            line = await reader.readline()
-            if not line:
-                break
-            text = line.decode().strip()
-            if not text.startswith("data: ") or text == "data: [DONE]":
-                continue
-            frame = json.loads(text[len("data: ") :])
-            if "token" in frame:
-                if ttft is None:
-                    ttft = time.perf_counter() - t0
-                tokens.append(frame["token"])
-    writer.close()
-    await writer.wait_closed()
+        writer.write(
+            (
+                f"POST /v1/generate HTTP/1.1\r\nHost: {server.host}\r\n"
+                f"Content-Length: {len(payload)}\r\nConnection: close\r\n\r\n"
+            ).encode()
+            + payload
+        )
+        await writer.drain()
+        status = int((await reader.readline()).split(b" ", 2)[1])
+        while (await reader.readline()).strip():
+            pass  # headers
+        tokens: list[int] = []
+        ttft = None
+        if status == 200:
+            while True:
+                line = await reader.readline()
+                if not line:
+                    break
+                text = line.decode().strip()
+                if not text.startswith("data: ") or text == "data: [DONE]":
+                    continue
+                frame = json.loads(text[len("data: ") :])
+                if "token" in frame:
+                    if ttft is None:
+                        ttft = time.perf_counter() - t0
+                    tokens.append(frame["token"])
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except ConnectionError:
+            pass  # a reset peer must not mask the request's own outcome
     return {
         "status": status,
         "ttft_seconds": ttft,
@@ -1005,14 +429,7 @@ async def _http_stream_request(
     }
 
 
-def bench_http_serving(
-    model: DecoderLM,
-    prompts: list[np.ndarray],
-    max_new_tokens: int,
-    max_rows: int,
-    overload_requests: int,
-    repeats: int,
-) -> dict:
+def bench_http_serving(ctx: Context) -> dict:
     """The HTTP front end under open-loop load, measured from the client side.
 
     Four phases over real sockets (every number includes the HTTP layer):
@@ -1040,15 +457,30 @@ def bench_http_serving(
        low-priority class, and a preempted-then-resumed request's greedy
        tokens must be identical to an uninterrupted run.
 
-    Phases 2+3 run as one unit, best of ``repeats`` (the fleet section's
-    idiom): the arrival rates are calibrated by the capacity just
-    measured, so a machine-speed wobble *between* the phases shows up
-    directly as a bogus ratio — pairing them back-to-back per repeat and
-    keeping the best repeat measures the server, not the box.
+    Phases 2+3 run as one round per repeat: the arrival rates are
+    calibrated by the capacity just measured, so a machine-speed wobble
+    *between* the phases would show up directly as a bogus ratio.  Each
+    ratio is reported as its median over the rounds.
 
     The engine is configured through ``EngineConfig.from_json`` — the same
     declarative path a deployment config file would use.
     """
+    model, sentences = ctx.model, ctx.sentences
+    # Each request gets a distinct ~64-token prompt (a window of consecutive
+    # trace sentences): long enough that prefill is a real unit of
+    # first-token work, unique so the prefix pool serves steady-state
+    # traffic rather than replaying one hot entry.
+    prompts = [
+        np.asarray(
+            ctx.tokenizer.encode_causal(
+                " ".join(sentences[(i * 3 + k) % len(sentences)] for k in range(6))
+            )[:64]
+        )
+        for i in range(32)
+    ]
+    max_new_tokens = 16 if ctx.smoke else 24
+    max_rows = 4
+    overload_requests = 64
     config = EngineConfig.from_json(
         json.dumps({"max_batch_rows": max_rows, "kv_layout": "paged"})
     )
@@ -1063,98 +495,70 @@ def bench_http_serving(
         # queue wait measures the lattice gap, not the scheduler.
         return max(max_new_tokens // 4, 1) + (i * 5) % (max_new_tokens // 2 + 1)
 
-    # -- phase 1: unloaded TTFT baseline (also warms the prefix pool) ---- #
-    engine = AsyncEngine(model, config=config)
+    def serve(max_inflight: int, scenario):
+        """Run ``scenario(server)`` against a fresh engine behind a fresh
+        server; returns the scenario's result and the (shut down) engine."""
+        engine = AsyncEngine(model, config=config)
 
-    async def phase1():
-        async with HttpServer(engine, max_inflight=2 * max_rows) as server:
-            out = []
-            for i in range(len(prompts)):
-                out.append(
-                    await _http_stream_request(
-                        server, client_prompt(i), max_new_tokens, 0, f"base-{i}"
-                    )
-                )
-            return out
+        async def main():
+            async with HttpServer(engine, max_inflight=max_inflight) as server:
+                return await scenario(server)
 
-    unloaded = asyncio.run(phase1())
-    engine.shutdown()
-    unloaded_ttfts = [r["ttft_seconds"] for r in unloaded]
-    unloaded_p99 = float(np.percentile(unloaded_ttfts, 99))
+        try:
+            return asyncio.run(main()), engine
+        finally:
+            engine.shutdown()
 
-    # -- phases 2+3: capacity, then 1x / 2x offered load ----------------- #
-    def measure_capacity() -> float:
+    async def unloaded_phase(server):
+        return [
+            await _http_stream_request(
+                server, client_prompt(i), max_new_tokens, 0, f"base-{i}"
+            )
+            for i in range(len(prompts))
+        ]
+
+    unloaded, _ = serve(2 * max_rows, unloaded_phase)
+
+    async def capacity_phase(server) -> float:
         # Closed loop at concurrency 2 * max_rows: max_rows requests
         # decoding plus a standing queue, so the batch never idles between
         # retirements and the connection churn resembles the open-loop
         # phases this figure calibrates.
-        engine = AsyncEngine(model, config=config)
+        workers = 2 * max_rows
+        per_worker = max(overload_requests // workers, 1)
 
-        async def phase2():
-            async with HttpServer(engine, max_inflight=4 * max_rows) as server:
-                workers = 2 * max_rows
-                per_worker = max(overload_requests // workers, 1)
-
-                async def worker(w: int) -> list[dict]:
-                    out = []
-                    for j in range(per_worker):
-                        out.append(
-                            await _http_stream_request(
-                                server,
-                                client_prompt(w * per_worker + j),
-                                client_tokens(w * per_worker + j),
-                                0,
-                                f"cap-{w}",
-                            )
-                        )
-                    return out
-
-                t0 = time.perf_counter()
-                per_worker_results = await asyncio.gather(
-                    *(worker(w) for w in range(workers))
+        async def worker(w: int) -> None:
+            for i in range(w * per_worker, (w + 1) * per_worker):
+                await _http_stream_request(
+                    server, client_prompt(i), client_tokens(i), 0, f"cap-{w}"
                 )
-                wall = time.perf_counter() - t0
-                return sum(len(r) for r in per_worker_results) / wall
 
-        rps = asyncio.run(phase2())
-        engine.shutdown()
-        return rps
+        t0 = time.perf_counter()
+        await asyncio.gather(*(worker(w) for w in range(workers)))
+        return workers * per_worker / (time.perf_counter() - t0)
 
-    def offered_load(capacity_rps: float, multiplier: float) -> dict:
-        rate = multiplier * capacity_rps
-        fresh = AsyncEngine(model, config=config)
+    def offered_load(rate: float) -> dict:
+        offsets = [i / rate for i in range(overload_requests)]
 
-        async def phase3():
-            # max_rows + 2: a two-request queue buffer.  Zero buffer turns
-            # every retirement into admission-latency idle time; a deep
-            # queue stretches every admitted TTFT.  Two keeps a successor
-            # staged for the next free row while bounding the queue wait
-            # to a couple of completion events.
-            async with HttpServer(fresh, max_inflight=max_rows + 2) as server:
-
-                async def one(i: int):
-                    delay = i / rate
-                    await asyncio.sleep(delay)
-                    r = await _http_stream_request(
-                        server, client_prompt(i), client_tokens(i), 0, f"load-{i}"
-                    )
-                    # Completion instant relative to the phase start, for
-                    # the steady-state rate below.
-                    r["completed_at"] = delay + r["wall_seconds"]
-                    return r
-
-                results = await asyncio.gather(
-                    *(one(i) for i in range(overload_requests))
+        async def load_phase(server):
+            async def send(i: int, due: float) -> dict:
+                return await _http_stream_request(
+                    server, client_prompt(i), client_tokens(i), 0, f"load-{i}", sent_at=due
                 )
-                return results, server.stats.as_dict()
 
-        results, http_stats = asyncio.run(phase3())
-        fresh.shutdown()
-        admitted = [r for r in results if r["status"] == 200]
-        shed = [r for r in results if r["status"] == 429]
-        admitted_p99 = float(
-            np.percentile([r["ttft_seconds"] for r in admitted], 99)
-        )
+            _, _, outcomes = await open_loop(offsets, send)
+            return outcomes
+
+        # max_rows + 2: a two-request queue buffer.  Zero buffer turns
+        # every retirement into admission-latency idle time; a deep queue
+        # stretches every admitted TTFT.  Two keeps a successor staged for
+        # the next free row while bounding the queue wait to a couple of
+        # completion events.
+        outcomes, _ = serve(max_rows + 2, load_phase)
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                raise outcome
+        admitted = [(i, r) for i, r in enumerate(outcomes) if r["status"] == 200]
         # Steady-state completion rate: completions per second between the
         # first and last completion inside the arrival window.  The full
         # wall would fold the ramp-up before the first completion and the
@@ -1162,86 +566,52 @@ def bench_http_serving(
         # O(batch/total) edge effects that measure trace length, not the
         # server.
         window = overload_requests / rate
-        done = sorted(r["completed_at"] for r in admitted if r["completed_at"] <= window)
+        done = sorted(
+            offsets[i] + r["wall_seconds"]
+            for i, r in admitted
+            if offsets[i] + r["wall_seconds"] <= window
+        )
         if len(done) >= 2 and done[-1] > done[0]:
-            steady_rps = (len(done) - 1) / (done[-1] - done[0])
+            steady = (len(done) - 1) / (done[-1] - done[0])
         else:
-            steady_rps = 0.0
+            steady = 0.0
         return {
-            "offered_rate": rate,
-            "requests": len(results),
             "admitted": len(admitted),
-            "shed": len(shed),
-            "admitted_p99": admitted_p99,
-            "steady_rps": steady_rps,
-            "http_stats": http_stats,
+            "shed": sum(r["status"] == 429 for r in outcomes),
+            "p99": float(np.percentile([r["ttft_seconds"] for _, r in admitted], 99)),
+            "steady_rps": steady,
         }
 
-    def one_round() -> dict:
-        capacity_rps = measure_capacity()
-        onex = offered_load(capacity_rps, 1.0)
-        twox = offered_load(capacity_rps, 2.0)
-        goodput_ratio = (
-            twox["steady_rps"] / onex["steady_rps"] if onex["steady_rps"] else 0.0
-        )
-        ttft_ratio = (
-            twox["admitted_p99"] / onex["admitted_p99"]
-            if onex["admitted_p99"]
-            else float("inf")
-        )
+    def overload_round() -> dict:
+        capacity, _ = serve(4 * max_rows, capacity_phase)
+        onex, twox = offered_load(capacity), offered_load(2.0 * capacity)
+        goodput = twox["steady_rps"] / onex["steady_rps"] if onex["steady_rps"] else 0.0
         return {
-            "capacity_rps": capacity_rps,
-            "onex": onex,
-            "twox": twox,
-            "goodput_ratio": goodput_ratio,
-            "ttft_ratio": ttft_ratio,
+            "capacity_rps": capacity,
+            "goodput_ratio": goodput,
+            "ttft_ratio": twox["p99"] / onex["p99"] if onex["p99"] else float("inf"),
+            **{f"onex_{k}": v for k, v in onex.items()},
+            **{f"twox_{k}": v for k, v in twox.items()},
         }
 
-    rounds = [one_round() for _ in range(max(repeats, 1))]
-    # The repeat that best meets BOTH SLA targets simultaneously: each
-    # round's score is its weakest margin (goodput target 0.9, TTFT target
-    # 3.0), so a round that aces one gate while failing the other loses to
-    # one that clears both.
-    best = max(
-        rounds,
-        key=lambda r: min(r["goodput_ratio"] / 0.9, 3.0 / max(r["ttft_ratio"], 1e-9)),
-    )
-    capacity_rps = best["capacity_rps"]
-    overload_rate = best["twox"]["offered_rate"]
-    admitted_p99 = best["twox"]["admitted_p99"]
-    goodput_rps = best["twox"]["steady_rps"]
-    goodput_ratio = best["goodput_ratio"]
-    http_stats = best["twox"]["http_stats"]
+    samples = measure({"overload": overload_round}, ctx.repeats)
 
-    # -- phase 4: priority contention + preempt/resume parity ------------ #
-    engine = AsyncEngine(model, config=config)
-
-    async def phase4():
-        async with HttpServer(engine, max_inflight=4 * max_rows) as server:
-
-            async def one(i: int, priority: int, delay: float):
-                await asyncio.sleep(delay)
-                return await _http_stream_request(
-                    server, client_prompt(i), max_new_tokens, priority, f"prio-{i}"
-                )
-
-            low = [
-                asyncio.create_task(one(i, 0, 0.0)) for i in range(2 * max_rows)
-            ]
-            high = [
-                asyncio.create_task(one(2 * max_rows + i, 5, 0.05))
-                for i in range(max_rows)
-            ]
-            return (
-                [await t for t in low],
-                [await t for t in high],
+    async def priority_phase(server):
+        async def one(i: int, priority: int, delay: float):
+            await asyncio.sleep(delay)
+            return await _http_stream_request(
+                server, client_prompt(i), max_new_tokens, priority, f"prio-{i}"
             )
 
-    low_results, high_results = asyncio.run(phase4())
-    low_p99 = float(np.percentile([r["ttft_seconds"] for r in low_results], 99))
-    high_p99 = float(np.percentile([r["ttft_seconds"] for r in high_results], 99))
-    preemptions = engine.stats.preemptions
-    resumes = engine.stats.resumes
+        low = [asyncio.create_task(one(i, 0, 0.0)) for i in range(2 * max_rows)]
+        high = [
+            asyncio.create_task(one(2 * max_rows + i, 5, 0.05)) for i in range(max_rows)
+        ]
+        return [await t for t in low], [await t for t in high]
+
+    (low, high), engine = serve(4 * max_rows, priority_phase)
+    low_p99 = float(np.percentile([r["ttft_seconds"] for r in low], 99))
+    high_p99 = float(np.percentile([r["ttft_seconds"] for r in high], 99))
     # Every request in phase 4 decoded greedily; a preempted-then-resumed
     # low-priority stream must still match the uninterrupted reference.
     parity = all(
@@ -1252,338 +622,725 @@ def bench_http_serving(
                 len(client_prompt(i)) :
             ]
         ]
-        for i, r in enumerate(low_results)
+        for i, r in enumerate(low)
     )
-    engine.shutdown()
-
-    return {
-        "max_batch_rows": int(max_rows),
-        "max_new_tokens": int(max_new_tokens),
-        "unloaded_requests": len(unloaded),
-        "unloaded_p99_ttft_seconds": unloaded_p99,
-        "capacity_requests_per_sec": capacity_rps,
-        "overload_rate_requests_per_sec": overload_rate,
-        "overload_repeats": len(rounds),
-        "goodput_ratio_per_repeat": [r["goodput_ratio"] for r in rounds],
-        "ttft_ratio_per_repeat": [r["ttft_ratio"] for r in rounds],
-        "overload_requests": best["twox"]["requests"],
-        "admitted": best["twox"]["admitted"],
-        "shed": best["twox"]["shed"],
-        "onex_admitted": best["onex"]["admitted"],
-        "onex_shed": best["onex"]["shed"],
-        "onex_p99_ttft_seconds": best["onex"]["admitted_p99"],
-        "onex_steady_requests_per_sec": best["onex"]["steady_rps"],
-        "admitted_p99_ttft_seconds": admitted_p99,
+    # The bench-trend gate compares sections by their ``speedup`` key; for
+    # an overload bench the figure of merit is goodput retention (steady
+    # completion rate at 2x offered load over the matched 1x run — the
+    # goodput curve staying flat past saturation).
+    return report(
+        samples,
+        "overload",
+        key="goodput_ratio",
+        max_batch_rows=max_rows,
+        max_new_tokens=max_new_tokens,
+        overload_requests=overload_requests,
+        unloaded_p99_ttft_seconds=float(
+            np.percentile([r["ttft_seconds"] for r in unloaded], 99)
+        ),
+        capacity_requests_per_sec=median(samples, "overload", "capacity_rps"),
+        goodput_ratio=median(samples, "overload", "goodput_ratio"),
         # p99 at 2x offered load over p99 at the matched 1x run — what
         # overload itself does to admitted TTFT, on identical machinery.
-        "admitted_ttft_ratio": best["ttft_ratio"],
-        "goodput_requests_per_sec": goodput_rps,
-        "goodput_ratio": goodput_ratio,
-        # The bench-trend gate compares sections by their ``speedup`` key;
-        # for an overload bench the figure of merit is goodput retention
-        # (steady completion rate at 2x offered load over the matched 1x
-        # run — the goodput curve staying flat past saturation).
-        "speedup": goodput_ratio,
-        "http_stats": http_stats,
-        "low_priority_p99_ttft_seconds": low_p99,
-        "high_priority_p99_ttft_seconds": high_p99,
-        "priority_p99_ratio": high_p99 / low_p99,
-        "preemptions": int(preemptions),
-        "resumes": int(resumes),
-        "tokens_match": bool(parity),
+        admitted_ttft_ratio=median(samples, "overload", "ttft_ratio"),
+        shed=median(samples, "overload", "twox_shed"),
+        low_priority_p99_ttft_seconds=low_p99,
+        high_priority_p99_ttft_seconds=high_p99,
+        priority_p99_ratio=high_p99 / low_p99,
+        preemptions=int(engine.stats.preemptions),
+        resumes=int(engine.stats.resumes),
+        tokens_match=bool(parity),
+    )
+
+
+def bench_paged_kv(ctx: Context) -> dict:
+    """Block-paged (and int8) KV storage vs the dense layout, long context.
+
+    The workload is the one paged KV exists for: staggered long-context
+    requests drawn from several prompt *families* (a shared ~64-token
+    template head plus a per-request tail — the shape of ICL serving
+    traffic), with the prefix-cache pool in the loop.  Two comparisons:
+
+    * **equal memory budget** — both layouts get a byte-capped pool.  A
+      dense entry costs a full-context rectangle, so the budget holds only
+      a couple of families and the LRU thrashes (hit rate ~0); paged
+      entries cost their exact-width (ref-counted, copy-on-write shared)
+      blocks, so the same bytes keep every family resident.  This is the
+      throughput headline: tokens/s paged vs dense.
+    * **equal capability** — both pools uncapped, so hit rates equalise.
+      The peak resident KV bytes (live batch + pool, sampled every step)
+      then show what holding the *same* reusable state costs each layout;
+      int8 block storage shrinks it further.
+
+    Greedy outputs must be token-identical across dense, paged and
+    int8-paged serving (the int8 store quantizes pooled prefixes only; the
+    live decode window stays float32).
+    """
+    model, rng = ctx.model, ctx.rng()
+    num_families = 4 if ctx.smoke else 6
+    heads = [
+        ctx.tokenizer.encode_causal(" ".join(ctx.sentences[f * 4 : f * 4 + 4]))[:64]
+        for f in range(num_families)
+    ]
+    prompts = [
+        np.concatenate([heads[i % num_families], ctx.ids(i * 7 + 3, int(rng.integers(12, 32)))])
+        for i in range(12 if ctx.smoke else 24)
+    ]
+    max_new_tokens = 16 if ctx.smoke else 24
+    budget = 1 << 20
+
+    def run(kv_layout: str, kv_dtype: str = "fp32", budget: int | None = None):
+        pool = PrefixCachePool(
+            model,
+            max_entries=32,
+            min_reuse_tokens=16,
+            max_bytes=budget,
+            kv_layout=kv_layout,
+            kv_dtype=kv_dtype,
+        )
+        engine = ContinuousBatchingEngine(
+            model,
+            config=EngineConfig(
+                max_batch_rows=6, min_admit_rows=1, kv_layout=kv_layout, kv_dtype=kv_dtype
+            ),
+            cache_pool=pool,
+        )
+        results = [None] * len(prompts)
+        submitted = 0
+        peak = 0
+        while submitted < len(prompts) or engine.has_work:
+            if submitted < len(prompts):
+                engine.submit(
+                    prompts[submitted], max_new_tokens=max_new_tokens, stop_ids=ctx.stop_ids
+                )
+                submitted += 1
+            for request in engine.step():
+                results[request.request_id] = request.result
+            peak = max(peak, engine.batch.cache.kv_bytes() + pool.kv_bytes())
+        return results, peak, pool
+
+    stacks = {"dense": ("dense", "fp32"), "paged": ("paged", "fp32"), "int8": ("paged", "int8")}
+    budgeted = {name: run(*stack, budget=budget) for name, stack in stacks.items()}
+    # Equal capability: uncapped pools -> equal hit rates; compare bytes.
+    free = {name: run(*stack) for name, stack in stacks.items()}
+    peaks = {name: int(peak) for name, (_, peak, _) in free.items()}
+    samples = measure(
+        {
+            name: timed(functools.partial(run, *stack, budget=budget))
+            for name, stack in stacks.items()
+        },
+        ctx.repeats,
+    )
+    dense_res = budgeted["dense"][0]
+    return report(
+        samples,
+        "dense",
+        "paged",
+        num_requests=len(prompts),
+        num_families=num_families,
+        max_new_tokens=max_new_tokens,
+        generated_tokens=int(sum(len(r) - len(p) for r, p in zip(dense_res, prompts))),
+        pool_budget_bytes=budget,
+        int8_speedup=ratio(samples, "dense", "int8")[0],
+        **{
+            f"budget_hit_rate_{name}": pool.stats.hit_rate
+            for name, (_, _, pool) in budgeted.items()
+        },
+        iso_hit_rate={name: pool.stats.hit_rate for name, (_, _, pool) in free.items()},
+        peak_kv_bytes=peaks,
+        kv_bytes_ratio_dense_over_paged=peaks["dense"] / peaks["paged"],
+        kv_bytes_ratio_dense_over_int8=peaks["dense"] / peaks["int8"],
+        tokens_match_paged_vs_dense=outputs_match(budgeted["paged"][0], dense_res),
+        tokens_match_int8_vs_dense=outputs_match(budgeted["int8"][0], dense_res),
+    )
+
+
+def bench_chunked_prefill(ctx: Context) -> dict:
+    """Chunked-prefill piggybacking vs atomic admission, adversarial trace.
+
+    The workload is the one the per-step prefill budget exists for: a burst
+    of mostly-short requests with a long prompt in every 4th position.  On
+    the atomic path every admission group is left-padded to its longest
+    member, so one long prompt makes *every* co-admitted short request pay
+    a long-wide prefill forward before its first token — and the whole
+    batch stalls for that forward.  Under a ``prefill_chunk_tokens`` budget
+    each request enters the batch immediately and consumes its prompt in
+    bounded chunks beside the running decodes: no padding, no monolithic
+    stall.
+
+    Reported: p50/p99 TTFT (overall and short-request-only — the headline:
+    the tail latency longs inflict on their neighbours), end-to-end decode
+    throughput, and per-step occupancy from the engine's chunk stats.
+    Greedy outputs must be token-identical between the two paths.
+    """
+    rng, sentences = ctx.rng(), ctx.sentences
+    long_every, chunk_tokens = 4, 32
+    long_tokens = 144 if ctx.smoke else 256
+    prompts = [
+        ctx.tokenizer.encode_causal(" ".join(sentences[(i * 5) % len(sentences) :]))[
+            :long_tokens
+        ]
+        if i % long_every == 0
+        else ctx.ids(i * 11 + 2, int(rng.integers(6, 18)))
+        for i in range(12 if ctx.smoke else 16)
+    ]
+    short = [i for i in range(len(prompts)) if i % long_every != 0]
+    max_new_tokens = 16 if ctx.smoke else 24
+
+    def run(chunk: int | None):
+        engine = ContinuousBatchingEngine(
+            ctx.model,
+            config=EngineConfig(
+                max_batch_rows=6,
+                min_admit_rows=1,
+                prefill_chunk_tokens=chunk,
+                kv_layout="paged",
+            ),
+        )
+        requests = [
+            engine.submit(p, max_new_tokens=max_new_tokens, stop_ids=ctx.stop_ids)
+            for p in prompts
+        ]
+        start = time.perf_counter()
+        while engine.has_work:
+            engine.step(force_admit=True)
+        wall = time.perf_counter() - start
+        ttfts = np.array([r.ttft_seconds for r in requests])
+        return [r.result for r in requests], ttfts, wall, engine.stats
+
+    def arm(chunk: int | None):
+        def measured() -> dict:
+            _, ttfts, wall, _ = run(chunk)
+            return {
+                "seconds": wall,
+                "p50_ttft_seconds": np.percentile(ttfts, 50),
+                "p99_ttft_seconds": np.percentile(ttfts, 99),
+                "p50_short_ttft_seconds": np.percentile(ttfts[short], 50),
+                "p99_short_ttft_seconds": np.percentile(ttfts[short], 99),
+            }
+
+        return measured
+
+    atomic_res = run(None)[0]
+    chunked_res, _, _, chunked_stats = run(chunk_tokens)
+    samples = measure({"atomic": arm(None), "chunked": arm(chunk_tokens)}, ctx.repeats)
+    # Headline: tail first-token latency of the short requests a long
+    # neighbour would otherwise stall.
+    return report(
+        samples,
+        "atomic",
+        "chunked",
+        key="p99_short_ttft_seconds",
+        num_requests=len(prompts),
+        num_long=len(prompts) - len(short),
+        prompt_tokens=[int(len(p)) for p in prompts],
+        max_new_tokens=max_new_tokens,
+        chunk_tokens=chunk_tokens,
+        generated_tokens=int(sum(len(r) - len(p) for r, p in zip(atomic_res, prompts))),
+        p50_ttft_speedup=ratio(samples, "atomic", "chunked", "p50_ttft_seconds")[0],
+        p99_ttft_speedup=ratio(samples, "atomic", "chunked", "p99_ttft_seconds")[0],
+        decode_throughput_ratio=ratio(samples, "atomic", "chunked")[0],
+        prefill_chunks=int(chunked_stats.prefill_chunks),
+        max_step_prefill_tokens=int(max(chunked_stats.step_prefill_tokens)),
+        prefill_stall_histogram=chunked_stats.stall_histogram(),
+        tokens_match=outputs_match(atomic_res, chunked_res),
+    )
+
+
+def bench_speculative(ctx: Context) -> dict:
+    """Draft-then-verify decoding vs plain cached decode, registry models.
+
+    The pairing speculative decoding exists for: a big target (``mistral-7b``
+    config) and a small drafter (``gpt2`` config) pre-trained on the *same*
+    registry corpus, so the drafter's greedy guesses usually match the
+    target's and each batched verify forward emits several tokens.  This
+    section alone pre-trains: random weights would pin the identity
+    guarantee but measure an accept rate of ~0, which is not the regime the
+    technique is built for.
+
+    The headline (gated) number is the **single-stream** regime —
+    latency-bound decode is where the technique pays, because the drafter
+    decodes its proposals off a batch-1 cache per request: at one live row,
+    ``draft_k`` cheap drafter forwards replace ``draft_k`` full target
+    forwards; at many rows the per-row drafter loop competes against an
+    already-batched target step and speculation stops being worth it
+    (reported as the ungated ``batched_speedup``).
+
+    Greedy outputs must be token-identical to plain cached decode — the
+    drafter can only move throughput, never tokens.
+    """
+    rng, draft_k = ctx.rng(), 6
+    prompt = ctx.ids(1, 12)
+    batch_prompts = [ctx.ids(i * 5 + 2, int(rng.integers(6, 20))) for i in range(4)]
+    new_tokens = 64 if ctx.smoke else 192
+    registry = ModelRegistry(ctx.tokenizer, ctx.sentences[:200], pretrain_steps=10, seed=0)
+    spec = SpeculativeDecoder.from_registry(registry, "mistral-7b", "gpt2", draft_k=draft_k)
+    target = spec.model
+
+    def single(decoder):
+        return lambda: decoder.generate(prompt, max_new_tokens=new_tokens)
+
+    def batched(decoder):
+        return lambda: decoder.generate_batch(batch_prompts, max_new_tokens=new_tokens)
+
+    spec_out = single(spec)()
+    tokens_match = bool(np.array_equal(spec_out, single(target)()))
+    accept_rate = spec.accept_rate  # measured over the parity run above
+    batch_match = outputs_match(batched(spec)(), batched(target)())
+    samples = measure(
+        {
+            "speculative": timed(single(spec)),
+            "plain": timed(single(target)),
+            "batched_speculative": timed(batched(spec)),
+            "batched_plain": timed(batched(target)),
+        },
+        ctx.repeats,
+    )
+    return report(
+        samples,
+        "plain",
+        "speculative",
+        target_model=target.config.name,
+        draft_model=spec.draft_model.config.name,
+        draft_k=draft_k,
+        prompt_tokens=int(len(prompt)),
+        new_tokens=int(len(spec_out) - len(prompt)),
+        accept_rate=float(accept_rate),
+        drafted_tokens=int(spec.drafted),
+        accepted_draft_tokens=int(spec.accepted),
+        batch_size=len(batch_prompts),
+        batched_speedup=ratio(samples, "batched_plain", "batched_speculative")[0],
+        tokens_match=tokens_match,
+        tokens_match_batched=batch_match,
+    )
+
+
+def _fleet_model(config_name: str, vocab_size: int, seed: int) -> DecoderLM:
+    """Picklable replica factory: deterministic weights from the seed, so
+    every fleet worker (and the single-engine reference) is bit-identical."""
+    model = DecoderLM(get_config(config_name), vocab_size, rng=seed)
+    model.eval()
+    return model
+
+
+def bench_fleet(ctx: Context) -> dict:
+    """Data-parallel replica fleet vs. one engine at equal total traffic.
+
+    The trace is closed-loop: each pass visits every prompt family (long
+    shared head, short tail) once, and the next pass is submitted only after
+    the previous one drained — sustained repeat traffic, not one burst.
+    That is adversarial for a single per-replica-sized prefix pool, which
+    evicts every family before its next request returns.  The fleet's win on
+    a single core is *aggregate KV-pool capacity*: prefix-affinity routing
+    pins each family to one replica, whose pool then holds it resident, so
+    repeat passes prefill tails instead of heads.  Round-robin routing over
+    the same fleet is the control: same workers, same pools, no affinity —
+    its pool hit rate collapses back toward the single engine's.
+
+    Every repeat builds fresh engines, pools and worker processes, so
+    repeats measure the architecture, not pool warming; the timed span is
+    submission to the last drain, without process start-up.
+    """
+    rng, families = ctx.rng(), 6
+    # Long heads on the larger decoder config: the affinity win is the
+    # *skipped head prefill*, so the head must be real compute relative to
+    # the per-step fixed cost the extra worker processes add.
+    head_tokens = 320 if ctx.smoke else 448
+    heads = [
+        ctx.tokenizer.encode_causal(
+            " ".join(ctx.sentences[f * 6 : f * 6 + 12] or ctx.sentences)
+        )[:head_tokens]
+        for f in range(families)
+    ]
+    passes = [
+        [
+            np.concatenate([heads[f], ctx.ids(p * families + f * 5 + 1, int(rng.integers(4, 10)))])
+            for f in range(families)
+        ]
+        for p in range(4 if ctx.smoke else 12)
+    ]
+    prompts = [p for wave in passes for p in wave]
+    max_new_tokens = 4 if ctx.smoke else 6
+    builder = functools.partial(_fleet_model, "mistral-7b", ctx.tokenizer.vocab_size, ctx.seed)
+    # Four entries hold ~2 resident families (head + a couple of tail
+    # variants) per replica: the 4-worker fleet keeps all 6 families warm in
+    # aggregate while any single replica thrashes.
+    pool_kwargs = {"max_entries": 4}
+    config = EngineConfig(max_batch_rows=4)
+
+    def run_single():
+        model = builder()
+        pool = PrefixCachePool(model, **pool_kwargs)
+        engine = ContinuousBatchingEngine(model, config=config, cache_pool=pool)
+        requests = []
+        start = time.perf_counter()
+        for wave in passes:
+            requests.extend(engine.submit(p, max_new_tokens) for p in wave)
+            engine.drain()
+        seconds = time.perf_counter() - start
+        return {"seconds": seconds, "pool_hit_rate": pool.stats.hit_rate}, [
+            r.result for r in requests
+        ]
+
+    reference = run_single()[1]  # the token-identity oracle
+    matches: list[bool] = []
+
+    def fleet_arm(num_workers: int, routing: str):
+        def arm() -> dict:
+            with ReplicaFleet(
+                builder,
+                num_workers,
+                routing=routing,
+                affinity_tokens=32,
+                config=config,
+                pool_kwargs=pool_kwargs,
+            ) as fleet:
+                handles = []
+                start = time.perf_counter()
+                for wave in passes:
+                    handles.extend(fleet.submit(p, max_new_tokens) for p in wave)
+                    fleet.drain()
+                seconds = time.perf_counter() - start
+                matches.append(outputs_match(reference, [h.result for h in handles]))
+                stats = fleet.worker_stats()
+            hits = sum(w["pool"]["hits"] for w in stats)
+            lookups = hits + sum(w["pool"]["misses"] for w in stats)
+            return {"seconds": seconds, "pool_hit_rate": hits / lookups if lookups else 0.0}
+
+        return arm
+
+    samples = measure(
+        {
+            "single": lambda: run_single()[0],
+            **{f"affinity_{n}": fleet_arm(n, "affinity") for n in (1, 2, 4)},
+            "round_robin_4": fleet_arm(4, "round_robin"),
+        },
+        ctx.repeats,
+    )
+    return report(
+        samples,
+        "single",
+        "affinity_4",
+        num_requests=len(prompts),
+        num_passes=len(passes),
+        generated_tokens=int(sum(len(o) - len(p) for o, p in zip(reference, prompts))),
+        max_new_tokens=max_new_tokens,
+        pool_entries_per_replica=pool_kwargs["max_entries"],
+        affinity_hit_rate=median(samples, "affinity_4", "pool_hit_rate"),
+        round_robin_hit_rate=median(samples, "round_robin_4", "pool_hit_rate"),
+        tokens_match=all(matches),
+    )
+
+
+def _icl_workload(ctx: Context):
+    """Query records, labels, a fresh-selector factory and the shot count."""
+    test = ctx.dataset.test.subsample(12 if ctx.smoke else 32, rng=ctx.seed)
+    examples = ctx.dataset.train.records[:200]
+    return (
+        test.records,
+        test.labels(),
+        lambda: FewShotSelector(examples, mode="mixed", seed=ctx.seed),
+        4 if ctx.smoke else 8,
+    )
+
+
+def bench_icl_evaluate(ctx: Context) -> dict:
+    """Queries/sec of shared-few-shot evaluate, cached vs per-query loop."""
+    queries, labels, selector, shots = _icl_workload(ctx)
+    engines = {
+        "cached": ICLEngine(ctx.model, ctx.tokenizer),
+        "uncached": ICLEngine(ctx.model, ctx.tokenizer, use_cache=False),
     }
+    preds = {
+        name: engine.classify_batch(queries, selector=selector(), num_examples=shots)
+        for name, engine in engines.items()
+    }
+    score_diff = max(
+        max(
+            abs(a.log_prob_normal - b.log_prob_normal),
+            abs(a.log_prob_abnormal - b.log_prob_abnormal),
+        )
+        for a, b in zip(preds["cached"], preds["uncached"])
+    )
+
+    def evaluate(engine: ICLEngine):
+        return lambda: engine.evaluate(queries, labels, selector=selector(), num_examples=shots)
+
+    samples = measure(
+        {name: timed(evaluate(engine)) for name, engine in engines.items()}, ctx.repeats
+    )
+    return report(
+        samples,
+        "uncached",
+        "cached",
+        num_queries=len(queries),
+        num_examples=shots,
+        labels_match=[p.label for p in preds["cached"]] == [p.label for p in preds["uncached"]],
+        max_score_diff=float(score_diff),
+    )
 
 
-SECTION_NAMES = (
-    "generate",
-    "logits_equivalence",
-    "batched_generate",
-    "continuous_batching",
-    "concurrent_serving",
-    "http_serving",
-    "paged_kv",
-    "chunked_prefill",
-    "speculative",
-    "fleet",
-    "icl_evaluate",
-    "pooled_icl",
+def bench_pooled_icl(ctx: Context) -> dict:
+    """Several engines over the same traffic: shared prefix pool vs private caches.
+
+    Models the serving scenario the pool exists for — many concurrently
+    constructed engines (sessions) classifying queries prompted with the
+    same few-shot block.  With the shared pool, engines after the first find
+    the example-block prefill already cached.
+    """
+    queries, labels, selector, shots = _icl_workload(ctx)
+    num_engines = 3 if ctx.smoke else 4
+
+    def run(pool: PrefixCachePool | None):
+        return [
+            ICLEngine(ctx.model, ctx.tokenizer, cache_pool=pool).evaluate(
+                queries, labels, selector=selector(), num_examples=shots
+            )
+            for _ in range(num_engines)
+        ]
+
+    stats_pool = PrefixCachePool(ctx.model, max_entries=8)
+    pooled = [r.accuracy for r in run(stats_pool)]
+    private = [r.accuracy for r in run(None)]
+    # A fresh pool per repeat: each timed pass is the cold engines-sharing-
+    # one-pass scenario (a warm pool carried across repeats would flatter
+    # the pooled number).
+    samples = measure(
+        {
+            "pooled": timed(lambda: run(PrefixCachePool(ctx.model, max_entries=8))),
+            "private": timed(lambda: run(None)),
+        },
+        ctx.repeats,
+    )
+    return report(
+        samples,
+        "private",
+        "pooled",
+        num_engines=num_engines,
+        num_queries=len(queries),
+        num_examples=shots,
+        accuracies_match=pooled == private,
+        pool_stats=stats_pool.stats.as_dict(),
+    )
+
+
+# The speed thresholds sit below the full-scale targets (``TARGETS``) to
+# absorb shared-runner noise on the sub-second smoke workloads, and apply at
+# both scales; the identity gates are exact.
+SECTIONS = (
+    Section(
+        "generate",
+        bench_generate,
+        ("tokens_match",),
+        (
+            ("speedup", ">=", 1.0, "cached generate is slower than uncached"),
+            ("tokens_match", "==", True, "cached generate changed the tokens"),
+        ),
+    ),
+    Section(
+        "logits_equivalence",
+        bench_logits_equivalence,
+        ("max_abs_diff", "allclose"),
+        (("allclose", "==", True, "cached and uncached logits diverge"),),
+    ),
+    Section(
+        "batched_generate",
+        bench_batched_generate,
+        ("tokens_match", "prefill_logits_allclose"),
+        (
+            ("speedup", ">=", 1.5, "batched generate lost its win over sequential"),
+            ("tokens_match", "==", True, "batched generate changed the tokens"),
+            ("prefill_logits_allclose", "==", True, "batched prefill logits diverge"),
+        ),
+    ),
+    Section(
+        "http_serving",
+        bench_http_serving,
+        (
+            "capacity_requests_per_sec",
+            "admitted_ttft_ratio",
+            "shed",
+            "high_priority_p99_ttft_seconds",
+            "low_priority_p99_ttft_seconds",
+            "preemptions",
+            "tokens_match",
+        ),
+        (
+            # Targets are 3.0x ttft / 0.9 goodput (both vs the matched 1x
+            # offered-load run); the gates trip at 4.0x / 0.75 because each
+            # phase has only tens of sub-100ms TTFT samples.
+            ("admitted_ttft_ratio", "<=", 4.0, "shedding does not bound the 2x queue"),
+            ("goodput_ratio", ">=", 0.75, "goodput collapses past saturation"),
+            ("shed", ">", 0, "2x overload shed nothing"),
+            (
+                "high_priority_p99_ttft_seconds",
+                "<",
+                "low_priority_p99_ttft_seconds",
+                "high priority is not served first",
+            ),
+            ("preemptions", ">=", 1, "the high-priority burst preempted nothing"),
+            ("tokens_match", "==", True, "preempted-then-resumed streams changed tokens"),
+        ),
+    ),
+    Section(
+        "paged_kv",
+        bench_paged_kv,
+        (
+            "int8_speedup",
+            "budget_hit_rate_paged",
+            "budget_hit_rate_dense",
+            "peak_kv_bytes.paged",
+            "peak_kv_bytes.dense",
+            "tokens_match_paged_vs_dense",
+            "tokens_match_int8_vs_dense",
+        ),
+        (
+            ("speedup", ">=", 0.9, "paged KV is slower than dense at an equal budget"),
+            ("tokens_match_paged_vs_dense", "==", True, "paged KV changed the tokens"),
+            ("tokens_match_int8_vs_dense", "==", True, "int8 paged KV changed the tokens"),
+            ("peak_kv_bytes.paged", "<", "peak_kv_bytes.dense", "paged KV holds more bytes"),
+            (
+                "budget_hit_rate_paged",
+                ">",
+                "budget_hit_rate_dense",
+                "the byte-budgeted paged pool does not out-hit dense",
+            ),
+        ),
+    ),
+    Section(
+        "chunked_prefill",
+        bench_chunked_prefill,
+        ("p99_ttft_speedup", "decode_throughput_ratio", "max_step_prefill_tokens", "tokens_match"),
+        (
+            ("speedup", ">=", 0.9, "chunking raised short-request p99 TTFT"),
+            # Piggybacked chunks trade a little end-to-end throughput for
+            # bounded steps; cap the toll at ~30%.
+            ("decode_throughput_ratio", ">=", 0.7, "chunking costs too much throughput"),
+            ("tokens_match", "==", True, "chunked prefill changed the tokens"),
+            ("max_step_prefill_tokens", "<=", "chunk_tokens", "a step exceeded the budget"),
+        ),
+    ),
+    Section(
+        "speculative",
+        bench_speculative,
+        ("accept_rate", "batched_speedup", "tokens_match", "tokens_match_batched"),
+        (
+            ("speedup", ">=", 0.95, "single-stream speculation is slower than plain"),
+            # A registry-pretrained drafter/target pair agrees almost always;
+            # a collapsed accept rate means the verify or rollback path broke
+            # even if the (drafter-independent) output identity still holds.
+            ("accept_rate", ">=", 0.5, "the registry pair's accept rate collapsed"),
+            ("tokens_match", "==", True, "speculative decoding changed the tokens"),
+            ("tokens_match_batched", "==", True, "batched speculation changed the tokens"),
+        ),
+    ),
+    Section(
+        "fleet",
+        bench_fleet,
+        ("affinity_hit_rate", "round_robin_hit_rate", "tokens_match"),
+        (
+            # The fleet's win is aggregate pool capacity rather than cores,
+            # but the short smoke trace pays proportionally more process
+            # round-trip overhead, hence 1.5x against the 2.5x target.
+            ("speedup", ">=", 1.5, "the 4-worker fleet lost its win"),
+            (
+                "affinity_hit_rate",
+                ">",
+                "round_robin_hit_rate",
+                "affinity routing does not out-hit round-robin",
+            ),
+            ("tokens_match", "==", True, "the fleet changed the tokens"),
+        ),
+    ),
+    Section(
+        "icl_evaluate",
+        bench_icl_evaluate,
+        ("labels_match", "max_score_diff"),
+        (
+            ("speedup", ">=", 1.0, "cached ICL evaluate is slower than uncached"),
+            ("labels_match", "==", True, "cached ICL scoring changed the labels"),
+        ),
+    ),
+    Section(
+        "pooled_icl",
+        bench_pooled_icl,
+        ("pool_stats.hit_rate", "accuracies_match"),
+        (
+            # Wide margin: the pooled advantage on this sub-second workload
+            # is small (~1.1x), so only a gross regression should fail CI;
+            # accuracies_match is the strict semantic signal.
+            ("speedup", ">=", 0.75, "pooled ICL is much slower than private caches"),
+            ("accuracies_match", "==", True, "pooling changed the evaluation results"),
+        ),
+    ),
 )
+
+#: Full-scale acceptance targets, recorded in the report.
+TARGETS = {
+    "generate_speedup": 3.0,
+    "batched_generate_speedup": 2.0,
+    "icl_evaluate_speedup": 1.5,
+    "pooled_icl_speedup": 1.0,
+    "http_serving_admitted_ttft_ratio": 3.0,
+    "http_serving_goodput_ratio": 0.9,
+    "paged_kv_speedup": 1.0,
+    "chunked_prefill_speedup": 1.0,
+    "speculative_speedup": 1.0,
+    "fleet_speedup": 2.5,
+    "logits_rtol": 1e-5,
+}
 
 
 def run(smoke: bool, seed: int, sections: set[str] | None = None) -> dict:
-    scale = "smoke" if smoke else "full"
-    num_traces = 2 if smoke else 4
-    new_tokens = 56 if smoke else 240
-    num_queries = 12 if smoke else 32
-    num_examples = 4 if smoke else 8
-    repeats = 2 if smoke else 3
-
-    def want(name: str) -> bool:
-        return sections is None or name in sections
-
-    dataset = generate_dataset("1000genome", num_traces=num_traces, seed=seed)
-    tokenizer = LogTokenizer.build_from_corpus(dataset.train.sentences())
+    dataset = generate_dataset("1000genome", num_traces=2 if smoke else 4, seed=seed)
+    sentences = dataset.train.sentences()
+    tokenizer = LogTokenizer.build_from_corpus(sentences)
     # Random (un-pretrained) weights: throughput and numerical equivalence do
     # not depend on training, and skipping pre-training keeps the harness fast.
     model = DecoderLM(get_config("gpt2"), tokenizer.vocab_size, rng=seed)
     model.eval()
-
-    prompt = tokenizer.encode_causal(dataset.train.sentences()[0])[:8]
+    stop_rng = np.random.default_rng(103)
+    ctx = Context(
+        smoke=smoke,
+        seed=seed,
+        repeats=3 if smoke else 5,
+        dataset=dataset,
+        sentences=sentences,
+        tokenizer=tokenizer,
+        model=model,
+        stop_ids={
+            int(t)
+            for t in stop_rng.choice(
+                tokenizer.vocab_size, size=max(tokenizer.vocab_size // 12, 1), replace=False
+            )
+        },
+    )
     results: dict = {
-        "scale": scale,
+        "scale": "smoke" if smoke else "full",
         "model": model.config.name,
         "vocab_size": tokenizer.vocab_size,
     }
-    if want("generate"):
-        results["generate"] = bench_generate(model, prompt, new_tokens, repeats)
-    if want("logits_equivalence"):
-        results["logits_equivalence"] = bench_logits_equivalence(
-            model,
-            tokenizer.encode_causal(" ".join(dataset.train.sentences()[:4]))[
-                : (64 if smoke else 200)
-            ],
-        )
-
-    # Eight ragged prompts for the batched-vs-sequential decode comparison.
-    sentences = dataset.train.sentences()
-    length_rng = np.random.default_rng(seed)
-    batch_prompts = [
-        tokenizer.encode_causal(sentences[i % len(sentences)])[
-            : int(length_rng.integers(6, 20))
-        ]
-        for i in range(8)
-    ]
-    if want("batched_generate"):
-        results["batched_generate"] = bench_batched_generate(
-            model, batch_prompts, 24 if smoke else 64, repeats
-        )
-
-    # Staggered-arrival serving trace: same decode parameters everywhere,
-    # generation lengths vary with the data (stop tokens), so iteration-level
-    # scheduling — not padded batch formation — is what wins.
-    num_requests = 16
-    cb_prompts = [
-        tokenizer.encode_causal(sentences[(i * 3 + 1) % len(sentences)])[
-            : int(length_rng.integers(6, 20))
-        ]
-        for i in range(num_requests)
-    ]
-    stop_rng = np.random.default_rng(103)
-    stop_ids = set(
-        int(t)
-        for t in stop_rng.choice(
-            tokenizer.vocab_size, size=max(tokenizer.vocab_size // 12, 1), replace=False
-        )
-    )
-    if want("continuous_batching"):
-        results["continuous_batching"] = bench_continuous_batching(
-            model,
-            cb_prompts,
-            max_new_tokens=32 if smoke else 48,
-            stop_ids=stop_ids,
-            max_rows=6,
-            repeats=repeats,
-        )
-
-    # The same staggered trace served end to end: 16 async clients with
-    # Poisson-ish arrivals against the pre-collect-then-flush front door.
-    if want("concurrent_serving"):
-        results["concurrent_serving"] = bench_concurrent_serving(
-            model,
-            cb_prompts,
-            max_new_tokens=32 if smoke else 48,
-            stop_ids=stop_ids,
-            max_rows=6,
-            repeats=repeats,
-        )
-
-    # The production HTTP front end: unloaded TTFT baseline, measured
-    # capacity, matched 1x/2x open-loop offered load with shedding, and a
-    # priority burst that preempts a saturated batch.  Each request gets a
-    # distinct ~64-token prompt (a window of consecutive trace sentences):
-    # long enough that prefill is a real unit of first-token work, unique
-    # so the prefix pool serves steady-state traffic rather than replaying
-    # one hot entry.
-    if want("http_serving"):
-        http_prompts = [
-            np.asarray(
-                tokenizer.encode_causal(
-                    " ".join(sentences[(i * 3 + k) % len(sentences)] for k in range(6))
-                )[:64]
-            )
-            for i in range(32)
-        ]
-        results["http_serving"] = bench_http_serving(
-            model,
-            http_prompts,
-            max_new_tokens=16 if smoke else 24,
-            max_rows=4,
-            overload_requests=64,
-            repeats=repeats,
-        )
-
-    # Long-context paged-KV serving: staggered requests from several prompt
-    # families (shared ~64-token template heads + per-request tails, the
-    # shape of ICL serving traffic) through byte-budgeted prefix pools.
-    num_families = 4 if smoke else 6
-    num_paged_requests = 12 if smoke else 24
-    family_heads = [
-        tokenizer.encode_causal(" ".join(sentences[f * 4 : f * 4 + 4]))[:64]
-        for f in range(num_families)
-    ]
-    paged_prompts = []
-    for i in range(num_paged_requests):
-        tail = tokenizer.encode_causal(sentences[(i * 7 + 3) % len(sentences)])[
-            : int(length_rng.integers(12, 32))
-        ]
-        paged_prompts.append(np.concatenate([family_heads[i % num_families], tail]))
-    if want("paged_kv"):
-        results["paged_kv"] = bench_paged_kv(
-            model,
-            family_heads,
-            paged_prompts,
-            max_new_tokens=16 if smoke else 24,
-            stop_ids=stop_ids,
-            max_rows=6,
-            pool_budget_bytes=1 << 20,
-            repeats=repeats,
-        )
-
-    # Adversarial chunked-prefill trace: a burst of short prompts with a
-    # long prompt in every 4th position, so atomic admission left-pads
-    # whole groups to the long width while the chunked path trickles the
-    # long prompts in beside the running decodes.
-    long_every = 4
-    num_chunked_requests = 12 if smoke else 16
-    long_tokens = 144 if smoke else 256
-    chunked_prompts = []
-    for i in range(num_chunked_requests):
-        if i % long_every == 0:
-            ids = tokenizer.encode_causal(
-                " ".join(sentences[(i * 5) % len(sentences) :])
-            )[:long_tokens]
-        else:
-            ids = tokenizer.encode_causal(sentences[(i * 11 + 2) % len(sentences)])[
-                : int(length_rng.integers(6, 18))
-            ]
-        chunked_prompts.append(ids)
-    if want("chunked_prefill"):
-        results["chunked_prefill"] = bench_chunked_prefill(
-            model,
-            chunked_prompts,
-            long_every=long_every,
-            max_new_tokens=16 if smoke else 24,
-            stop_ids=stop_ids,
-            max_rows=6,
-            chunk_tokens=32,
-            repeats=repeats,
-        )
-
-    # Speculative decoding needs a drafter that *agrees* with its target, so
-    # this section (alone) pre-trains a registry pair on the bench corpus —
-    # random weights would pin the identity guarantee but measure an accept
-    # rate of ~0, which is not the regime the technique is built for.
-    spec_prompt = tokenizer.encode_causal(sentences[1])[:12]
-    spec_batch_prompts = [
-        tokenizer.encode_causal(sentences[(i * 5 + 2) % len(sentences)])[
-            : int(length_rng.integers(6, 20))
-        ]
-        for i in range(4)
-    ]
-    if want("speculative"):
-        results["speculative"] = bench_speculative(
-            tokenizer,
-            sentences[:200],
-            spec_prompt,
-            spec_batch_prompts,
-            new_tokens=64 if smoke else 192,
-            draft_k=6,
-            repeats=repeats,
-        )
-
-    # Data-parallel fleet: several prompt families with long shared heads,
-    # visited round-robin over repeated passes — a single replica-sized
-    # prefix pool evicts each family before its next request arrives, while
-    # affinity routing keeps every family resident on its pinned replica.
-    if want("fleet"):
-        fleet_families = 6
-        fleet_passes = 4 if smoke else 12
-        # Long heads on the larger decoder config: the affinity win is the
-        # *skipped head prefill*, so the head must be real compute relative
-        # to the per-step fixed cost the extra worker processes add.
-        fleet_head_tokens = 320 if smoke else 448
-        fleet_heads = [
-            tokenizer.encode_causal(
-                " ".join(sentences[f * 6 : f * 6 + 12] or sentences)
-            )[:fleet_head_tokens]
-            for f in range(fleet_families)
-        ]
-        fleet_passes_trace = []
-        for p in range(fleet_passes):
-            wave = []
-            for f in range(fleet_families):
-                tail = tokenizer.encode_causal(
-                    sentences[(p * fleet_families + f * 5 + 1) % len(sentences)]
-                )[: int(length_rng.integers(4, 10))]
-                wave.append(np.concatenate([fleet_heads[f], tail]))
-            fleet_passes_trace.append(wave)
-        results["fleet"] = bench_fleet(
-            functools.partial(_fleet_model, "mistral-7b", tokenizer.vocab_size, seed),
-            fleet_passes_trace,
-            max_new_tokens=4 if smoke else 6,
-            worker_counts=(1, 2, 4),
-            # Four entries hold ~2 resident families (head + a couple of
-            # tail variants) per replica: the 4-worker fleet keeps all 6
-            # families warm in aggregate while any single replica thrashes.
-            pool_entries=4,
-            affinity_tokens=32,
-            repeats=repeats,
-        )
-
-    engine_cached = ICLEngine(model, tokenizer)
-    engine_uncached = ICLEngine(model, tokenizer, use_cache=False)
-    test = dataset.test.subsample(num_queries, rng=seed)
-    example_pool = dataset.train.records[:200]
-    selector_factory = lambda: FewShotSelector(example_pool, mode="mixed", seed=seed)  # noqa: E731
-    if want("icl_evaluate"):
-        results["icl_evaluate"] = bench_icl_evaluate(
-            engine_cached,
-            engine_uncached,
-            test.records,
-            test.labels(),
-            selector_factory,
-            num_examples,
-            repeats,
-        )
-    if want("pooled_icl"):
-        results["pooled_icl"] = bench_pooled_icl(
-            model,
-            tokenizer,
-            test.records,
-            test.labels(),
-            selector_factory,
-            num_examples,
-            3 if smoke else 4,
-            repeats,
-        )
+    for section in SECTIONS:
+        if sections is None or section.name in sections:
+            results[section.name] = section.run(ctx)
     return results
 
 
 def main() -> int:
+    names = [section.name for section in SECTIONS]
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true", help="CI-sized quick run")
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero if cached is slower than uncached or logits diverge",
+        help="exit non-zero if any gate of a section that ran fails",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--sections",
         type=str,
         default=None,
-        help="comma-separated subset of sections to run "
-        f"(default: all of {', '.join(SECTION_NAMES)})",
+        help=f"comma-separated subset of sections to run (default: all of {', '.join(names)})",
     )
     parser.add_argument(
         "--output",
@@ -1596,310 +1353,23 @@ def main() -> int:
     sections = None
     if args.sections is not None:
         sections = {s.strip() for s in args.sections.split(",") if s.strip()}
-        unknown = sections - set(SECTION_NAMES)
+        unknown = sections - set(names)
         if unknown:
             parser.error(
-                f"unknown sections: {', '.join(sorted(unknown))} "
-                f"(choose from {', '.join(SECTION_NAMES)})"
+                f"unknown sections: {', '.join(sorted(unknown))} (choose from {', '.join(names)})"
             )
 
     results = run(smoke=args.smoke, seed=args.seed, sections=sections)
-    results["targets"] = {
-        "generate_speedup": 3.0,
-        "batched_generate_speedup": 2.0,
-        "icl_evaluate_speedup": 1.5,
-        "pooled_icl_speedup": 1.0,
-        "continuous_batching_speedup": 1.3,
-        "concurrent_serving_speedup": 1.2,
-        "http_serving_admitted_ttft_ratio": 3.0,
-        "http_serving_goodput_ratio": 0.9,
-        "paged_kv_speedup": 1.0,
-        "chunked_prefill_speedup": 1.0,
-        "speculative_speedup": 1.0,
-        "fleet_speedup": 2.5,
-        "logits_rtol": 1e-5,
-    }
+    results["targets"] = TARGETS
     args.output.write_text(json.dumps(results, indent=2) + "\n")
-
-    gen, icl, eq = (
-        results.get("generate"),
-        results.get("icl_evaluate"),
-        results.get("logits_equivalence"),
-    )
-    batched, pooled = results.get("batched_generate"), results.get("pooled_icl")
-    continuous = results.get("continuous_batching")
-    concurrent = results.get("concurrent_serving")
-    http_serving = results.get("http_serving")
-    paged = results.get("paged_kv")
-    chunked = results.get("chunked_prefill")
-    speculative = results.get("speculative")
-    fleet = results.get("fleet")
-    if gen:
-        print(f"[{results['scale']}] generate: {gen['cached_tokens_per_sec']:.1f} tok/s cached "
-              f"vs {gen['uncached_tokens_per_sec']:.1f} tok/s uncached "
-              f"({gen['speedup']:.2f}x, tokens_match={gen['tokens_match']})")
-    if batched:
-        print(f"[{results['scale']}] batched_generate: {batched['batched_tokens_per_sec']:.1f} tok/s "
-              f"batched (batch {batched['batch_size']}) vs "
-              f"{batched['sequential_tokens_per_sec']:.1f} tok/s sequential "
-              f"({batched['speedup']:.2f}x, tokens_match={batched['tokens_match']}, "
-              f"prefill_allclose={batched['prefill_logits_allclose']})")
-    if continuous:
-        print(f"[{results['scale']}] continuous_batching: "
-          f"{continuous['engine_tokens_per_sec']:.1f} tok/s engine "
-          f"({continuous['num_requests']} staggered requests, "
-          f"{continuous['mean_rows_per_step']:.2f} mean rows/step) vs "
-          f"{continuous['flush_bounded_tokens_per_sec']:.1f} tok/s flush-bounded "
-          f"({continuous['speedup']:.2f}x, "
-          f"tokens_match={continuous['tokens_match_engine_vs_sequential']})")
-    if concurrent:
-        print(f"[{results['scale']}] concurrent_serving: "
-          f"{concurrent['async_tokens_per_sec']:.1f} tok/s async engine "
-          f"({concurrent['num_clients']} staggered clients, "
-          f"ttft {concurrent['mean_ttft_seconds'] * 1000:.0f}ms) vs "
-          f"{concurrent['sync_flush_tokens_per_sec']:.1f} tok/s sync flush "
-          f"({concurrent['speedup']:.2f}x, "
-          f"tokens_match={concurrent['tokens_match_async_vs_sequential']})")
-    if http_serving:
-        print(f"[{results['scale']}] http_serving: "
-          f"{http_serving['capacity_requests_per_sec']:.1f} req/s capacity; "
-          f"2x overload sheds {http_serving['shed']}/{http_serving['overload_requests']} "
-          f"(admitted p99 ttft "
-          f"{http_serving['admitted_p99_ttft_seconds'] * 1000:.0f}ms = "
-          f"{http_serving['admitted_ttft_ratio']:.2f}x the matched 1x run, "
-          f"goodput {http_serving['goodput_ratio']:.2f}x); priority p99 ttft "
-          f"{http_serving['high_priority_p99_ttft_seconds'] * 1000:.0f}ms high vs "
-          f"{http_serving['low_priority_p99_ttft_seconds'] * 1000:.0f}ms low "
-          f"({http_serving['preemptions']} preemptions, "
-          f"tokens_match={http_serving['tokens_match']})")
-    if paged:
-        print(f"[{results['scale']}] paged_kv: {paged['paged_tokens_per_sec']:.1f} tok/s paged "
-          f"vs {paged['dense_tokens_per_sec']:.1f} tok/s dense at a "
-          f"{paged['pool_budget_bytes'] // 1024}KB pool budget "
-          f"({paged['speedup']:.2f}x, int8 {paged['int8_speedup']:.2f}x, "
-          f"hit rate {paged['budget_hit_rate_paged']:.2f} vs "
-          f"{paged['budget_hit_rate_dense']:.2f}; iso-capability KV peak "
-          f"{paged['peak_kv_bytes']['paged'] // 1024}KB paged / "
-          f"{paged['peak_kv_bytes']['int8'] // 1024}KB int8 vs "
-          f"{paged['peak_kv_bytes']['dense'] // 1024}KB dense, "
-          f"tokens_match={paged['tokens_match_paged_vs_dense']}/"
-          f"{paged['tokens_match_int8_vs_dense']})")
-    if chunked:
-        print(f"[{results['scale']}] chunked_prefill: p99 short-request ttft "
-          f"{chunked['chunked']['p99_short_ttft_seconds'] * 1000:.0f}ms chunked "
-          f"(budget {chunked['chunk_tokens']} tok/step) vs "
-          f"{chunked['atomic']['p99_short_ttft_seconds'] * 1000:.0f}ms atomic "
-          f"({chunked['speedup']:.2f}x; p50 all {chunked['p50_ttft_speedup']:.2f}x, "
-          f"p99 all {chunked['p99_ttft_speedup']:.2f}x; decode throughput "
-          f"{chunked['chunked_tokens_per_sec']:.1f} vs "
-          f"{chunked['atomic_tokens_per_sec']:.1f} tok/s, "
-          f"ratio {chunked['decode_throughput_ratio']:.2f}, "
-          f"tokens_match={chunked['tokens_match']})")
-    if speculative:
-        print(f"[{results['scale']}] speculative: "
-          f"{speculative['speculative_tokens_per_sec']:.1f} tok/s draft-verify "
-          f"(k={speculative['draft_k']}, accept rate "
-          f"{speculative['accept_rate']:.2f}) vs "
-          f"{speculative['plain_tokens_per_sec']:.1f} tok/s plain cached "
-          f"single-stream ({speculative['speedup']:.2f}x; batched "
-          f"{speculative['batched_speedup']:.2f}x at "
-          f"{speculative['batch_size']} rows, "
-          f"tokens_match={speculative['tokens_match']})")
-    if fleet:
-        top = max(int(n) for n in fleet["fleet"])
-        print(f"[{results['scale']}] fleet: "
-          f"{fleet['fleet'][str(top)]['tokens_per_sec']:.1f} tok/s at {top} workers "
-          f"vs {fleet['single']['tokens_per_sec']:.1f} tok/s single engine "
-          f"({fleet['speedup']:.2f}x at equal total traffic; affinity hit rate "
-          f"{fleet['affinity_hit_rate']:.2f} vs round-robin "
-          f"{fleet['round_robin_hit_rate']:.2f}, "
-          f"tokens_match={fleet['tokens_match']})")
-    if icl:
-        print(f"[{results['scale']}] icl_evaluate: {icl['cached_queries_per_sec']:.1f} q/s cached "
-          f"vs {icl['uncached_queries_per_sec']:.1f} q/s uncached "
-          f"({icl['speedup']:.2f}x, labels_match={icl['labels_match']})")
-    if pooled:
-        print(f"[{results['scale']}] pooled_icl: {pooled['pooled_queries_per_sec']:.1f} q/s shared pool "
-          f"vs {pooled['private_queries_per_sec']:.1f} q/s private "
-          f"({pooled['speedup']:.2f}x, hit_rate={pooled['pool_stats']['hit_rate']:.2f}, "
-          f"accuracies_match={pooled['accuracies_match']})")
-    if eq:
-        print(f"[{results['scale']}] logits max_abs_diff={eq['max_abs_diff']:.2e} "
-          f"allclose={eq['allclose']}")
+    for section in SECTIONS:
+        if section.name in results:
+            print(
+                f"[{results['scale']}] {section.name}: "
+                f"{headline(results[section.name], section.headline)}"
+            )
     print(f"report written to {args.output}")
-
-    if args.check:
-        failures = []
-        if gen and gen["speedup"] < 1.0:
-            failures.append("cached generate is slower than uncached")
-        if batched and batched["speedup"] < 1.5:
-            failures.append("batched generate is under 1.5x sequential (floor is 2x at full scale)")
-        if icl and icl["speedup"] < 1.0:
-            failures.append("cached ICL evaluate is slower than uncached")
-        # Wide margin: the pooled advantage on this sub-second workload is
-        # small (~1.1x), so only a gross regression — not runner noise —
-        # should fail CI.  accuracies_match is the strict semantic signal.
-        if pooled and pooled["speedup"] < 0.75:
-            failures.append("pooled ICL serving is much slower than private caches")
-        if gen and not gen["tokens_match"]:
-            failures.append("cached generate produced different tokens")
-        if batched and not batched["tokens_match"]:
-            failures.append("batched generate produced different tokens than sequential")
-        # Floor is 1.3x at full scale; the smoke gate trips at 1.15x to
-        # absorb shared-runner noise on a sub-second workload.
-        if continuous and continuous["speedup"] < 1.15:
-            failures.append(
-                "continuous batching engine is under 1.15x the flush-bounded "
-                "scheduler (floor is 1.3x at full scale)"
-            )
-        if continuous and not continuous["tokens_match_engine_vs_sequential"]:
-            failures.append("continuous batching engine produced different tokens than sequential")
-        if continuous and not continuous["tokens_match_flush_vs_sequential"]:
-            failures.append("flush-bounded baseline produced different tokens than sequential")
-        # Floor is 1.2x at full scale; the smoke gate trips at 1.1x to
-        # absorb shared-runner noise (the arrival ramp is real wall-clock).
-        if concurrent and concurrent["speedup"] < 1.1:
-            failures.append(
-                "async concurrent serving is under 1.1x the sync flush "
-                "front door (floor is 1.2x at full scale)"
-            )
-        if concurrent and not concurrent["tokens_match_async_vs_sequential"]:
-            failures.append("async engine produced different tokens than sequential")
-        if concurrent and not concurrent["tokens_match_flush_vs_sequential"]:
-            failures.append("sync flush front door produced different tokens than sequential")
-        # Targets are 3.0x ttft / 0.9 goodput (both vs the matched 1x
-        # offered-load run); the hard gates trip at 4.0x / 0.75 to absorb
-        # shared-runner noise (tens of sub-100ms TTFT samples per phase).
-        if http_serving and http_serving["admitted_ttft_ratio"] > 4.0:
-            failures.append(
-                "under 2x offered load the admitted p99 TTFT is over 4x "
-                "the matched 1x run's p99 (target is 3x) — shedding is "
-                "not bounding the queue"
-            )
-        if http_serving and http_serving["goodput_ratio"] < 0.75:
-            failures.append(
-                "steady-state goodput at 2x offered load fell below 0.75x "
-                "the matched 1x run (target is 0.9x) — throughput is "
-                "collapsing past saturation instead of holding flat"
-            )
-        if http_serving and http_serving["shed"] == 0:
-            failures.append(
-                "2x overload shed nothing — queue-depth backpressure is "
-                "not engaging"
-            )
-        if http_serving and not (
-            http_serving["high_priority_p99_ttft_seconds"]
-            < http_serving["low_priority_p99_ttft_seconds"]
-        ):
-            failures.append(
-                "high-priority p99 TTFT is not strictly better than "
-                "low-priority under contention"
-            )
-        if http_serving and http_serving["preemptions"] < 1:
-            failures.append(
-                "the high-priority burst preempted nothing despite a "
-                "saturated batch"
-            )
-        if http_serving and not http_serving["tokens_match"]:
-            failures.append(
-                "preempted-then-resumed HTTP streams diverged from the "
-                "uninterrupted greedy reference"
-            )
-        # Floor is 1.0x at full scale (the paged layout must never cost
-        # throughput); the smoke gate trips at 0.9x to absorb runner noise
-        # on a sub-second workload.
-        if paged and paged["speedup"] < 0.9:
-            failures.append(
-                "paged-KV serving is under 0.9x the dense layout at an equal "
-                "pool budget (floor is 1.0x at full scale)"
-            )
-        if paged and not paged["tokens_match_paged_vs_dense"]:
-            failures.append("paged engine produced different tokens than dense")
-        if paged and not paged["tokens_match_int8_vs_dense"]:
-            failures.append("int8-paged engine produced different tokens than dense")
-        if paged and paged["peak_kv_bytes"]["paged"] >= paged["peak_kv_bytes"]["dense"]:
-            failures.append(
-                "paged KV does not lower the resident-bytes high-water mark "
-                "at equal pool capability"
-            )
-        if paged and paged["budget_hit_rate_paged"] <= paged["budget_hit_rate_dense"]:
-            failures.append(
-                "byte-budgeted paged pool does not out-hit the dense pool"
-            )
-        # Floor is 1.0x at full scale (bounded chunks must not cost tail
-        # first-token latency on the adversarial trace); the smoke gate
-        # trips at 0.9x to absorb runner noise on sub-second TTFTs.
-        if chunked and chunked["speedup"] < 0.9:
-            failures.append(
-                "chunked prefill's p99 short-request TTFT is over 1.11x the "
-                "atomic path's (floor is 1.0x at full scale)"
-            )
-        # Piggybacked chunks trade a little end-to-end throughput for
-        # bounded steps; cap the toll at ~30% on the smoke workload.
-        if chunked and chunked["decode_throughput_ratio"] < 0.7:
-            failures.append(
-                "chunked prefill costs more than 30% end-to-end decode "
-                "throughput on the adversarial trace"
-            )
-        if chunked and not chunked["tokens_match"]:
-            failures.append("chunked prefill produced different tokens than atomic admission")
-        if chunked and chunked["max_step_prefill_tokens"] > chunked["chunk_tokens"]:
-            failures.append("a step exceeded the prefill chunk budget")
-        # Floor is 1.0x at full scale (single-stream speculation must never
-        # cost throughput when the drafter agrees with the target); the
-        # smoke gate trips at 0.95x to absorb runner noise on a sub-second
-        # workload.
-        if speculative and speculative["speedup"] < 0.95:
-            failures.append(
-                "single-stream speculative decoding is under 0.95x plain "
-                "cached decode (floor is 1.0x at full scale)"
-            )
-        # A registry-pretrained drafter/target pair agrees almost always;
-        # a collapsed accept rate means the verify or rollback path broke
-        # even if the (drafter-independent) output identity still holds.
-        if speculative and speculative["accept_rate"] < 0.5:
-            failures.append(
-                "speculative accept rate collapsed below 0.5 for the "
-                "registry drafter/target pair"
-            )
-        if speculative and not speculative["tokens_match"]:
-            failures.append("speculative decoding produced different tokens than plain cached")
-        if speculative and not speculative["tokens_match_batched"]:
-            failures.append(
-                "batched speculative decoding produced different tokens than plain cached"
-            )
-        # Floor is 2.5x at full scale: the 4-replica fleet's win is
-        # aggregate pool capacity (every prompt family stays resident
-        # somewhere) rather than cores, so it survives a single-core
-        # runner — but the smoke trace is short enough that process
-        # round-trip overhead eats part of it, so the smoke gate trips
-        # at 1.5x.
-        if fleet and fleet["speedup"] < 1.5:
-            failures.append(
-                "4-worker fleet is under 1.5x the single engine at equal "
-                "total traffic (floor is 2.5x at full scale)"
-            )
-        if fleet and fleet["affinity_hit_rate"] <= fleet["round_robin_hit_rate"]:
-            failures.append(
-                "prefix-affinity routing does not out-hit round-robin on "
-                "the multi-family trace"
-            )
-        if fleet and not fleet["tokens_match"]:
-            failures.append("fleet produced different tokens than the single engine")
-        if continuous and not continuous["tokens_match_cached_vs_uncached"]:
-            failures.append("cached and uncached stop-token generations diverge")
-        if batched and not batched["prefill_logits_allclose"]:
-            failures.append("left-padded batched prefill logits diverge from the uncached forward")
-        if icl and not icl["labels_match"]:
-            failures.append("cached ICL scoring produced different labels")
-        if pooled and not pooled["accuracies_match"]:
-            failures.append("pooled ICL serving changed evaluation results")
-        if eq and not eq["allclose"]:
-            failures.append("cached and uncached logits diverge beyond tolerance")
-        for failure in failures:
-            print(f"CHECK FAILED: {failure}", file=sys.stderr)
-        return 1 if failures else 0
-    return 0
+    return check(results, SECTIONS) if args.check else 0
 
 
 if __name__ == "__main__":

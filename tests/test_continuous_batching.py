@@ -222,24 +222,33 @@ class TestDecodeBatch:
 # ContinuousBatchingEngine
 # ---------------------------------------------------------------------- #
 class TestContinuousBatchingEngine:
-    def test_staggered_arrivals_three_way_parity(self, model, ragged_prompts):
+    # 55 is a greedy token of four of the six rows, first emitted at steps
+    # 1, 1, 5 and 9: with it as a stop id, rows retire at different steps
+    # while the others keep decoding to the cap.
+    @pytest.mark.parametrize("stop_ids", [None, {55}], ids=["no_stop", "early_stop"])
+    def test_staggered_arrivals_three_way_parity(self, model, ragged_prompts, stop_ids):
         engine = ContinuousBatchingEngine(model, config=EngineConfig(max_batch_rows=3))
-        handles = [engine.submit(p, max_new_tokens=9) for p in ragged_prompts[:2]]
+        handles = [
+            engine.submit(p, max_new_tokens=9, stop_ids=stop_ids) for p in ragged_prompts[:2]
+        ]
         engine.step()
         engine.step()
         assert engine.stats.steps == 2
         for p in ragged_prompts[2:6]:
-            handles.append(engine.submit(p, max_new_tokens=9))
+            handles.append(engine.submit(p, max_new_tokens=9, stop_ids=stop_ids))
             engine.step()
         engine.drain()
         assert all(h.done for h in handles)
         assert engine.stats.admissions >= 2  # later arrivals joined mid-decode
+        if stop_ids:
+            lengths = [len(h.result) - len(p) for h, p in zip(handles, ragged_prompts)]
+            assert min(lengths) < 9 and max(lengths) == 9
         cached = [
-            model.generate(p, max_new_tokens=9, use_cache=True)
+            model.generate(p, max_new_tokens=9, stop_ids=stop_ids, use_cache=True)
             for p in ragged_prompts[:6]
         ]
         uncached = [
-            model.generate(p, max_new_tokens=9, use_cache=False)
+            model.generate(p, max_new_tokens=9, stop_ids=stop_ids, use_cache=False)
             for p in ragged_prompts[:6]
         ]
         assert_generations_equal(

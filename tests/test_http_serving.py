@@ -629,7 +629,26 @@ class TestHttpServer:
             run_with_server(engine, scenario)
 
     def test_timeout_surfaces_as_504(self, model):
-        with AsyncEngine(model, config=EngineConfig(max_batch_rows=1)) as engine:
+        timeout = 0.01
+        held = []
+
+        def hold_blocker_row(engine):
+            # Runs on the stepping thread after the blocker's first step.
+            # Keep its row (the only one) busy until the timed request is
+            # pending and its deadline has passed, so that request expires
+            # while queued however fast the blocker would decode.
+            if held:
+                return
+            held.append(True)
+            give_up = time.monotonic() + 10.0
+            while engine.num_pending < 2 and time.monotonic() < give_up:
+                time.sleep(0.001)
+            # The deadline is stamped before the request becomes pending.
+            time.sleep(2 * timeout)
+
+        with AsyncEngine(
+            model, config=EngineConfig(max_batch_rows=1), on_step=hold_blocker_row
+        ) as engine:
 
             async def scenario(server):
                 blocker = asyncio.create_task(
@@ -646,8 +665,9 @@ class TestHttpServer:
                     server,
                     "POST",
                     "/v1/generate",
-                    {"prompt_ids": [4, 5, 6], "max_new_tokens": 64, "timeout": 0.01},
+                    {"prompt_ids": [4, 5, 6], "max_new_tokens": 64, "timeout": timeout},
                 )
+                assert held
                 assert status == 504
                 payload = json.loads(raw)
                 assert "timed out" in payload["error"]["message"]
