@@ -206,18 +206,27 @@ class ICLEngine:
                         padded[r, : len(tokens)] = tokens
                     expanded = base.expand(len(chunk), extra_capacity=longest)
                     logits = self.model.forward_incremental(padded, expanded)
-                    log_probs = F.log_softmax(logits, axis=-1).data
+                    # Normalise only the positions read: row r's scored
+                    # positions start at its last prompt token and land at
+                    # log_probs[offsets[r]:].
+                    offsets, row_idx, pos_idx = [], [], []
                     for r, (i, cat, _) in enumerate(chunk):
-                        prompt_len = len(prompts[i])
-                        last = prompt_len - common - 1
+                        last = len(prompts[i]) - common - 1
+                        width = 1 if cat is None else len(categories[cat])
+                        offsets.append(len(pos_idx))
+                        row_idx += [r] * width
+                        pos_idx += range(last, last + width)
+                    log_probs = F.log_softmax(logits[row_idx, pos_idx], axis=-1).data
+                    for r, (i, cat, _) in enumerate(chunk):
+                        at = offsets[r]
                         if cat is None:
                             for c, name in enumerate(CATEGORIES):
                                 token = int(categories[c][0])
-                                partial[i][name] = float(log_probs[r, last, token])
+                                partial[i][name] = float(log_probs[at, token])
                         else:
                             cand = categories[cat]
-                            positions = last + np.arange(len(cand))
-                            total = float(log_probs[r, positions, cand].sum())
+                            positions = at + np.arange(len(cand))
+                            total = float(log_probs[positions, cand].sum())
                             partial[i][CATEGORIES[cat]] = total / max(len(cand), 1)
                 for i in fit:
                     results[i] = partial[i]

@@ -23,6 +23,8 @@ column placement.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.nn.layers import Dropout, Linear
@@ -469,6 +471,18 @@ class KVCache:
         return out
 
 
+@functools.lru_cache(maxsize=256)
+def _causal_mask(query_len: int, key_len: int) -> np.ndarray:
+    """Read-only (1, 1, query_len, key_len) causal mask, shared across calls.
+
+    Query position i sits at global position (key_len - query_len + i) and
+    may attend to keys 0 .. key_len - query_len + i.
+    """
+    mask = np.tril(np.ones((query_len, key_len), dtype=bool), k=key_len - query_len)
+    mask.flags.writeable = False
+    return mask[None, None, :, :]
+
+
 def fuse_qkv_linears(q: Linear, k: Linear, v: Linear) -> Linear:
     """Stack three (H, H) projections into one fused (3H, H) Linear.
 
@@ -588,14 +602,9 @@ class MultiHeadAttention(Module):
             k, v = Tensor(k_all), Tensor(v_all)
         key_len = k.shape[2]
 
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = q.matmul(k.transpose(0, 1, 3, 2)) * scale  # (B, heads, S, key_len)
-
         mask = self._build_mask(attention_mask, batch, seq, key_len)
-        if mask is not None:
-            scores = scores.masked_fill(~mask, _NEG_INF)
-
-        attn = F.softmax(scores, axis=-1)
+        # (B, heads, S, key_len): scale, mask and softmax fused over one buffer.
+        attn = F.attention_probs(q, k, mask, 1.0 / np.sqrt(self.head_dim), _NEG_INF)
         attn = self.attn_dropout(attn)
         context = attn.matmul(v)  # (B, heads, S, head_dim)
         context = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.hidden_size)
@@ -604,7 +613,8 @@ class MultiHeadAttention(Module):
     def _build_mask(
         self, attention_mask: np.ndarray | None, batch: int, query_len: int, key_len: int
     ) -> np.ndarray | None:
-        """Combine padding and causal masks into a (B, 1, query_len, key_len) bool array."""
+        """Combine padding and causal masks into a bool array broadcastable to
+        (B, 1, query_len, key_len), or None when every key is attended."""
         mask = None
         if attention_mask is not None:
             pad = np.asarray(attention_mask, dtype=bool)
@@ -613,12 +623,8 @@ class MultiHeadAttention(Module):
                     f"attention_mask must have shape {(batch, key_len)}, got {pad.shape}"
                 )
             mask = pad[:, None, None, :]  # broadcast over heads and query positions
-        if self.causal:
-            # Query position i sits at global position (key_len - query_len + i)
-            # and may attend to keys 0 .. key_len - query_len + i.
-            causal = np.tril(np.ones((query_len, key_len), dtype=bool), k=key_len - query_len)
-            causal = causal[None, None, :, :]
+        if self.causal and query_len > 1:
+            # A one-token query sits at the last position: its causal row is all True.
+            causal = _causal_mask(query_len, key_len)
             mask = causal if mask is None else (mask & causal)
-        if mask is not None:
-            mask = np.broadcast_to(mask, (batch, 1, query_len, key_len))
         return mask

@@ -1,9 +1,10 @@
 """Composite differentiable functions built on top of :class:`Tensor`.
 
 These are the numerically stable building blocks used by the layers and
-losses: softmax / log-softmax, layer normalisation, dropout, cross entropy
-and one-hot encoding.  Each function returns a :class:`Tensor` that is part
-of the autograd graph.
+losses: softmax / log-softmax, the fused attention probabilities
+(``attention_probs``: scaled, masked softmax of ``q @ kᵀ``), layer
+normalisation, dropout, cross entropy and one-hot encoding.  Each function
+returns a :class:`Tensor` that is part of the autograd graph.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from repro.tensor.tensor import Tensor
 __all__ = [
     "softmax",
     "log_softmax",
+    "attention_probs",
     "layer_norm",
     "dropout",
     "cross_entropy",
@@ -45,27 +47,60 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out_data = shifted - logsumexp
-    soft = np.exp(out_data)
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
         g = np.asarray(grad)
-        x._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
+        x._accumulate(g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
 
     return Tensor._from_op(out_data, (x,), backward, "log_softmax")
+
+
+def attention_probs(
+    q: Tensor, k: Tensor, mask: np.ndarray | None, scale: float, fill: float
+) -> Tensor:
+    """``softmax(masked_fill(q @ kᵀ * scale, ~mask, fill))`` as one op.
+
+    ``q`` is (..., S, d) and ``k`` (..., K, d) with matching leading dims;
+    ``mask`` (True = attend) broadcasts to (..., S, K).  The forward owns
+    one score buffer and scales, masks and normalises it in place; the
+    backward is the closed-form softmax gradient, zeroed where masked.
+    """
+    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    p *= np.float32(scale)
+    if mask is not None:
+        np.copyto(p, np.float32(fill), where=~mask)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def backward(grad: np.ndarray) -> None:
+        g = np.asarray(grad)
+        ds = p * (g - (g * p).sum(axis=-1, keepdims=True))
+        if mask is not None:
+            np.copyto(ds, 0.0, where=~mask)
+        ds *= np.float32(scale)
+        if q.requires_grad:
+            q._accumulate(ds @ k.data)
+        if k.requires_grad:
+            k._accumulate(np.swapaxes(ds, -1, -2) @ q.data)
+
+    return Tensor._from_op(p, (q, k), backward, "attention_probs")
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalisation over the last dimension with affine transform."""
     data = x.data
-    mu = data.mean(axis=-1, keepdims=True)
+    n = data.shape[-1]
+    # np.add.reduce / n equals ndarray.mean bit for bit on float32 and
+    # skips numpy's Python-level _mean wrapper.
+    mu = np.add.reduce(data, -1, keepdims=True) / n
     centered = data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered**2, -1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     normalized = centered * inv_std
     out_data = normalized * weight.data + bias.data
-    n = data.shape[-1]
 
     def backward(grad: np.ndarray) -> None:
         g = np.asarray(grad)

@@ -492,11 +492,10 @@ class Tensor:
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         out_data = self.data.transpose(axes)
-        inverse = np.argsort(axes)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(np.asarray(grad).transpose(inverse))
+                self._accumulate(np.asarray(grad).transpose(np.argsort(axes)))
 
         return Tensor._from_op(out_data, (self,), backward, "transpose")
 

@@ -307,6 +307,87 @@ class TestFunctional:
         )
 
 
+def _composed_attention(q: Tensor, k: Tensor, mask, scale: float) -> Tensor:
+    """The unfused reference: softmax(masked_fill(q @ kᵀ * scale))."""
+    scores = q.matmul(k.transpose(0, 1, 3, 2)) * scale
+    if mask is not None:
+        scores = scores.masked_fill(~mask, -1e9)
+    return F.softmax(scores, axis=-1)
+
+
+def _attention_masks():
+    """(name, q_len, key_len, mask) cases the fused op must agree on."""
+    pad = np.array([[True, True, True, False, False], [True, True, True, True, True]])
+    causal_multi = np.tril(np.ones((3, 5), dtype=bool), k=2)[None, None]
+    causal_single = np.tril(np.ones((1, 5), dtype=bool), k=4)[None, None]
+    dead_row = np.broadcast_to(pad[:, None, None, :] & causal_multi, (2, 1, 3, 5)).copy()
+    dead_row[0, 0, 1] = False  # a padded query row: every key masked
+    return [
+        ("no_mask", 3, 5, None),
+        ("padding", 3, 5, pad[:, None, None, :]),
+        ("causal_q1", 1, 5, causal_single & pad[:, None, None, :]),
+        ("causal_offset", 3, 5, causal_multi & pad[:, None, None, :]),
+        ("all_keys_masked", 3, 5, dead_row),
+    ]
+
+
+class TestAttentionProbs:
+    SCALE = 1.0 / np.sqrt(4)
+
+    @pytest.mark.parametrize("name,q_len,key_len,mask", _attention_masks())
+    def test_matches_composed_reference(self, name, q_len, key_len, mask):
+        rng = np.random.default_rng(13)
+        q_np = rng.normal(size=(2, 2, q_len, 4)).astype(np.float32)
+        k_np = rng.normal(size=(2, 2, key_len, 4)).astype(np.float32)
+        upstream = Tensor(rng.normal(size=(2, 2, q_len, key_len)).astype(np.float32))
+        results = []
+        for fn in (
+            lambda q, k: F.attention_probs(q, k, mask, self.SCALE, -1e9),
+            lambda q, k: _composed_attention(q, k, mask, self.SCALE),
+        ):
+            q = Tensor(q_np, requires_grad=True)
+            k = Tensor(k_np, requires_grad=True)
+            probs = fn(q, k)
+            (probs * upstream).sum().backward()
+            results.append((probs.data, q.grad, k.grad))
+        for fused, composed in zip(*results):
+            np.testing.assert_allclose(fused, composed, rtol=1e-5, atol=1e-7)
+
+    def test_gradient_finite_difference(self):
+        rng = np.random.default_rng(14)
+        q = rng.normal(size=(1, 2, 3, 4))
+        k = rng.normal(size=(1, 2, 5, 4)).astype(np.float32)
+        mask = np.tril(np.ones((3, 5), dtype=bool), k=2)[None, None]
+        weights = rng.normal(size=(1, 2, 3, 5)).astype(np.float32)
+
+        def loss_np(arr):
+            scores = np.where(mask, arr @ np.swapaxes(k, -1, -2) * self.SCALE, -1e9)
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            return float((e / e.sum(axis=-1, keepdims=True) * weights).sum())
+
+        analytic = analytic_grad(
+            lambda t: (
+                F.attention_probs(t, Tensor(k), mask, self.SCALE, -1e9) * Tensor(weights)
+            ).sum(),
+            q,
+        )
+        numeric = numerical_grad(loss_np, q.copy())
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-2, atol=1e-2)
+
+    def test_multi_head_attention_same_output_under_no_grad(self):
+        from repro.nn.attention import MultiHeadAttention
+
+        attn = MultiHeadAttention(8, 2, dropout=0.0, causal=True, rng=3)
+        x = np.random.default_rng(15).normal(size=(2, 5, 8)).astype(np.float32)
+        pad = np.array([[True] * 5, [True, True, True, False, False]])
+        with_grad = attn(Tensor(x, requires_grad=True), pad)
+        assert with_grad.requires_grad
+        with no_grad():
+            without = attn(Tensor(x, requires_grad=True), pad)
+        assert not without.requires_grad
+        np.testing.assert_array_equal(with_grad.data, without.data)
+
+
 class TestGraphMechanics:
     def test_no_grad_blocks_graph(self):
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
