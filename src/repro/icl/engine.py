@@ -10,7 +10,11 @@ Scoring is built on the incremental-inference subsystem: both category
 continuations are evaluated off one forward over the shared prompt, the
 few-shot example block shared by every query of a batch is tokenized and
 prefilled into a KV cache exactly once, and the per-query remainders are
-scored as one right-padded batch instead of a batch-size-1 loop.  ``use_cache=False``
+scored as right-padded batches instead of a batch-size-1 loop.  Every batch
+reads that prefix from one :class:`~repro.nn.SharedPrefixKVCache`: the
+prefix keys/values are held once, not copied into each row, and attention
+scores all rows' queries against them in one matmul.  The last decoder
+layer runs only at the positions whose logits are read.  ``use_cache=False``
 restores the original recompute-everything behaviour (useful as a reference
 for correctness and performance comparisons — the two paths agree to float32
 tolerance).
@@ -26,6 +30,7 @@ import numpy as np
 from repro.icl.fewshot import FewShotSelector
 from repro.icl.prompts import CATEGORIES, PromptTemplate
 from repro.models.decoder import DecoderLM, PrefixCachedScorer, common_prefix_length
+from repro.nn import SharedPrefixKVCache
 from repro.tensor import no_grad, functional as F
 from repro.tokenization.templates import JobRecord
 from repro.tokenization.tokenizer import LogTokenizer
@@ -146,10 +151,13 @@ class ICLEngine:
 
         The longest token prefix common to all prompts (the few-shot example
         block plus the constant head of the query template) is prefilled into
-        a KV cache once; the per-prompt remainders are then scored in
-        right-padded batches of ``self.batch_size`` rows expanded from that
-        prefix.  Prompts too long for the context window fall back to the
-        truncating reference path.
+        a KV cache once (or drawn from the pool) and read once per layer into
+        a :class:`~repro.nn.SharedPrefixKVCache` that every chunk shares; the
+        per-prompt remainders are then scored in right-padded batches of
+        ``self.batch_size`` rows, each row holding only its own suffix, and
+        only the scored positions pass through the last layer.  Prompts too
+        long for the context window fall back to the truncating reference
+        path.
         """
         results: list[dict[str, float] | None] = [None] * len(prompts)
         fit = [i for i, p in enumerate(prompts) if self._prompt_fits(p)]
@@ -197,6 +205,9 @@ class ICLEngine:
                         for c in range(len(CATEGORIES))
                     ]
 
+                # The prefix is read once for every chunk: one zero-copy
+                # view (dense) or one gather (paged) per layer.
+                prefix = SharedPrefixKVCache.read_prefix(base)
                 partial: dict[int, dict[str, float]] = {i: {} for i in fit}
                 for start in range(0, len(rows), self.batch_size):
                     chunk = rows[start : start + self.batch_size]
@@ -204,29 +215,25 @@ class ICLEngine:
                     padded = np.zeros((len(chunk), longest), dtype=np.int64)
                     for r, (_, _, tokens) in enumerate(chunk):
                         padded[r, : len(tokens)] = tokens
-                    expanded = base.expand(len(chunk), extra_capacity=longest)
-                    logits = self.model.forward_incremental(padded, expanded)
-                    # Normalise only the positions read: row r's scored
-                    # positions start at its last prompt token and land at
-                    # log_probs[offsets[r]:].
-                    offsets, row_idx, pos_idx = [], [], []
-                    for r, (i, cat, _) in enumerate(chunk):
+                    # Row r's scored positions start at its last prompt
+                    # token; only those columns go through the last layer
+                    # (a shorter candidate repeats its final column).
+                    widths = [1 if cat is None else len(categories[cat]) for _, cat, _ in chunk]
+                    columns = np.empty((len(chunk), max(widths)), dtype=np.int64)
+                    for r, (i, _, _) in enumerate(chunk):
                         last = len(prompts[i]) - common - 1
-                        width = 1 if cat is None else len(categories[cat])
-                        offsets.append(len(pos_idx))
-                        row_idx += [r] * width
-                        pos_idx += range(last, last + width)
-                    log_probs = F.log_softmax(logits[row_idx, pos_idx], axis=-1).data
+                        columns[r] = last + np.minimum(np.arange(columns.shape[1]), widths[r] - 1)
+                    cache = SharedPrefixKVCache(prefix, len(chunk), longest)
+                    logits = self.model.forward_incremental(padded, cache, logit_columns=columns)
+                    log_probs = F.log_softmax(logits, axis=-1).data
                     for r, (i, cat, _) in enumerate(chunk):
-                        at = offsets[r]
                         if cat is None:
                             for c, name in enumerate(CATEGORIES):
                                 token = int(categories[c][0])
-                                partial[i][name] = float(log_probs[at, token])
+                                partial[i][name] = float(log_probs[r, 0, token])
                         else:
                             cand = categories[cat]
-                            positions = at + np.arange(len(cand))
-                            total = float(log_probs[positions, cand].sum())
+                            total = float(log_probs[r, np.arange(len(cand)), cand].sum())
                             partial[i][CATEGORIES[cat]] = total / max(len(cand), 1)
                 for i in fit:
                     results[i] = partial[i]

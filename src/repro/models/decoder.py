@@ -37,7 +37,14 @@ import numpy as np
 
 from repro.analysis.sanitize import block_allocator_class, maybe_watch_lock
 from repro.models.config import ModelConfig
-from repro.nn import Dropout, Embedding, KVCache, Module, TransformerDecoder
+from repro.nn import (
+    Dropout,
+    Embedding,
+    KVCache,
+    Module,
+    SharedPrefixKVCache,
+    TransformerDecoder,
+)
 from repro.nn.paged import (
     DEFAULT_BLOCK_SIZE,
     BlockAllocator,
@@ -333,7 +340,7 @@ class DecodeBatch:
             past = min(prefill_cache.length, len(prompt) - 1)
             prefill_cache.truncate(past)
             logits = self.model.forward_incremental(
-                prompt[None, past:], prefill_cache, last_logits_only=True
+                prompt[None, past:], prefill_cache, logit_columns=[-1]
             )
             log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data[0]
         self._admit_prefilled_row(state, prefill_cache, 0, 0, log_probs)
@@ -380,7 +387,7 @@ class DecodeBatch:
                 staging,
                 attention_mask=prompt_mask,
                 positions=positions,
-                last_logits_only=True,
+                logit_columns=[-1],
             )
             log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data
         for i, st in enumerate(todo):
@@ -459,7 +466,7 @@ class DecodeBatch:
         start = cache.length
         with no_grad():
             logits = self.model.forward_incremental(
-                prompt[None, start : start + take], cache, last_logits_only=True
+                prompt[None, start : start + take], cache, logit_columns=[-1]
             )
             if cache.length == len(prompt):
                 log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data[0]
@@ -756,7 +763,7 @@ class DecoderLM(Module):
         cache: KVCache,
         attention_mask: np.ndarray | None = None,
         positions: np.ndarray | None = None,
-        last_logits_only: bool = False,
+        logit_columns: Sequence[int] | np.ndarray | None = None,
     ) -> Tensor:
         """Forward only the new tokens against the cached history.
 
@@ -767,10 +774,18 @@ class DecoderLM(Module):
         ``(batch, s)``) overrides the absolute position of every new token —
         left-padded batches use it so each row is position-encoded from its
         own first real token.  Returns next-token logits for the new
-        positions only, shape (batch, s, vocab) — or (batch, 1, vocab) with
-        ``last_logits_only``, which skips the output-vocabulary projection
-        for every position but the last (prefills that only seed a decode
-        loop never read the earlier positions' logits).
+        positions only, shape (batch, s, vocab).
+
+        ``logit_columns`` names the new-token columns whose logits the
+        caller reads — a 1-D sequence for every row (``[-1]``: the last),
+        or a (batch, k) array per row; negative values count from the
+        end — and the result is (batch, k, vocab).  Every new token still
+        appends its keys/values in every layer, but the last layer's
+        queries, residual and MLP, the final norm and the vocab projection
+        run at those columns only: a prefill that seeds a decode loop, or a
+        scoring batch that reads one position per row, skips the rest.  (In
+        train mode every column is computed and the selection taken at the
+        end, so live dropout draws the same masks either way.)
         """
         input_ids = np.asarray(input_ids, dtype=np.int64)
         if input_ids.ndim != 2:
@@ -795,11 +810,24 @@ class DecoderLM(Module):
                     f"positions must have shape {(batch, seq)}, got {positions.shape}"
                 )
             position_enc = self.position_embedding.gather(positions)
+        columns = None
+        if logit_columns is not None:
+            columns = np.asarray(logit_columns, dtype=np.int64)
+            if columns.ndim == 1:
+                columns = np.broadcast_to(columns, (batch, columns.size))
+            if columns.ndim != 2 or columns.shape[0] != batch:
+                raise ValueError(
+                    f"logit_columns must be 1-D or (batch={batch}, k), got shape "
+                    f"{columns.shape}"
+                )
+            if columns.size and (columns.min() < -seq or columns.max() >= seq):
+                raise ValueError(f"logit_columns outside the {seq} new columns")
+            columns = columns % seq
+            if columns.shape[1] == seq and (columns == np.arange(seq)).all():
+                columns = None  # every column, in order: nothing to prune
         hidden = self.token_embedding(input_ids) + position_enc
         hidden = self.embedding_dropout(hidden)
-        hidden = self.decoder(hidden, attention_mask, cache=cache)
-        if last_logits_only:
-            hidden = hidden[:, -1:, :]
+        hidden = self.decoder(hidden, attention_mask, cache=cache, columns=columns)
         return hidden.matmul(self.token_embedding.weight.transpose())
 
     # ------------------------------------------------------------------ #
@@ -857,9 +885,11 @@ class DecoderLM(Module):
         prompt: the prompt is prefilled once (reusing any overlap already in
         ``cache``), its last position's log-probabilities score every
         candidate's first token, and candidates longer than one token are
-        evaluated together as one right-padded batch against the expanded
-        prompt cache.  Right padding is sound under causal masking: padded
-        positions can never influence the scored positions before them.
+        evaluated together as one right-padded batch that reads the prompt
+        from a :class:`~repro.nn.SharedPrefixKVCache` — one copy of the
+        prompt's keys/values for every candidate row.  Right padding is
+        sound under causal masking: padded positions can never influence
+        the scored positions before them.
 
         ``cache`` (optional, batch 1) must hold keys/values for a prefix of
         ``prompt_ids``; on return it holds the full prompt, so successive
@@ -889,7 +919,7 @@ class DecoderLM(Module):
             past = min(cache.length, len(prompt_ids) - 1)
             cache.truncate(past)
             prefill = self.forward_incremental(
-                prompt_ids[None, past:], cache, last_logits_only=True
+                prompt_ids[None, past:], cache, logit_columns=[-1]
             )
             first_log_probs = F.log_softmax(prefill[:, -1, :], axis=-1).data[0]
             scores = np.array(
@@ -905,8 +935,10 @@ class DecoderLM(Module):
             rows = np.zeros((batch, max_cand - 1), dtype=np.int64)
             for i, cand in enumerate(cand_arrays):
                 rows[i, : len(cand) - 1] = cand[:-1]
-            expanded = cache.expand(batch, extra_capacity=max_cand - 1)
-            logits = self.forward_incremental(rows, expanded)
+            shared = SharedPrefixKVCache(
+                SharedPrefixKVCache.read_prefix(cache), batch, max_cand - 1
+            )
+            logits = self.forward_incremental(rows, shared)
             log_probs = F.log_softmax(logits, axis=-1).data
             for i, cand in enumerate(cand_arrays):
                 if len(cand) > 1:
@@ -952,7 +984,7 @@ class DecoderLM(Module):
             )
             with no_grad():
                 prefill = self.forward_incremental(
-                    prompt[None, :], cache, last_logits_only=True
+                    prompt[None, :], cache, logit_columns=[-1]
                 )
                 log_probs = F.log_softmax(prefill[:, -1, :], axis=-1).data[0]
 

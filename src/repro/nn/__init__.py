@@ -10,7 +10,12 @@ blocks).
 
 from repro.nn.module import Module, Parameter, ModuleList, Sequential
 from repro.nn.layers import Linear, Embedding, LayerNorm, Dropout, GELU, ReLU, Tanh
-from repro.nn.attention import KVCache, LayerKVCache, MultiHeadAttention
+from repro.nn.attention import (
+    KVCache,
+    LayerKVCache,
+    MultiHeadAttention,
+    SharedPrefixKVCache,
+)
 from repro.nn.paged import BlockAllocator, PagedKVCache, PagedLayerKVCache
 from repro.nn.serialization import pack as pack_kv_checkpoint
 from repro.nn.serialization import peek_kind as peek_kv_checkpoint_kind
@@ -38,6 +43,7 @@ __all__ = [
     "Tanh",
     "KVCache",
     "LayerKVCache",
+    "SharedPrefixKVCache",
     "MultiHeadAttention",
     "BlockAllocator",
     "PagedKVCache",

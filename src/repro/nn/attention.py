@@ -19,11 +19,18 @@ are stored right-aligned against the live end, so a row's filled region is
 always the contiguous column span ``[start, length)``; attention correctness
 is carried by the padding mask plus explicit per-token positions, never by
 column placement.
+
+Batched *scoring* of many continuations of one prefix (an ICL batch's
+shared few-shot block) uses a :class:`SharedPrefixKVCache` instead: the
+prefix keys/values are held once as a single row beside per-row suffix
+buffers, and attention scores every row's queries against the prefix in one
+matmul rather than against per-row copies of it.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +40,13 @@ from repro.nn.serialization import pack, unpack
 from repro.tensor import Tensor, functional as F
 from repro.utils.rng import new_rng, spawn_rngs
 
-__all__ = ["LayerKVCache", "KVCache", "MultiHeadAttention", "fuse_qkv_linears"]
+__all__ = [
+    "LayerKVCache",
+    "KVCache",
+    "SharedPrefixKVCache",
+    "MultiHeadAttention",
+    "fuse_qkv_linears",
+]
 
 _NEG_INF = -1e9
 
@@ -363,31 +376,6 @@ class KVCache:
             layer.length = new_length
         return new_starts
 
-    def expand(self, batch_size: int, extra_capacity: int = 0) -> "KVCache":
-        """Return a new cache with the current contents tiled to ``batch_size``.
-
-        Used for shared-prefix batched scoring: the prefix is prefilled once
-        with batch 1, then expanded so each candidate row continues from its
-        own copy.  The source cache is left untouched.
-        """
-        if self.batch_size not in (1, batch_size):
-            raise ValueError(
-                f"cannot expand a batch-{self.batch_size} cache to batch {batch_size}"
-            )
-        length = self.length
-        out = KVCache(
-            len(self.layers),
-            batch_size,
-            self.layers[0].keys.shape[1] if self.layers else 0,
-            self.layers[0].keys.shape[3] if self.layers else 0,
-            max(length + extra_capacity, 1),
-        )
-        for src, dst in zip(self.layers, out.layers):
-            dst.keys[:, :, :length] = src.keys[: src.rows, :, :length]
-            dst.values[:, :, :length] = src.values[: src.rows, :, :length]
-            dst.length = length
-        return out
-
     def kv_bytes(self) -> int:
         """Resident bytes of KV storage (allocated buffers, slack included).
 
@@ -471,6 +459,78 @@ class KVCache:
         return out
 
 
+class SharedPrefixLayerCache(LayerKVCache):
+    """One layer of a :class:`SharedPrefixKVCache`: a :class:`LayerKVCache`
+    of per-row *suffix* columns (``length`` counts those alone) beside the
+    shared prefix ``prefix_k``/``prefix_v``, one row of shape
+    ``(heads, P, head_dim)``."""
+
+    __slots__ = ("prefix_k", "prefix_v")
+
+    def __init__(
+        self, prefix_k: np.ndarray, prefix_v: np.ndarray, batch_size: int, capacity: int
+    ) -> None:
+        heads, _, head_dim = prefix_k.shape
+        super().__init__(batch_size, heads, capacity, head_dim)
+        self.prefix_k = prefix_k
+        self.prefix_v = prefix_v
+
+
+class SharedPrefixKVCache:
+    """Inference-only scoring cache: a prefix every row shares, held once.
+
+    Batched scoring of many continuations of one prompt prefix (the few-shot
+    block of an ICL batch, a prompt's candidate continuations) attends every
+    row to the same prefix keys/values.  This cache holds them as a single
+    row and gives each batch row only its own suffix buffer, so
+    :class:`MultiHeadAttention` scores all rows' queries against the prefix
+    in one matmul instead of copying it into every row (Hydragen, Juravsky
+    et al. 2024; ChunkAttention, Ye et al. 2024).
+
+    ``prefix`` is the per-layer ``(keys, values)`` list that
+    :meth:`read_prefix` returns; several caches (one per chunk of rows) may
+    share one read.  Rows carry no padding mask: right-pad them, since
+    under causal attention pad columns never reach an earlier position.
+    """
+
+    def __init__(
+        self,
+        prefix: Sequence[tuple[np.ndarray, np.ndarray]],
+        batch_size: int,
+        capacity: int,
+    ) -> None:
+        self.layers = [SharedPrefixLayerCache(k, v, batch_size, capacity) for k, v in prefix]
+
+    @staticmethod
+    def read_prefix(cache) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Row 0 of a batch-1 dense or paged ``cache``, one read per layer.
+
+        Sharing is a persistence boundary: a paged cache is flushed first,
+        so an int8 prefix is quantized exactly as a pooled copy of it would
+        be, and dequantized once here rather than once per row.  A dense
+        cache hands back zero-copy views.
+        """
+        if hasattr(cache, "release_workspace"):
+            cache.release_workspace()
+        return [layer.read_span(0, 0, cache.length) for layer in cache.layers]
+
+    @property
+    def length(self) -> int:
+        """Attended positions: the prefix plus the filled suffix columns."""
+        return self.layers[0].prefix_k.shape[1] + self.layers[0].length
+
+    @property
+    def batch_size(self) -> int:
+        return self.layers[0].batch_size
+
+    def kv_bytes(self) -> int:
+        """Bytes of the shared prefix (counted once) plus the suffix buffers."""
+        return sum(
+            layer.prefix_k.nbytes + layer.prefix_v.nbytes + layer.keys.nbytes + layer.values.nbytes
+            for layer in self.layers
+        )
+
+
 @functools.lru_cache(maxsize=256)
 def _causal_mask(query_len: int, key_len: int) -> np.ndarray:
     """Read-only (1, 1, query_len, key_len) causal mask, shared across calls.
@@ -481,6 +541,13 @@ def _causal_mask(query_len: int, key_len: int) -> np.ndarray:
     mask = np.tril(np.ones((query_len, key_len), dtype=bool), k=key_len - query_len)
     mask.flags.writeable = False
     return mask[None, None, :, :]
+
+
+def _column_causal_mask(columns: np.ndarray, query_len: int, key_len: int) -> np.ndarray:
+    """(batch, k, key_len) causal mask of the selected query ``columns``
+    (batch, k) out of ``query_len`` new positions: column c sits at key
+    position key_len - query_len + c."""
+    return np.arange(key_len) <= (key_len - query_len + columns)[..., None]
 
 
 def fuse_qkv_linears(q: Linear, k: Linear, v: Linear) -> Linear:
@@ -553,6 +620,7 @@ class MultiHeadAttention(Module):
         x: Tensor,
         attention_mask: np.ndarray | None = None,
         cache: LayerKVCache | None = None,
+        query_columns: np.ndarray | None = None,
     ) -> Tensor:
         """Apply self-attention.
 
@@ -568,7 +636,8 @@ class MultiHeadAttention(Module):
             without a cache, ``cache.length + seq`` with one.
         cache:
             Optional :class:`LayerKVCache` (or block-paged
-            :class:`~repro.nn.paged.PagedLayerKVCache`).  The new keys/values
+            :class:`~repro.nn.paged.PagedLayerKVCache`, or a
+            :class:`SharedPrefixKVCache` layer).  The new keys/values
             are appended to it and attention runs against the full cached
             history with the causal mask offset so position ``i`` of the new
             block attends to every cached position plus new positions
@@ -577,6 +646,11 @@ class MultiHeadAttention(Module):
             arrays assembled from their blocks (int8 block stores dequantize
             during the gather), so attention itself is storage-agnostic.
             Only valid for causal attention.
+        query_columns:
+            Optional ``(batch, k)`` indices into the ``seq`` new positions:
+            every position's keys/values are still appended, but only
+            these columns are attended from, and the output is
+            ``(batch, k, hidden)``.
         """
         batch, seq, _ = x.shape
         h = self.hidden_size
@@ -588,6 +662,10 @@ class MultiHeadAttention(Module):
         if cache is not None:
             if not self.causal:
                 raise ValueError("KV caching requires causal attention")
+            if isinstance(cache, SharedPrefixLayerCache):
+                return self._shared_prefix_attention(
+                    q.data, cache, k.data, v.data, attention_mask, query_columns
+                )
             # Cached keys/values are constants (inference only): detach to
             # plain arrays before appending.  A dense cache hands back
             # zero-copy array views; a paged cache hands back a
@@ -602,7 +680,11 @@ class MultiHeadAttention(Module):
             k, v = Tensor(k_all), Tensor(v_all)
         key_len = k.shape[2]
 
-        mask = self._build_mask(attention_mask, batch, seq, key_len)
+        mask = self._build_mask(attention_mask, batch, seq, key_len, query_columns)
+        if query_columns is not None:
+            # (B, k, heads, head_dim) -> (B, heads, k, head_dim)
+            q = q[np.arange(batch)[:, None], :, query_columns].transpose(0, 2, 1, 3)
+            seq = query_columns.shape[1]
         # (B, heads, S, key_len): scale, mask and softmax fused over one buffer.
         attn = F.attention_probs(q, k, mask, 1.0 / np.sqrt(self.head_dim), _NEG_INF)
         attn = self.attn_dropout(attn)
@@ -610,11 +692,78 @@ class MultiHeadAttention(Module):
         context = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.hidden_size)
         return self.out_proj(context)
 
+    def _shared_prefix_attention(
+        self,
+        q: np.ndarray,
+        cache: SharedPrefixLayerCache,
+        k_new: np.ndarray,
+        v_new: np.ndarray,
+        attention_mask: np.ndarray | None,
+        query_columns: np.ndarray | None,
+    ) -> Tensor:
+        """Attention of every row against one shared prefix plus its own suffix.
+
+        Inference only (plain arrays, no autograd).  One score buffer of
+        shape (heads, B·S, P + T) takes the prefix scores as one matmul of
+        all rows' stacked queries against the single prefix row, and each
+        row's suffix scores beside them; the causal mask touches the suffix
+        columns only, and one softmax normalises both parts, so no
+        log-sum-exp merge is needed.
+        """
+        if attention_mask is not None:
+            raise ValueError("shared-prefix attention takes no padding mask: right-pad rows")
+        suffix_k, suffix_v = cache.append(k_new, v_new)  # (B, heads, T, head_dim)
+        batch, heads, seq, head_dim = q.shape
+        if query_columns is not None:
+            q = q[np.arange(batch)[:, None], :, query_columns]  # (B, k, heads, head_dim)
+            q = q.transpose(2, 0, 1, 3)
+        else:
+            q = q.transpose(1, 0, 2, 3)
+        rows = q.shape[2]
+        prefix_len = cache.prefix_k.shape[1]
+        suffix_len = suffix_k.shape[2]
+        scores = np.empty((heads, batch, rows, prefix_len + suffix_len), dtype=np.float32)
+        stacked = scores.reshape(heads, batch * rows, prefix_len + suffix_len)
+        np.matmul(
+            q.reshape(heads, batch * rows, head_dim),
+            np.swapaxes(cache.prefix_k, -1, -2),
+            out=stacked[:, :, :prefix_len],
+        )
+        np.matmul(q, suffix_k.transpose(1, 0, 3, 2), out=scores[..., prefix_len:])
+        scores *= np.float32(1.0 / np.sqrt(self.head_dim))
+        if query_columns is not None:
+            causal = _column_causal_mask(query_columns, seq, suffix_len)
+        elif seq > 1:
+            causal = _causal_mask(seq, suffix_len)[0]
+        else:
+            causal = None
+        if causal is not None:
+            np.copyto(scores[..., prefix_len:], np.float32(_NEG_INF), where=~causal)
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        # Dropout sees the per-row (B, heads, S, K) layout, so a live
+        # dropout mask is drawn exactly as on the per-row path.
+        probs = self.attn_dropout(Tensor(scores.transpose(1, 0, 2, 3))).data
+        probs = probs.transpose(1, 0, 2, 3)
+        stacked = probs.reshape(heads, batch * rows, prefix_len + suffix_len)
+        context = np.matmul(stacked[:, :, :prefix_len], cache.prefix_v)
+        context = context.reshape(heads, batch, rows, head_dim)
+        context += np.matmul(probs[..., prefix_len:], suffix_v.transpose(1, 0, 2, 3))
+        context = context.transpose(1, 2, 0, 3).reshape(batch, rows, self.hidden_size)
+        return self.out_proj(Tensor(context))
+
     def _build_mask(
-        self, attention_mask: np.ndarray | None, batch: int, query_len: int, key_len: int
+        self,
+        attention_mask: np.ndarray | None,
+        batch: int,
+        query_len: int,
+        key_len: int,
+        query_columns: np.ndarray | None = None,
     ) -> np.ndarray | None:
         """Combine padding and causal masks into a bool array broadcastable to
-        (B, 1, query_len, key_len), or None when every key is attended."""
+        (B, 1, query_len, key_len) — or (B, 1, k, key_len) for selected
+        ``query_columns`` — or None when every key is attended."""
         mask = None
         if attention_mask is not None:
             pad = np.asarray(attention_mask, dtype=bool)
@@ -623,7 +772,10 @@ class MultiHeadAttention(Module):
                     f"attention_mask must have shape {(batch, key_len)}, got {pad.shape}"
                 )
             mask = pad[:, None, None, :]  # broadcast over heads and query positions
-        if self.causal and query_len > 1:
+        if self.causal and query_columns is not None:
+            causal = _column_causal_mask(query_columns, query_len, key_len)[:, None]
+            mask = causal if mask is None else (mask & causal)
+        elif self.causal and query_len > 1:
             # A one-token query sits at the last position: its causal row is all True.
             causal = _causal_mask(query_len, key_len)
             mask = causal if mask is None else (mask & causal)

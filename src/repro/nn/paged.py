@@ -20,11 +20,11 @@ layout, adapted to this repo's numpy stepping core:
   live rows and clones without being copied until someone appends over it.
 * :class:`PagedLayerKVCache` / :class:`PagedKVCache` implement the dense
   cache protocol (``append`` / ``truncate`` / ``grow`` / ``clone_prefix`` /
-  ``admit_row`` / ``retire_rows`` / ``realign`` / ``expand``) on block
+  ``admit_row`` / ``retire_rows`` / ``realign`` / ``read_span``) on block
   tables.  Admission hands a prefilled row over by *sharing* its blocks,
-  retirement is a table edit, and ``clone_prefix`` / ``expand`` are pure
-  ref-count bumps — the copies the dense pool pays per checkout simply do
-  not happen.
+  retirement is a table edit, and ``clone_prefix`` is a pure ref-count
+  bump — the copies the dense pool pays per checkout simply do not
+  happen.
 * Attention reads the blocks through the tables.  ``append`` returns a
   :class:`PagedAttentionView`, and :class:`~repro.nn.MultiHeadAttention`
   calls :meth:`PagedAttentionView.gather_kv` to assemble the attended
@@ -48,8 +48,8 @@ buffer a couple of blocks wide regardless of context length.
 With ``kv_dtype="int8"`` the block store quantizes each (head, position)
 vector to signed bytes with a float32 scale (relative error ~1/254).  int8
 tails never auto-flush: a position is quantized exactly once, at its first
-flush — admission into a batch, sharing into a clone or expansion, or pool
-check-in — and from then on every reader (this cache, a sharing cache, a
+flush — admission into a batch, sharing into a clone or a
+:class:`~repro.nn.attention.SharedPrefixKVCache`, or pool check-in — and from then on every reader (this cache, a sharing cache, a
 restored checkpoint) sees the identical dequantized bytes, so results
 never depend on flush timing.  Unpersisted positions (a live row's
 not-yet-shared tail) exist only in their own float32 tail — quantization
@@ -108,8 +108,8 @@ class BlockAllocator:
 
     One allocator backs *every* paged cache of a model (per kv-dtype), so
     block ids are meaningful across caches: admitting a prefilled row into a
-    live batch, cloning a pooled prefix, or expanding a prompt cache across
-    candidates is a table copy plus ``incref`` — zero data movement.
+    live batch or cloning a pooled prefix is a table copy plus ``incref`` —
+    zero data movement.
 
     Storage grows by doubling and freed blocks are recycled through a free
     list.  All bookkeeping (alloc/free/ref-counts) is guarded by a lock so
@@ -560,7 +560,7 @@ class PagedLayerKVCache:
 
     A row is flushed (tail -> blocks) when it crosses a persistence
     boundary: admission into a batch, sharing into another cache
-    (``clone_prefix`` / ``expand``), pool check-in
+    (``clone_prefix``, a shared-prefix read), pool check-in
     (:meth:`release_workspace`), an explicit :meth:`flush_row`, or — float32
     only — once its tail spans two blocks.  Rows that retire before any of
     these are simply discarded and never pay a block write.  Reads go
@@ -925,7 +925,7 @@ class PagedKVCache:
     A drop-in for :class:`~repro.nn.attention.KVCache` behind the decode
     stepping core and the serving layers: same properties, same methods,
     same semantics — with admission as block sharing, retirement as table
-    edits, and prefix clones/expansions as ref-count bumps.  All layers
+    edits, and prefix clones as ref-count bumps.  All layers
     draw blocks from one shared :class:`BlockAllocator`, so prefix sharing
     works across every paged cache of the model (pool entries, prefill
     staging, live batches).
@@ -1173,34 +1173,6 @@ class PagedKVCache:
                 dst.tables[row] = list(shared)
                 dst.widths[row] = new_width
                 dst.flushed[row] = new_width
-            dst.length = length
-        return out
-
-    def expand(self, batch_size: int, extra_capacity: int = 0) -> "PagedKVCache":
-        """Tile the current contents to ``batch_size`` rows, sharing blocks.
-
-        The dense path copies the prefix once per candidate row; here every
-        row references the same prefix blocks and copy-on-write splits only
-        the tail blocks each row actually appends to.
-        """
-        if self.batch_size not in (1, batch_size):
-            raise ValueError(
-                f"cannot expand a batch-{self.batch_size} cache to batch {batch_size}"
-            )
-        length = self.length
-        out = PagedKVCache(
-            len(self.layers), batch_size, self.allocator, max(length + extra_capacity, 1)
-        )
-        for src, dst in zip(self.layers, out.layers):
-            for row in range(src.batch_size):
-                src.flush_row(row)
-            for row in range(batch_size):
-                donor_row = row if src.batch_size == batch_size else 0
-                donor = src.tables[donor_row]
-                self.allocator.incref(donor)
-                dst.tables[row] = list(donor)
-                dst.widths[row] = src.widths[donor_row]
-                dst.flushed[row] = src.widths[donor_row]
             dst.length = length
         return out
 

@@ -96,8 +96,17 @@ class TransformerDecoderLayer(Module):
         x: Tensor,
         attention_mask: np.ndarray | None = None,
         cache: LayerKVCache | None = None,
+        columns: np.ndarray | None = None,
     ) -> Tensor:
-        x = x + self.dropout(self.attention(self.attn_norm(x), attention_mask, cache=cache))
+        """``columns`` (batch, k), when given, keeps only those positions:
+        every position still feeds the cache, but the attention queries,
+        residual and MLP run at the selected columns alone."""
+        attn = self.attention(
+            self.attn_norm(x), attention_mask, cache=cache, query_columns=columns
+        )
+        if columns is not None:
+            x = x[np.arange(x.shape[0])[:, None], columns]
+        x = x + self.dropout(attn)
         x = x + self.feed_forward(self.ffn_norm(x))
         return x
 
@@ -253,13 +262,29 @@ class TransformerDecoder(Module):
         x: Tensor,
         attention_mask: np.ndarray | None = None,
         cache: KVCache | None = None,
+        columns: np.ndarray | None = None,
     ) -> Tensor:
+        """``columns`` (batch, k) selects the positions returned; in eval
+        mode only those run through the last layer and the final norm (see
+        :meth:`TransformerDecoderLayer.forward`)."""
         if cache is not None and len(cache.layers) != self.num_layers:
             raise ValueError(
                 f"cache has {len(cache.layers)} layers, decoder has {self.num_layers}"
             )
+        # Live dropout draws one mask element per position: pruning would
+        # shift the generators of a model left in train mode, so it prunes
+        # in eval mode only and selects the columns at the end otherwise.
+        pruned = None if self.training else columns
+        last = self.num_layers - 1
         for i, layer in enumerate(self.layers):
-            x = layer(x, attention_mask, cache=cache.layers[i] if cache is not None else None)
+            x = layer(
+                x,
+                attention_mask,
+                cache=cache.layers[i] if cache is not None else None,
+                columns=pruned if i == last else None,
+            )
+        if columns is not None and pruned is None:
+            x = x[np.arange(x.shape[0])[:, None], columns]
         return self.final_norm(x)
 
     def make_cache(self, batch_size: int, capacity: int) -> KVCache:

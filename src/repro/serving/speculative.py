@@ -262,7 +262,7 @@ class _DrafterBatch:
                 staging,
                 attention_mask=pmask,
                 positions=positions,
-                last_logits_only=True,
+                logit_columns=[-1],
             )
             log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data
         out = {}

@@ -18,7 +18,10 @@ from repro.icl import (
     build_task_description,
     format_example,
 )
+from repro.icl.prompts import CATEGORIES
+from repro.models.decoder import common_prefix_length
 from repro.serving import PrefixCachePool
+from repro.tensor import no_grad
 from repro.tokenization.templates import JobRecord
 
 
@@ -103,6 +106,15 @@ TEMPLATES = {
 }
 
 
+#: Pooled scoring cases: every template on a dense pool (ids as before),
+#: and on paged fp32 and int8 pools.
+POOLED_CASES = [
+    pytest.param(name, layout, dtype, id=name if layout == "dense" else f"{name}-{layout}-{dtype}")
+    for name in ("compact", "compact_cot", "extra")
+    for layout, dtype in (("dense", "fp32"), ("paged", "fp32"), ("paged", "int8"))
+]
+
+
 class FixedSelector:
     def __init__(self, examples):
         self.examples = list(examples)
@@ -130,25 +142,72 @@ class TestPromptSplit:
                 np.concatenate([head_ids, tail_ids]), tokenizer.encode_causal(prompt)
             )
 
-    @pytest.mark.parametrize("name", ["compact", "compact_cot", "extra"])
-    def test_pooled_batch_matches_uncached_reference(self, name, registry, small_dataset):
+    @pytest.mark.parametrize("name,kv_layout,kv_dtype", POOLED_CASES)
+    def test_pooled_batch_matches_uncached_reference(
+        self, name, kv_layout, kv_dtype, registry, small_dataset
+    ):
         model = registry.load_decoder("gpt2").eval()
+        tokenizer = registry.tokenizer
         template = TEMPLATES[name]
         pooled = ICLEngine(
-            model, registry.tokenizer, template,
-            batch_size=4, cache_pool=PrefixCachePool(model),
+            model, tokenizer, template,
+            batch_size=4,
+            cache_pool=PrefixCachePool(model, kv_layout=kv_layout, kv_dtype=kv_dtype),
         )
-        reference = ICLEngine(model, registry.tokenizer, template, use_cache=False)
-        selector = FixedSelector(
-            FewShotSelector(small_dataset.train.records[:100], mode="mixed", seed=0).select(4)
-        )
-        queries = small_dataset.test.subsample(10, rng=3).records
+        reference = ICLEngine(model, tokenizer, template, use_cache=False)
+        examples = FewShotSelector(
+            small_dataset.train.records[:100], mode="mixed", seed=0
+        ).select(4)
+        selector = FixedSelector(examples)
+        # Eleven rows (not a multiple of batch_size) whose tails differ in length.
+        queries = small_dataset.test.subsample(10, rng=3).records + ["runtime is 12.5"]
+        tails = [tokenizer.encode_causal(template.tail(q), add_bos=False) for q in queries]
+        assert len({len(t) for t in tails}) > 1 and len(queries) % 4
         got = pooled.classify_batch(queries, selector=selector, num_examples=4)
         want = reference.classify_batch(queries, selector=selector, num_examples=4)
         assert [p.label for p in got] == [p.label for p in want]
+        if kv_dtype == "int8":
+            # The reference for a quantized prefix: each prompt alone through
+            # a one-row int8 cache holding the same quantized prefix.
+            head = tokenizer.encode_causal(template.head(examples))
+            prompts = [np.concatenate([head, tail]) for tail in tails]
+            shared = min(common_prefix_length(prompts[0], p) for p in prompts)
+            shared = min(shared, min(len(p) for p in prompts) - 1)
+            want = [score_alone_int8(pooled, p, shared) for p in prompts]
         for a, b in zip(got, want):
             assert a.log_prob_normal == pytest.approx(b.log_prob_normal, abs=1e-5)
             assert a.log_prob_abnormal == pytest.approx(b.log_prob_abnormal, abs=1e-5)
+
+    def test_empty_shared_prefix_matches_uncached_reference(self, registry):
+        """Prompts that share no token (P = 0) still batch-score exactly."""
+        model = registry.load_decoder("gpt2").eval()
+        pooled = ICLEngine(
+            model, registry.tokenizer, batch_size=2, cache_pool=PrefixCachePool(model)
+        )
+        rng = np.random.default_rng(4)
+        prompts = [rng.integers(5, model.vocab_size, size=n) for n in (9, 4, 12)]
+        prompts[1][0] = (prompts[0][0] + 1) % model.vocab_size
+        got = pooled._score_prompts_batched(prompts)
+        for prompt, scores in zip(prompts, got):
+            for category in CATEGORIES:
+                want = pooled._score_category(prompt, category)
+                assert scores[category] == pytest.approx(want, abs=1e-5)
+
+
+def score_alone_int8(engine, prompt_ids, prefix_length):
+    """One prompt scored through a one-row int8 cache whose first
+    ``prefix_length`` positions are persisted (quantized) before scoring."""
+    model = engine.model
+    cache = model.make_paged_cache(1, kv_dtype="int8")
+    with no_grad():
+        model.forward_incremental(prompt_ids[None, :prefix_length], cache)
+    cache.release_workspace()
+    candidates = [engine._category_ids[c] for c in CATEGORIES]
+    raw = model.score_continuations(prompt_ids, candidates, cache=cache)
+    cache.release()
+    return engine.prediction_from_scores(
+        {c: raw[i] / len(candidates[i]) for i, c in enumerate(CATEGORIES)}
+    )
 
 
 class TestFewShotSelector:

@@ -16,7 +16,7 @@ from repro.detection import ICLStreamingDetector
 from repro.icl import FewShotSelector, ICLEngine
 from repro.models.config import get_config
 from repro.models.decoder import DecoderLM, PrefixCachedScorer, common_prefix_length
-from repro.nn import KVCache
+from repro.nn import KVCache, SharedPrefixKVCache
 from repro.serving import PrefixCachePool
 from repro.tensor import no_grad
 
@@ -53,16 +53,25 @@ class TestKVCache:
         with pytest.raises(ValueError):
             cache.truncate(9)
 
-    def test_expand_tiles_batch_and_preserves_content(self):
+    def test_shared_prefix_cache_holds_prefix_once(self):
         cache = KVCache(num_layers=1, batch_size=1, num_heads=2, head_dim=3, capacity=5)
         k = np.arange(2 * 4 * 3, dtype=np.float32).reshape(1, 2, 4, 3)
         cache.layers[0].append(k, k * 2)
-        expanded = cache.expand(3, extra_capacity=2)
-        assert expanded.batch_size == 3 and expanded.length == 4
-        assert expanded.capacity >= 6
-        for row in range(3):
-            np.testing.assert_array_equal(expanded.layers[0].keys[row, :, :4], k[0])
-            np.testing.assert_array_equal(expanded.layers[0].values[row, :, :4], 2 * k[0])
+        prefix = SharedPrefixKVCache.read_prefix(cache)
+        shared = SharedPrefixKVCache(prefix, 3, 2)
+        assert shared.batch_size == 3 and shared.length == 4
+        layer = shared.layers[0]
+        # The dense prefix is a zero-copy view, read once for every row.
+        assert np.shares_memory(layer.prefix_k, cache.layers[0].keys)
+        np.testing.assert_array_equal(layer.prefix_k, k[0])
+        np.testing.assert_array_equal(layer.prefix_v, 2 * k[0])
+        suffix = np.ones((3, 2, 2, 3), dtype=np.float32)
+        keys, values = layer.append(suffix, -suffix)
+        assert shared.length == 6 and keys.shape == (3, 2, 2, 3)
+        np.testing.assert_array_equal(values, -suffix)
+        assert shared.kv_bytes() == 2 * (k[0].nbytes + suffix.nbytes)
+        with pytest.raises(ValueError):
+            layer.append(suffix[:, :, :1], suffix[:, :, :1])
         # the source cache is untouched
         assert cache.length == 4 and cache.batch_size == 1
 
@@ -110,6 +119,67 @@ class TestIncrementalForward:
         cache = model.make_cache(2)
         with pytest.raises(ValueError):
             model.forward_incremental(random_ids(rng, 1, 4), cache)
+
+
+def shared_prefix_cache(model, prefix_ids, rows, capacity):
+    """A :class:`SharedPrefixKVCache` of ``rows`` rows over ``prefix_ids``."""
+    base = model.make_cache(1, len(prefix_ids))
+    model.forward_incremental(prefix_ids[None, :], base)
+    return SharedPrefixKVCache(SharedPrefixKVCache.read_prefix(base), rows, capacity)
+
+
+class TestPrunedLastLayer:
+    """``logit_columns`` runs the last layer at the read columns only."""
+
+    @pytest.mark.parametrize("layout", ["dense", "paged", "shared_prefix"])
+    def test_selected_columns_match_full_forward(self, model, rng, layout):
+        prefix, ids = random_ids(rng, 9), random_ids(rng, 3, 7)
+        columns = np.array([[6, 0], [3, 3], [-1, 2]])
+        with no_grad():
+            full = model.forward(
+                np.concatenate([np.broadcast_to(prefix, (3, 9)), ids], axis=1)
+            ).data[:, 9:]
+            if layout == "shared_prefix":
+                cache = shared_prefix_cache(model, prefix, 3, 7)
+            else:
+                make = model.make_cache if layout == "dense" else model.make_paged_cache
+                cache = make(3, 16)
+                model.forward_incremental(np.broadcast_to(prefix, (3, 9)), cache)
+            pruned = model.forward_incremental(ids, cache, logit_columns=columns).data
+            # Every new token still appended its keys/values in every layer.
+            assert cache.length == 16
+        want = full[np.arange(3)[:, None], columns % 7]
+        assert pruned.shape == (3, 2, VOCAB)
+        np.testing.assert_allclose(pruned, want, rtol=1e-5, atol=1e-6)
+
+    def test_one_dimensional_columns_apply_to_every_row(self, model, rng):
+        ids = random_ids(rng, 2, 6)
+        with no_grad():
+            full = model.forward(ids).data
+            last = model.forward_incremental(ids, model.make_cache(2), logit_columns=[-1])
+            both = model.forward_incremental(
+                ids, model.make_cache(2), logit_columns=[1, 4]
+            )
+        np.testing.assert_allclose(last.data, full[:, -1:], rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(both.data, full[:, [1, 4]], rtol=1e-5, atol=1e-6)
+
+    def test_pruned_prefill_then_decode_matches(self, model, rng):
+        """The skipped columns' keys/values are real: decoding on from a
+        pruned prefill matches decoding on from a full one."""
+        ids, step = random_ids(rng, 2, 10), random_ids(rng, 2, 1)
+        pruned_cache, full_cache = model.make_cache(2), model.make_cache(2)
+        with no_grad():
+            model.forward_incremental(ids, pruned_cache, logit_columns=[-1])
+            model.forward_incremental(ids, full_cache)
+            a = model.forward_incremental(step, pruned_cache).data
+            b = model.forward_incremental(step, full_cache).data
+        np.testing.assert_array_equal(a, b)
+
+    def test_bad_columns_rejected(self, model, rng):
+        ids = random_ids(rng, 2, 4)
+        for columns in ([4], [-5], np.zeros((3, 1), dtype=np.int64)):
+            with pytest.raises(ValueError), no_grad():
+                model.forward_incremental(ids, model.make_cache(2), logit_columns=columns)
 
 
 class TestCachedGenerate:
@@ -265,6 +335,39 @@ class TestCachedEngineMatchesReference:
             queries, selector=FewShotSelector(pool, mode="mixed", seed=0), num_examples=4
         )
         assert [p.label for p in a] == [p.label for p in b]
+        for pa, pb in zip(a, b):
+            assert np.isclose(pa.log_prob_normal, pb.log_prob_normal, rtol=1e-4, atol=1e-5)
+            assert np.isclose(pa.log_prob_abnormal, pb.log_prob_abnormal, rtol=1e-4, atol=1e-5)
+
+    def test_multi_token_categories_match_reference(self, engines, small_dataset):
+        """Categories of several tokens score one row per (prompt, category);
+        rows of different widths share a chunk."""
+        cached, _ = engines
+        normal = int(cached._category_ids["Normal"][0])
+        abnormal = int(cached._category_ids["Abnormal"][0])
+        category_ids = {
+            "Normal": np.array([normal, 5], dtype=np.int64),
+            "Abnormal": np.array([abnormal, 6, 7], dtype=np.int64),
+        }
+        pair = [
+            ICLEngine(cached.model, cached.tokenizer, batch_size=3),
+            ICLEngine(cached.model, cached.tokenizer, use_cache=False),
+        ]
+        for engine in pair:
+            engine._category_ids = category_ids
+            engine._max_category_len = 3
+        queries = small_dataset.test.subsample(5, rng=9).records
+        pool = small_dataset.train.records[:100]
+        a, b = (
+            engine.classify_batch(
+                queries, selector=FewShotSelector(pool, mode="mixed", seed=3), num_examples=2
+            )
+            for engine in pair
+        )
+        assert [p.label for p in a] == [p.label for p in b]
+        for pa, pb in zip(a, b):
+            assert np.isclose(pa.log_prob_normal, pb.log_prob_normal, rtol=1e-4, atol=1e-5)
+            assert np.isclose(pa.log_prob_abnormal, pb.log_prob_abnormal, rtol=1e-4, atol=1e-5)
 
     def test_resample_per_query_matches(self, engines, small_dataset):
         cached, reference = engines

@@ -206,7 +206,7 @@ def prefill_pool(model, pool, prompt):
     from repro.tensor import no_grad
 
     with no_grad():
-        model.forward_incremental(prompt[None, :], cache, last_logits_only=True)
+        model.forward_incremental(prompt[None, :], cache, logit_columns=[-1])
     pool.checkin(prompt, cache)
 
 

@@ -5,12 +5,12 @@ Pins the paged-KV invariants the serving stack depends on:
 * :class:`~repro.nn.BlockAllocator` — ref-counted block lifecycle,
   copy-on-write splitting, free-list recycling, int8 round-trip accuracy;
 * :class:`~repro.nn.PagedKVCache` — the dense cache protocol (append /
-  truncate / admit_row / retire_rows / realign / clone_prefix / expand)
+  truncate / admit_row / retire_rows / realign / clone_prefix)
   implemented as table edits, verified in *lockstep* against a dense
   :class:`~repro.nn.KVCache` driven through random operation sequences
   (Hypothesis), with gathered keys/values equal on every live span and no
   leaked blocks once the caches are released;
-* copy-on-write prefix sharing — clones and expansions reference the donor
+* copy-on-write prefix sharing — clones reference the donor
   blocks until someone appends over a shared tail, and the donor's bytes
   never change;
 * engine-level parity — the continuous-batching engine configured with
@@ -30,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from parity import assert_generations_equal
 from repro.models import DecoderLM, get_config
-from repro.nn import BlockAllocator, KVCache, PagedKVCache
+from repro.nn import BlockAllocator, KVCache, PagedKVCache, SharedPrefixKVCache
 from repro.serving import ContinuousBatchingEngine, EngineConfig, PrefixCachePool
 from repro.tensor import no_grad
 
@@ -386,22 +386,41 @@ class TestBlockSharing:
         clone.release()
         assert allocator.blocks_in_use == in_use
 
-    def test_expand_shares_prefix_blocks_across_rows(self):
-        kv = np.ones((1, NUM_HEADS, 2 * BLOCK_SIZE, HEAD_DIM), np.float32)
-        _, paged = fill_source(kv, kv)
+    @pytest.mark.parametrize("kv_dtype", ["fp32", "int8"])
+    def test_shared_prefix_read_gathers_once_and_takes_no_blocks(
+        self, kv_dtype, monkeypatch
+    ):
+        rng = np.random.default_rng(5)
+        kv = random_kv(rng, 1, 2 * BLOCK_SIZE + 1)
+        _, paged = fill_source(kv, 2 * kv, kv_dtype)
         allocator = paged.allocator
-        expanded = paged.expand(6, extra_capacity=BLOCK_SIZE)
+        gathers = []
+        gather_row = allocator.gather_row
+
+        def counting_gather_row(*args):
+            gathers.append(args)
+            gather_row(*args)
+
+        monkeypatch.setattr(allocator, "gather_row", counting_gather_row)
+        prefix = SharedPrefixKVCache.read_prefix(paged)
+        monkeypatch.undo()
+        # Reading is a sharing boundary: the prefix is persisted (int8:
+        # quantized) first, then read with one gather per layer.
+        assert paged.layers[0].flushed == [kv.shape[2]]
+        assert len(gathers) == NUM_LAYERS
         in_use = allocator.blocks_in_use
-        assert in_use == 2 * NUM_LAYERS  # six rows, one shared set of blocks
+        shared = SharedPrefixKVCache(prefix, 6, 3)
         extra = np.ones((6, NUM_HEADS, 1, HEAD_DIM), np.float32)
-        for layer in expanded.layers:
+        for layer in shared.layers:
             layer.append(extra, extra)
-        # Appends land in the tail buffer; persisting the rows is what splits
-        # each row's (full, shared) tail block copy-on-write.
-        assert allocator.blocks_in_use == in_use
-        expanded.release_workspace()
-        assert allocator.blocks_in_use == in_use + 6 * NUM_LAYERS
-        expanded.release()
+        assert allocator.blocks_in_use == in_use  # six rows, no new blocks
+        atol = 0 if kv_dtype == "fp32" else 0.05
+        for layer, (k, v) in zip(paged.layers, prefix):
+            np.testing.assert_allclose(k, kv[0], atol=atol)
+            np.testing.assert_allclose(v, 2 * kv[0], atol=2 * atol)
+            np.testing.assert_array_equal(
+                k, layer.read_span(0, 0, paged.length)[0]
+            )  # the stored bytes every later reader sees
         paged.release()
         assert allocator.blocks_in_use == 0
 
