@@ -23,8 +23,10 @@ column placement.
 Batched *scoring* of many continuations of one prefix (an ICL batch's
 shared few-shot block) uses a :class:`SharedPrefixKVCache` instead: the
 prefix keys/values are held once as a single row beside per-row suffix
-buffers, and attention scores every row's queries against the prefix in one
-matmul rather than against per-row copies of it.
+buffers.  Attention runs the prefix part once per distinct query vector
+(rows repeat the same token at the same position, so their first-layer
+queries are byte-identical), the suffix part per row, and merges the two
+by the log-sum-exp rule.
 """
 
 from __future__ import annotations
@@ -483,9 +485,9 @@ class SharedPrefixKVCache:
     block of an ICL batch, a prompt's candidate continuations) attends every
     row to the same prefix keys/values.  This cache holds them as a single
     row and gives each batch row only its own suffix buffer, so
-    :class:`MultiHeadAttention` scores all rows' queries against the prefix
-    in one matmul instead of copying it into every row (Hydragen, Juravsky
-    et al. 2024; ChunkAttention, Ye et al. 2024).
+    :class:`MultiHeadAttention` scores the rows' distinct queries against
+    the prefix in one matmul instead of copying it into every row
+    (Hydragen, Juravsky et al. 2024; ChunkAttention, Ye et al. 2024).
 
     ``prefix`` is the per-layer ``(keys, values)`` list that
     :meth:`read_prefix` returns; several caches (one per chunk of rows) may
@@ -703,12 +705,21 @@ class MultiHeadAttention(Module):
     ) -> Tensor:
         """Attention of every row against one shared prefix plus its own suffix.
 
-        Inference only (plain arrays, no autograd).  One score buffer of
-        shape (heads, B·S, P + T) takes the prefix scores as one matmul of
-        all rows' stacked queries against the single prefix row, and each
-        row's suffix scores beside them; the causal mask touches the suffix
-        columns only, and one softmax normalises both parts, so no
-        log-sum-exp merge is needed.
+        Inference only (plain arrays, no autograd).  The prefix part runs
+        once per *distinct* query vector: a first-layer query depends only
+        on its token and position, which rows of a scoring batch repeat.
+        So the prefix scores ``(heads, U, P)``, their row max, exp-sum and
+        ``exp @ V_prefix`` are computed for the U distinct queries only,
+        found by byte equality over all heads.  The suffix part is per row,
+        ``(heads, B, S, T)`` under the causal (or column) mask.  The two
+        merge by the log-sum-exp rule (Hydragen, Juravsky et al. 2024):
+        both are rescaled to the row's joint max, and the context is
+        divided once by the joint exp-sum.
+
+        Under live dropout the mask is drawn in the per-row
+        ``(B, heads, S, P + T)`` layout, as the per-row path draws it, and
+        applied to per-row numerators: the prefix numerator is then
+        expanded to every row instead of shared.
         """
         if attention_mask is not None:
             raise ValueError("shared-prefix attention takes no padding mask: right-pad rows")
@@ -716,21 +727,31 @@ class MultiHeadAttention(Module):
         batch, heads, seq, head_dim = q.shape
         if query_columns is not None:
             q = q[np.arange(batch)[:, None], :, query_columns]  # (B, k, heads, head_dim)
-            q = q.transpose(2, 0, 1, 3)
         else:
-            q = q.transpose(1, 0, 2, 3)
-        rows = q.shape[2]
+            q = q.transpose(0, 2, 1, 3)
+        rows = q.shape[1]
         prefix_len = cache.prefix_k.shape[1]
         suffix_len = suffix_k.shape[2]
-        scores = np.empty((heads, batch, rows, prefix_len + suffix_len), dtype=np.float32)
-        stacked = scores.reshape(heads, batch * rows, prefix_len + suffix_len)
-        np.matmul(
-            q.reshape(heads, batch * rows, head_dim),
-            np.swapaxes(cache.prefix_k, -1, -2),
-            out=stacked[:, :, :prefix_len],
+        # Scaled queries, one contiguous (heads · head_dim) vector per
+        # position; each vector's bytes are its dedupe key, so equal keys
+        # are equal queries and flat[first][inverse] == flat exactly.
+        scaled = np.empty((batch, rows, heads, head_dim), dtype=np.float32)
+        np.multiply(q, np.float32(1.0 / np.sqrt(head_dim)), out=scaled)
+        flat = scaled.reshape(batch * rows, heads * head_dim)
+        _, first, inverse = np.unique(
+            flat.view(np.dtype((np.void, flat.strides[0]))).ravel(),
+            return_index=True,
+            return_inverse=True,
         )
-        np.matmul(q, suffix_k.transpose(1, 0, 3, 2), out=scores[..., prefix_len:])
-        scores *= np.float32(1.0 / np.sqrt(self.head_dim))
+        distinct = flat[first].reshape(len(first), heads, head_dim).transpose(1, 0, 2)
+        prefix = np.matmul(distinct, np.swapaxes(cache.prefix_k, -1, -2))  # (heads, U, P)
+        # An empty prefix (P = 0) has max -inf, so its rescale below is 0.
+        prefix_max = prefix.max(axis=-1, keepdims=True, initial=-np.inf)
+        prefix -= prefix_max
+        np.exp(prefix, out=prefix)
+        prefix_sum = prefix.sum(axis=-1)
+
+        suffix = np.matmul(scaled.transpose(2, 0, 1, 3), suffix_k.transpose(1, 0, 3, 2))
         if query_columns is not None:
             causal = _column_causal_mask(query_columns, seq, suffix_len)
         elif seq > 1:
@@ -738,18 +759,35 @@ class MultiHeadAttention(Module):
         else:
             causal = None
         if causal is not None:
-            np.copyto(scores[..., prefix_len:], np.float32(_NEG_INF), where=~causal)
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        # Dropout sees the per-row (B, heads, S, K) layout, so a live
-        # dropout mask is drawn exactly as on the per-row path.
-        probs = self.attn_dropout(Tensor(scores.transpose(1, 0, 2, 3))).data
-        probs = probs.transpose(1, 0, 2, 3)
-        stacked = probs.reshape(heads, batch * rows, prefix_len + suffix_len)
-        context = np.matmul(stacked[:, :, :prefix_len], cache.prefix_v)
-        context = context.reshape(heads, batch, rows, head_dim)
-        context += np.matmul(probs[..., prefix_len:], suffix_v.transpose(1, 0, 2, 3))
+            np.copyto(suffix, np.float32(_NEG_INF), where=~causal)
+        # Per row: the joint max m of both parts, the prefix part's rescale
+        # exp(m_prefix - m), the suffix exps and the joint exp-sum.
+        row_prefix_max = prefix_max[:, inverse, 0].reshape(heads, batch, rows)
+        row_max = np.maximum(suffix.max(axis=-1), row_prefix_max)
+        suffix -= row_max[..., None]
+        np.exp(suffix, out=suffix)
+        rescale = np.exp(row_prefix_max - row_max)
+        denominator = suffix.sum(axis=-1)
+        denominator += rescale * prefix_sum[:, inverse].reshape(heads, batch, rows)
+
+        if self.attn_dropout.training and self.attn_dropout.p > 0.0:
+            weights = np.empty((heads, batch, rows, prefix_len + suffix_len), dtype=np.float32)
+            np.multiply(
+                prefix[:, inverse].reshape(heads, batch, rows, prefix_len),
+                rescale[..., None],
+                out=weights[..., :prefix_len],
+            )
+            weights[..., prefix_len:] = suffix
+            weights = self.attn_dropout(Tensor(weights.transpose(1, 0, 2, 3))).data
+            weights = weights.transpose(1, 0, 2, 3)
+            context = np.matmul(weights[..., :prefix_len], cache.prefix_v[:, None])
+            suffix = weights[..., prefix_len:]
+        else:
+            context = np.matmul(prefix, cache.prefix_v)[:, inverse]  # (heads, B·S, head_dim)
+            context = context.reshape(heads, batch, rows, head_dim)
+            context *= rescale[..., None]
+        context += np.matmul(suffix, suffix_v.transpose(1, 0, 2, 3))
+        context /= denominator[..., None]
         context = context.transpose(1, 2, 0, 3).reshape(batch, rows, self.hidden_size)
         return self.out_proj(Tensor(context))
 

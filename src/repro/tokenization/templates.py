@@ -9,6 +9,7 @@ become available over time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -88,9 +89,10 @@ class JobRecord:
 
 def _format_value(value: float) -> str:
     """Format a numeric value the way the paper's examples show them (e.g. 6.0)."""
-    if value is None or (isinstance(value, float) and np.isnan(value)):
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return "unknown"
-    return f"{float(value):.1f}" if abs(float(value)) < 1e15 else f"{float(value):.3e}"
+    value = float(value)
+    return f"{value:.1f}" if abs(value) < 1e15 else f"{value:.3e}"
 
 
 def record_to_sentence(

@@ -12,6 +12,7 @@ workflows — the property the paper relies on for transfer learning.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -22,8 +23,12 @@ from repro.tokenization.vocab import SpecialTokens, Vocabulary
 
 __all__ = ["NumericBinner", "LogTokenizer", "PROMPT_TOKENS"]
 
-_NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-_WORD_RE = re.compile(r"[A-Za-z_]+|[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[^\sA-Za-z0-9_]")
+#: One piece per match: group 1 holds a number, group 2 a word or a single
+#: punctuation mark (any non-space character outside ``[A-Za-z0-9_]``).
+_PIECE_RE = re.compile(
+    r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|([A-Za-z_]+|[^\sA-Za-z0-9_])"
+)
 
 #: Words that appear in the ICL prompt templates and label verbalisation but
 #: not necessarily in raw log sentences.  They are always primed into the
@@ -55,14 +60,16 @@ class NumericBinner:
     max_exponent: int = 12
 
     def bin(self, value: float) -> str:
-        if value is None or (isinstance(value, float) and np.isnan(value)):
+        if value is None or (isinstance(value, float) and math.isnan(value)):
             return "<num|nan>"
         value = float(value)
         if value == 0.0:
             return "<num|zero>"
         sign = "-" if value < 0 else "+"
         mag = abs(value)
-        exponent = int(np.floor(np.log10(mag)))
+        # np.log10, not math.log10: the two disagree at exact sub-bin
+        # boundaries such as 10**1.25.
+        exponent = math.floor(np.log10(mag))
         # Builtin min/max rather than scalar np.clip, whose per-call overhead
         # dominated this function; the results are identical.
         exponent = max(self.min_exponent, min(exponent, self.max_exponent))
@@ -109,14 +116,11 @@ class LogTokenizer:
     # ------------------------------------------------------------------ #
     def tokenize(self, text: str) -> list[str]:
         """Split text into word / punctuation / binned-number tokens."""
-        pieces: list[str] = []
-        for match in _WORD_RE.finditer(text):
-            piece = match.group(0)
-            if _NUMBER_RE.match(piece):
-                pieces.append(self.binner.bin(float(piece)))
-            else:
-                pieces.append(piece.lower() if self.lowercase else piece)
-        return pieces
+        bin_value, lowercase = self.binner.bin, self.lowercase
+        return [
+            bin_value(float(number)) if number else (other.lower() if lowercase else other)
+            for number, other in _PIECE_RE.findall(text)
+        ]
 
     # ------------------------------------------------------------------ #
     # token pieces → ids

@@ -74,7 +74,8 @@ class Vocabulary:
         return self._id_to_token[idx]
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
-        return [self.token_to_id(t) for t in tokens]
+        get, unk = self._token_to_id.get, self._token_to_id[self.special.unk]
+        return [get(t, unk) for t in tokens]
 
     def decode(self, ids: Sequence[int]) -> list[str]:
         return [self.id_to_token(int(i)) for i in ids]

@@ -9,6 +9,8 @@ and cache truncation at the context limit.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,9 @@ from repro.detection import ICLStreamingDetector
 from repro.icl import FewShotSelector, ICLEngine
 from repro.models.config import get_config
 from repro.models.decoder import DecoderLM, PrefixCachedScorer, common_prefix_length
-from repro.nn import KVCache, SharedPrefixKVCache
+from repro.nn import KVCache, MultiHeadAttention, SharedPrefixKVCache
 from repro.serving import PrefixCachePool
-from repro.tensor import no_grad
+from repro.tensor import Tensor, no_grad
 
 VOCAB = 43
 MAX_POS = 48
@@ -180,6 +182,93 @@ class TestPrunedLastLayer:
         for columns in ([4], [-5], np.zeros((3, 1), dtype=np.int64)):
             with pytest.raises(ValueError), no_grad():
                 model.forward_incremental(ids, model.make_cache(2), logit_columns=columns)
+
+
+#: Suffix chunks for the shared-prefix attention: its prefix part runs once
+#: per distinct query vector, and first-layer queries repeat wherever rows
+#: hold the same token at the same position.
+DEDUP_CHUNKS = {
+    "duplicate_rows": np.array(
+        [[5, 9, 9, 2, 7, 3], [8, 1, 4, 4, 0, 6], [5, 9, 9, 2, 7, 3], [8, 1, 4, 4, 0, 6]]
+    ),
+    "shared_leading_tokens": np.array(
+        [[5, 9, 9, 2, 7, 3], [5, 9, 9, 11, 0, 6], [5, 9, 30, 2, 7, 3]]
+    ),
+    # Every position holds a different token in every row.
+    "no_duplicates": (np.arange(6) * 5 + np.arange(3)[:, None]) % VOCAB,
+}
+
+
+class TestSharedPrefixDedup:
+    """Shared-prefix attention is row-exact: each row matches a per-row
+    forward over the same prefix keys/values."""
+
+    @staticmethod
+    def read_prefix(model, prefix_ids, layout):
+        if layout == "dense":
+            base = model.make_cache(1, max(len(prefix_ids), 1))
+        else:
+            base = model.make_paged_cache(1, len(prefix_ids), kv_dtype=layout)
+        if len(prefix_ids):
+            model.forward_incremental(prefix_ids[None, :], base)
+        return base, SharedPrefixKVCache.read_prefix(base)
+
+    @pytest.mark.parametrize("pruned", [False, True], ids=["full", "query_columns"])
+    @pytest.mark.parametrize("chunk", sorted(DEDUP_CHUNKS))
+    @pytest.mark.parametrize("layout", ["dense", "fp32", "int8", "empty_prefix"])
+    def test_rows_match_per_row_forward(self, model, layout, chunk, pruned):
+        ids = DEDUP_CHUNKS[chunk]
+        batch, seq = ids.shape
+        prefix_ids = np.arange(16) % 13 if layout != "empty_prefix" else np.arange(0)
+        columns = np.array([[seq - 1, 2], [0, 0], [3, seq - 1], [1, 4]])[:batch]
+        columns = columns if pruned else None
+        with no_grad():
+            base, prefix = self.read_prefix(
+                model, prefix_ids, "dense" if layout == "empty_prefix" else layout
+            )
+            shared = SharedPrefixKVCache(prefix, batch, seq)
+            got = model.forward_incremental(ids, shared, logit_columns=columns).data
+            for r in range(batch):
+                # The reference row holds the very prefix arrays the shared
+                # read returned (int8: dequantized) in a dense cache.
+                cache = model.make_cache(1, len(prefix_ids) + seq)
+                for layer, (k, v) in zip(cache.layers, prefix):
+                    layer.append(k[None], v[None])
+                row_columns = None if columns is None else columns[r : r + 1]
+                want = model.forward_incremental(ids[r : r + 1], cache, logit_columns=row_columns)
+                np.testing.assert_allclose(got[r], want.data[0], rtol=1e-5, atol=1e-6)
+        if layout in ("fp32", "int8"):
+            base.release()
+
+    @pytest.mark.parametrize("pruned", [False, True], ids=["full", "query_columns"])
+    def test_live_dropout_draws_the_per_row_mask(self, pruned):
+        """Under live dropout the shared path draws a (B, heads, S, P+T) mask,
+        as the per-row path does, and applies it row by row: with equal
+        generator states both paths return the same output."""
+        rng = np.random.default_rng(2)
+        batch, seq, prefix_len, hidden, heads = 4, 5, 7, 16, 2
+        shared_attn, per_row_attn = (
+            MultiHeadAttention(hidden, heads, dropout=0.3, causal=True, rng=9) for _ in range(2)
+        )
+        prefix_k, prefix_v = rng.standard_normal((2, heads, prefix_len, hidden // heads))
+        prefix_k, prefix_v = prefix_k.astype(np.float32), prefix_v.astype(np.float32)
+        x = Tensor(rng.standard_normal((batch, seq, hidden)).astype(np.float32))
+        x.data[2] = x.data[0]  # a duplicate row
+        columns = np.array([[4], [1], [4], [0]]) if pruned else None
+        rows = seq if columns is None else columns.shape[1]
+        dense = KVCache(1, batch, heads, hidden // heads, prefix_len + seq)
+        dense.layers[0].append(
+            np.broadcast_to(prefix_k, (batch, *prefix_k.shape)),
+            np.broadcast_to(prefix_v, (batch, *prefix_v.shape)),
+        )
+        shared = SharedPrefixKVCache([(prefix_k, prefix_v)], batch, seq)
+        drawn = copy.deepcopy(shared_attn.attn_dropout.rng)
+        drawn.random((batch, heads, rows, prefix_len + seq))
+        with no_grad():
+            got = shared_attn(x, cache=shared.layers[0], query_columns=columns).data
+            want = per_row_attn(x, cache=dense.layers[0], query_columns=columns).data
+        assert shared_attn.attn_dropout.rng.bit_generator.state == drawn.bit_generator.state
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
 
 
 class TestCachedGenerate:

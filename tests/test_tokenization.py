@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,8 @@ from repro.tokenization import (
     sentence_to_record,
     streaming_prefixes,
 )
-from repro.tokenization.tokenizer import _NUMBER_RE, _WORD_RE, PROMPT_TOKENS
+from repro.icl import PromptTemplate
+from repro.tokenization.tokenizer import _PIECE_RE, PROMPT_TOKENS
 
 
 def make_record(label=0):
@@ -158,9 +161,7 @@ class TestNumericBinner:
                 ]
         values += [-v for v in values]
         for sentence in small_dataset.train.sentences() + small_dataset.test.sentences():
-            for match in _WORD_RE.finditer(sentence):
-                if _NUMBER_RE.match(match.group(0)):
-                    values.append(float(match.group(0)))
+            values += [float(number) for number, _ in _PIECE_RE.findall(sentence) if number]
         for value in values:
             assert binner.bin(value) == self.np_clip_reference(binner, value), value
 
@@ -194,11 +195,43 @@ class TestVocabulary:
             vocab.id_to_token(999)
 
 
+#: The two-regex splitter ``LogTokenizer.tokenize`` used before its single
+#: ``_PIECE_RE`` pass: match a piece, then re-match it as a number.
+_OLD_NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_OLD_WORD_RE = re.compile(
+    r"[A-Za-z_]+|[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[^\sA-Za-z0-9_]"
+)
+
+
+def two_regex_tokenize(tok, text):
+    pieces = []
+    for match in _OLD_WORD_RE.finditer(text):
+        piece = match.group(0)
+        if _OLD_NUMBER_RE.match(piece):
+            pieces.append(tok.binner.bin(float(piece)))
+        else:
+            pieces.append(piece.lower() if tok.lowercase else piece)
+    return pieces
+
+
 class TestLogTokenizer:
     @pytest.fixture()
     def tok(self):
         sentences = [record_to_sentence(make_record()) for _ in range(3)]
         return LogTokenizer.build_from_corpus(sentences)
+
+    def test_pieces_equal_two_regex_reference(self, tok, small_dataset):
+        records = small_dataset.train.records
+        template = PromptTemplate()
+        texts = small_dataset.train.sentences() + small_dataset.test.sentences()
+        texts += [template.build(q, [(r, r.label) for r in records[:8]]) for q in records[8:40]]
+        texts += ["É:", "+5", "-.5e3", "5.", "a1b2", "x-5", "ÀB, c-d_e 1e5x 07.5E-2."]
+        cased = LogTokenizer(tok.vocab, lowercase=False)
+        for text in texts:
+            for t in (tok, cased):
+                assert t.tokenize(text) == two_regex_tokenize(t, text), text
+        assert tok.tokenize("É:") == ["é", ":"]
+        assert tok.tokenize("x-5") == ["x", tok.binner.bin(-5.0)]
 
     def test_numbers_become_bin_tokens(self, tok):
         pieces = tok.tokenize("runtime is 2090.0")
