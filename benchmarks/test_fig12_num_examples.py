@@ -3,8 +3,11 @@ and each example-composition strategy (pos-only, neg-only, mixed)."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from conftest import print_table
 from repro.icl import FewShotSelector, ICLEngine
+from repro.training.metrics import classification_report
 
 MODELS = ["gpt2", "mistral-7b", "llama2-7b"]
 EXAMPLE_COUNTS = (0, 2, 4, 8)
@@ -21,12 +24,19 @@ def test_fig12_accuracy_vs_number_of_examples(benchmark, genome, registry):
             for mode in ("pos", "neg", "mixed"):
                 selector = FewShotSelector(pool, mode=mode, seed=0)
                 row = {"model": name, "examples": mode}
+                positive_rates = []
                 for k in EXAMPLE_COUNTS:
-                    acc = engine.evaluate(
-                        test.records, test.labels(),
-                        selector=selector if k else None, num_examples=k,
-                    ).accuracy
-                    row[f"k={k}"] = acc
+                    predictions = engine.classify_batch(
+                        test.records, selector=selector if k else None, num_examples=k
+                    )
+                    y_pred = np.array([p.label for p in predictions], dtype=np.int64)
+                    row[f"k={k}"] = classification_report(test.labels(), y_pred).accuracy
+                    positive_rates.append(f"{y_pred.mean():.2f}")
+                # Share of queries predicted Abnormal: 0.00 or 1.00 marks a
+                # constant predictor, whose accuracy is just the class balance.
+                row["positive rate k=" + "/".join(map(str, EXAMPLE_COUNTS))] = "/".join(
+                    positive_rates
+                )
                 rows.append(row)
         return rows
 

@@ -31,7 +31,7 @@ from repro.icl.fewshot import FewShotSelector
 from repro.icl.prompts import CATEGORIES, PromptTemplate
 from repro.models.decoder import DecoderLM, PrefixCachedScorer, common_prefix_length
 from repro.nn import SharedPrefixKVCache
-from repro.tensor import no_grad, functional as F
+from repro.tensor import functional as F
 from repro.tokenization.templates import JobRecord
 from repro.tokenization.tokenizer import LogTokenizer
 from repro.training.metrics import MetricReport, classification_report
@@ -178,73 +178,72 @@ class ICLEngine:
         categories = [self._category_ids[c] for c in CATEGORIES]
         single_token = all(len(c) == 1 for c in categories)
 
-        with no_grad():
-            base = None
-            pooled = self.cache_pool is not None and common > 0
+        base = None
+        pooled = self.cache_pool is not None and common > 0
+        if pooled:
+            # Draw the shared-prefix prefill from the process-wide pool:
+            # another engine (or a previous batch) may already have it.
+            base, _ = self.cache_pool.checkout(arrays[0][:common])
+        if base is None:
+            base = self.model.make_cache(1, max(common, 1))
+        try:
+            if common > base.length:
+                self.model.forward_incremental(
+                    arrays[0][None, base.length : common], base
+                )
+
+            # One row per prompt when both categories are single tokens
+            # (both scores read off the same last-position distribution);
+            # one row per (prompt, category) otherwise.
+            if single_token:
+                rows = [(i, None, p[common:]) for i, p in zip(fit, arrays)]
+            else:
+                rows = [
+                    (i, c, np.concatenate([p[common:], categories[c][:-1]]))
+                    for i, p in zip(fit, arrays)
+                    for c in range(len(CATEGORIES))
+                ]
+
+            # The prefix is read once for every chunk: one zero-copy
+            # view (dense) or one gather (paged) per layer.
+            prefix = SharedPrefixKVCache.read_prefix(base)
+            partial: dict[int, dict[str, float]] = {i: {} for i in fit}
+            for start in range(0, len(rows), self.batch_size):
+                chunk = rows[start : start + self.batch_size]
+                longest = max(len(r[2]) for r in chunk)
+                padded = np.zeros((len(chunk), longest), dtype=np.int64)
+                for r, (_, _, tokens) in enumerate(chunk):
+                    padded[r, : len(tokens)] = tokens
+                # Row r's scored positions start at its last prompt
+                # token; only those columns go through the last layer
+                # (a shorter candidate repeats its final column).
+                widths = [1 if cat is None else len(categories[cat]) for _, cat, _ in chunk]
+                columns = np.empty((len(chunk), max(widths)), dtype=np.int64)
+                for r, (i, _, _) in enumerate(chunk):
+                    last = len(prompts[i]) - common - 1
+                    columns[r] = last + np.minimum(np.arange(columns.shape[1]), widths[r] - 1)
+                cache = SharedPrefixKVCache(prefix, len(chunk), longest)
+                logits = self.model.forward_incremental(padded, cache, logit_columns=columns)
+                log_probs = F.log_softmax(logits, axis=-1).data
+                for r, (i, cat, _) in enumerate(chunk):
+                    if cat is None:
+                        for c, name in enumerate(CATEGORIES):
+                            token = int(categories[c][0])
+                            partial[i][name] = float(log_probs[r, 0, token])
+                    else:
+                        cand = categories[cat]
+                        total = float(log_probs[r, np.arange(len(cand)), cand].sum())
+                        partial[i][CATEGORIES[cat]] = total / max(len(cand), 1)
+            for i in fit:
+                results[i] = partial[i]
+        finally:
             if pooled:
-                # Draw the shared-prefix prefill from the process-wide pool:
-                # another engine (or a previous batch) may already have it.
-                base, _ = self.cache_pool.checkout(arrays[0][:common])
-            if base is None:
-                base = self.model.make_cache(1, max(common, 1))
-            try:
-                if common > base.length:
-                    self.model.forward_incremental(
-                        arrays[0][None, base.length : common], base
-                    )
-
-                # One row per prompt when both categories are single tokens
-                # (both scores read off the same last-position distribution);
-                # one row per (prompt, category) otherwise.
-                if single_token:
-                    rows = [(i, None, p[common:]) for i, p in zip(fit, arrays)]
-                else:
-                    rows = [
-                        (i, c, np.concatenate([p[common:], categories[c][:-1]]))
-                        for i, p in zip(fit, arrays)
-                        for c in range(len(CATEGORIES))
-                    ]
-
-                # The prefix is read once for every chunk: one zero-copy
-                # view (dense) or one gather (paged) per layer.
-                prefix = SharedPrefixKVCache.read_prefix(base)
-                partial: dict[int, dict[str, float]] = {i: {} for i in fit}
-                for start in range(0, len(rows), self.batch_size):
-                    chunk = rows[start : start + self.batch_size]
-                    longest = max(len(r[2]) for r in chunk)
-                    padded = np.zeros((len(chunk), longest), dtype=np.int64)
-                    for r, (_, _, tokens) in enumerate(chunk):
-                        padded[r, : len(tokens)] = tokens
-                    # Row r's scored positions start at its last prompt
-                    # token; only those columns go through the last layer
-                    # (a shorter candidate repeats its final column).
-                    widths = [1 if cat is None else len(categories[cat]) for _, cat, _ in chunk]
-                    columns = np.empty((len(chunk), max(widths)), dtype=np.int64)
-                    for r, (i, _, _) in enumerate(chunk):
-                        last = len(prompts[i]) - common - 1
-                        columns[r] = last + np.minimum(np.arange(columns.shape[1]), widths[r] - 1)
-                    cache = SharedPrefixKVCache(prefix, len(chunk), longest)
-                    logits = self.model.forward_incremental(padded, cache, logit_columns=columns)
-                    log_probs = F.log_softmax(logits, axis=-1).data
-                    for r, (i, cat, _) in enumerate(chunk):
-                        if cat is None:
-                            for c, name in enumerate(CATEGORIES):
-                                token = int(categories[c][0])
-                                partial[i][name] = float(log_probs[r, 0, token])
-                        else:
-                            cand = categories[cat]
-                            total = float(log_probs[r, np.arange(len(cand)), cand].sum())
-                            partial[i][CATEGORIES[cat]] = total / max(len(cand), 1)
-                for i in fit:
-                    results[i] = partial[i]
-            finally:
-                if pooled:
-                    # Even if scoring raised, the shared prefill must go back
-                    # to the pool for other engines.  A forward that failed
-                    # mid-stack can leave layers at different lengths; roll
-                    # back to the shortest so the cache stays consistent.
-                    base.truncate(min(layer.length for layer in base.layers))
-                    self.cache_pool.checkin(arrays[0][:common], base)
+                # Even if scoring raised, the shared prefill must go back
+                # to the pool for other engines.  A forward that failed
+                # mid-stack can leave layers at different lengths; roll
+                # back to the shortest so the cache stays consistent.
+                base.truncate(min(layer.length for layer in base.layers))
+                self.cache_pool.checkin(arrays[0][:common], base)
         return results
 
     def classify_batch(

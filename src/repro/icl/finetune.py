@@ -21,6 +21,7 @@ from repro.icl.prompts import CATEGORIES, PromptTemplate
 from repro.models.decoder import DecoderLM
 from repro.models.lora import apply_lora, lora_parameter_summary, LoRASummary
 from repro.models.quantization import quantize_model
+from repro.nn.layers import reseed_dropout
 from repro.tokenization.templates import JobRecord
 from repro.tokenization.tokenizer import LogTokenizer
 from repro.training.loss import causal_lm_loss, completion_only_loss
@@ -182,6 +183,7 @@ class ICLFineTuner:
         optimizer = AdamW(trainable, lr=cfg.learning_rate, weight_decay=0.0)
         losses: list[float] = []
         start = time.perf_counter()
+        reseed_dropout(self.model, cfg.seed)
         self.model.train()
         for _ in range(cfg.epochs):
             order = self.rng.permutation(len(texts))

@@ -13,6 +13,13 @@ forward across all candidates (and, via :class:`PrefixCachedScorer`, across
 successive overlapping prompts).  Cached and uncached paths produce the same
 logits to float32 tolerance.
 
+Cached inference is eval-only and runs on plain arrays: ``forward_incremental``
+raises in train mode (nothing trains through a KV cache), calls each layer's
+array ``infer`` instead of its autograd ``forward``, and wraps only the
+returned logits in a :class:`~repro.tensor.Tensor`.  Training and the
+uncached ``forward`` keep the Tensor path; both share the forward math of
+:mod:`repro.tensor.kernels`.
+
 Batched decoding is built as a *stepping core* rather than a monolithic
 loop: a :class:`DecodeState` carries one request's progress (prompt, emitted
 tokens, sampling parameters, stop/EOS/context status) and a
@@ -52,7 +59,7 @@ from repro.nn.paged import (
     validate_kv_config,
 )
 from repro.nn.transformer import SinusoidalPositionalEncoding
-from repro.tensor import Tensor, no_grad, functional as F
+from repro.tensor import Tensor, no_grad, functional as F, kernels
 from repro.utils.rng import new_rng, spawn_rngs
 
 __all__ = [
@@ -332,17 +339,16 @@ class DecodeBatch:
             return
         prompt = state.prompt_ids
         owned = prefill_cache is None
-        with no_grad():
-            if prefill_cache is None:
-                prefill_cache = self._make_cache(1, len(prompt))
-            # Re-forward at least the last prompt token: its logits seed the
-            # first decode step.
-            past = min(prefill_cache.length, len(prompt) - 1)
-            prefill_cache.truncate(past)
-            logits = self.model.forward_incremental(
-                prompt[None, past:], prefill_cache, logit_columns=[-1]
-            )
-            log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data[0]
+        if prefill_cache is None:
+            prefill_cache = self._make_cache(1, len(prompt))
+        # Re-forward at least the last prompt token: its logits seed the
+        # first decode step.
+        past = min(prefill_cache.length, len(prompt) - 1)
+        prefill_cache.truncate(past)
+        logits = self.model.forward_incremental(
+            prompt[None, past:], prefill_cache, logit_columns=[-1]
+        )
+        log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data[0]
         self._admit_prefilled_row(state, prefill_cache, 0, 0, log_probs)
         if owned and hasattr(prefill_cache, "release"):
             # A private paged prefill returns its block references now (the
@@ -380,16 +386,15 @@ class DecodeBatch:
             [st.prompt_ids for st in todo], pad_id=pad_id
         )
         max_len = int(lengths.max())
-        with no_grad():
-            staging = self._make_cache(len(todo), max_len)
-            logits = self.model.forward_incremental(
-                ids,
-                staging,
-                attention_mask=prompt_mask,
-                positions=positions,
-                logit_columns=[-1],
-            )
-            log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data
+        staging = self._make_cache(len(todo), max_len)
+        logits = self.model.forward_incremental(
+            ids,
+            staging,
+            attention_mask=prompt_mask,
+            positions=positions,
+            logit_columns=[-1],
+        )
+        log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data
         for i, st in enumerate(todo):
             self._admit_prefilled_row(
                 st, staging, i, max_len - int(lengths[i]), log_probs[i]
@@ -464,14 +469,13 @@ class DecodeBatch:
         if take <= 0:
             return 0
         start = cache.length
-        with no_grad():
-            logits = self.model.forward_incremental(
-                prompt[None, start : start + take], cache, logit_columns=[-1]
-            )
-            if cache.length == len(prompt):
-                log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data[0]
-                self._drop_prefilling(state)
-                self._admit_prefilled_row(state, cache, 0, 0, log_probs)
+        logits = self.model.forward_incremental(
+            prompt[None, start : start + take], cache, logit_columns=[-1]
+        )
+        if cache.length == len(prompt):
+            log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data[0]
+            self._drop_prefilling(state)
+            self._admit_prefilled_row(state, cache, 0, 0, log_probs)
         return take
 
     def _drop_prefilling(self, state: DecodeState) -> None:
@@ -584,14 +588,13 @@ class DecodeBatch:
         self._ensure_columns(self.cache.length + s)
         column = self.cache.length
         self._mask[:, column : column + s] = True
-        with no_grad():
-            logits = self.model.forward_incremental(
-                ids,
-                self.cache,
-                attention_mask=self._mask[:, : column + s],
-                positions=positions,
-            )
-            return F.log_softmax(logits, axis=-1).data
+        logits = self.model.forward_incremental(
+            ids,
+            self.cache,
+            attention_mask=self._mask[:, : column + s],
+            positions=positions,
+        )
+        return F.log_softmax(logits, axis=-1).data
 
     def rollback_row(self, state: DecodeState, drop: int) -> None:
         """Drop the last ``drop`` cache columns of one live row (a rejected
@@ -697,7 +700,7 @@ class DecoderLM(Module):
         hidden = self.token_embedding(input_ids) + self.position_embedding(seq, batch)
         hidden = self.embedding_dropout(hidden)
         hidden = self.decoder(hidden, attention_mask)
-        return hidden.matmul(self.token_embedding.weight.transpose())
+        return F.linear(hidden, self.token_embedding.weight)
 
     # ------------------------------------------------------------------ #
     # incremental inference
@@ -783,10 +786,17 @@ class DecoderLM(Module):
         appends its keys/values in every layer, but the last layer's
         queries, residual and MLP, the final norm and the vocab projection
         run at those columns only: a prefill that seeds a decode loop, or a
-        scoring batch that reads one position per row, skips the rest.  (In
-        train mode every column is computed and the selection taken at the
-        end, so live dropout draws the same masks either way.)
+        scoring batch that reads one position per row, skips the rest.
+
+        Cached inference is eval-only (nothing trains through a KV cache),
+        so a model in train mode raises.  The whole forward runs on plain
+        arrays, through each layer's ``infer``; only the returned logits are
+        wrapped in a :class:`Tensor`.
         """
+        if self.training:
+            raise RuntimeError(
+                "forward_incremental is eval-only: call model.eval() before cached inference"
+            )
         input_ids = np.asarray(input_ids, dtype=np.int64)
         if input_ids.ndim != 2:
             raise ValueError(f"input_ids must be 2-D (batch, seq), got shape {input_ids.shape}")
@@ -802,7 +812,7 @@ class DecoderLM(Module):
                 f"cache batch size {cache.batch_size} does not match input batch {batch}"
             )
         if positions is None:
-            position_enc = self.position_embedding.slice(past, seq, batch)
+            position_enc = self.position_embedding.encoding[past : past + seq]
         else:
             positions = np.asarray(positions, dtype=np.int64)
             if positions.shape != (batch, seq):
@@ -825,10 +835,10 @@ class DecoderLM(Module):
             columns = columns % seq
             if columns.shape[1] == seq and (columns == np.arange(seq)).all():
                 columns = None  # every column, in order: nothing to prune
-        hidden = self.token_embedding(input_ids) + position_enc
-        hidden = self.embedding_dropout(hidden)
-        hidden = self.decoder(hidden, attention_mask, cache=cache, columns=columns)
-        return hidden.matmul(self.token_embedding.weight.transpose())
+        hidden = self.token_embedding.infer(input_ids)
+        hidden += position_enc
+        hidden = self.decoder.infer(hidden, attention_mask, cache, columns)
+        return Tensor(kernels.linear(hidden, self.token_embedding.weight.data))
 
     # ------------------------------------------------------------------ #
     # scoring and generation (inference only)
@@ -911,40 +921,39 @@ class DecoderLM(Module):
                 f"exceeds the maximum context {self.config.max_position}"
             )
 
-        with no_grad():
-            if cache is None:
-                cache = self.make_cache(1, len(prompt_ids) + max_cand)
-            # Always re-forward the last prompt token so its logits (which
-            # score each candidate's first token) are available.
-            past = min(cache.length, len(prompt_ids) - 1)
-            cache.truncate(past)
-            prefill = self.forward_incremental(
-                prompt_ids[None, past:], cache, logit_columns=[-1]
-            )
-            first_log_probs = F.log_softmax(prefill[:, -1, :], axis=-1).data[0]
-            scores = np.array(
-                [float(first_log_probs[c[0]]) for c in cand_arrays], dtype=np.float64
-            )
-            if max_cand == 1:
-                return scores
-
-            # One padded batch over all candidates' remaining tokens.  The
-            # last token of each candidate is only ever a target, so rows
-            # hold candidate[:-1] right-padded to max_cand - 1.
-            batch = len(cand_arrays)
-            rows = np.zeros((batch, max_cand - 1), dtype=np.int64)
-            for i, cand in enumerate(cand_arrays):
-                rows[i, : len(cand) - 1] = cand[:-1]
-            shared = SharedPrefixKVCache(
-                SharedPrefixKVCache.read_prefix(cache), batch, max_cand - 1
-            )
-            logits = self.forward_incremental(rows, shared)
-            log_probs = F.log_softmax(logits, axis=-1).data
-            for i, cand in enumerate(cand_arrays):
-                if len(cand) > 1:
-                    positions = np.arange(len(cand) - 1)
-                    scores[i] += float(log_probs[i, positions, cand[1:]].sum())
+        if cache is None:
+            cache = self.make_cache(1, len(prompt_ids) + max_cand)
+        # Always re-forward the last prompt token so its logits (which
+        # score each candidate's first token) are available.
+        past = min(cache.length, len(prompt_ids) - 1)
+        cache.truncate(past)
+        prefill = self.forward_incremental(
+            prompt_ids[None, past:], cache, logit_columns=[-1]
+        )
+        first_log_probs = F.log_softmax(prefill[:, -1, :], axis=-1).data[0]
+        scores = np.array(
+            [float(first_log_probs[c[0]]) for c in cand_arrays], dtype=np.float64
+        )
+        if max_cand == 1:
             return scores
+
+        # One padded batch over all candidates' remaining tokens.  The
+        # last token of each candidate is only ever a target, so rows
+        # hold candidate[:-1] right-padded to max_cand - 1.
+        batch = len(cand_arrays)
+        rows = np.zeros((batch, max_cand - 1), dtype=np.int64)
+        for i, cand in enumerate(cand_arrays):
+            rows[i, : len(cand) - 1] = cand[:-1]
+        shared = SharedPrefixKVCache(
+            SharedPrefixKVCache.read_prefix(cache), batch, max_cand - 1
+        )
+        logits = self.forward_incremental(rows, shared)
+        log_probs = F.log_softmax(logits, axis=-1).data
+        for i, cand in enumerate(cand_arrays):
+            if len(cand) > 1:
+                positions = np.arange(len(cand) - 1)
+                scores[i] += float(log_probs[i, positions, cand[1:]].sum())
+        return scores
 
     def generate(
         self,
@@ -982,11 +991,10 @@ class DecoderLM(Module):
             cache = self.make_cache(
                 1, min(len(prompt) + max_new_tokens, self.config.max_position)
             )
-            with no_grad():
-                prefill = self.forward_incremental(
-                    prompt[None, :], cache, logit_columns=[-1]
-                )
-                log_probs = F.log_softmax(prefill[:, -1, :], axis=-1).data[0]
+            prefill = self.forward_incremental(
+                prompt[None, :], cache, logit_columns=[-1]
+            )
+            log_probs = F.log_softmax(prefill[:, -1, :], axis=-1).data[0]
 
         for step in range(max_new_tokens):
             if length >= self.config.max_position:
@@ -1004,9 +1012,8 @@ class DecoderLM(Module):
                 break
             more_needed = step + 1 < max_new_tokens and length < self.config.max_position
             if cache is not None and more_needed:
-                with no_grad():
-                    logits = self.forward_incremental(out[None, length - 1 : length], cache)
-                    log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data[0]
+                logits = self.forward_incremental(out[None, length - 1 : length], cache)
+                log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data[0]
         return out[:length].copy()
 
     @staticmethod

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor
+from repro.tensor import Tensor, functional as F, kernels
 from repro.utils.rng import new_rng
 
 __all__ = ["LoRALinear", "apply_lora", "merge_lora", "lora_parameter_summary", "LoRASummary"]
@@ -71,12 +71,19 @@ class LoRALinear(Module):
         return self.base.out_features
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.base(x)
-        h = x
-        if self.lora_dropout is not None:
-            h = self.lora_dropout(h)
-        update = h.matmul(self.lora_a.transpose()).matmul(self.lora_b.transpose())
-        return out + update * self.scaling
+        h = x if self.lora_dropout is None else self.lora_dropout(x)
+        return self._adapt(self.base(x), h, F.linear, self.lora_a, self.lora_b)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a plain array (inference: no graph, no Tensor)."""
+        return self._adapt(
+            self.base.infer(x), x, kernels.linear, self.lora_a.data, self.lora_b.data
+        )
+
+    def _adapt(self, out, h, linear, lora_a, lora_b):
+        """``out + scaling · (h Aᵀ) Bᵀ`` with ``linear`` the Tensor op or the
+        array kernel: the adapter formula, written once for both paths."""
+        return out + linear(linear(h, lora_a), lora_b) * self.scaling
 
     def merged_weight(self) -> np.ndarray:
         """Return the effective dense weight ``W + scaling * B @ A``."""

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.nn.layers import Linear
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor
+from repro.tensor import Tensor, functional as F, kernels
 
 __all__ = ["QuantizedLinear", "quantize_model", "quantization_error"]
 
@@ -45,11 +45,12 @@ class QuantizedLinear(Module):
         return self.q_weight.astype(np.float32) * self.scale
 
     def forward(self, x: Tensor) -> Tensor:
-        weight = Tensor(self.dequantized_weight())
-        out = x.matmul(weight.transpose())
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return F.linear(x, Tensor(self.dequantized_weight()), self.bias)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a plain array (inference: no graph, no Tensor)."""
+        bias = None if self.bias is None else self.bias.data
+        return kernels.linear(x, self.dequantized_weight(), bias)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"QuantizedLinear(in={self.in_features}, out={self.out_features}, bits={self.bits})"

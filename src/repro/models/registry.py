@@ -80,9 +80,7 @@ class DecoderBuilder:
     pretrained: bool = True
 
     def __call__(self) -> DecoderLM:
-        model = self.spec.build().load_decoder(self.name, self.pretrained)
-        model.eval()
-        return model
+        return self.spec.build().load_decoder(self.name, self.pretrained)
 
 
 def build_default_corpus(
@@ -191,13 +189,13 @@ class ModelRegistry:
     def _build(self, name: str):
         config = get_config(name)
         rng = new_rng(self._model_seed(config.name))
-        if config.kind == "encoder":
-            return EncoderForSequenceClassification(config, self.tokenizer.vocab_size, rng=rng)
-        return DecoderLM(config, self.tokenizer.vocab_size, rng=rng)
+        cls = EncoderForSequenceClassification if config.kind == "encoder" else DecoderLM
+        return cls(config, self.tokenizer.vocab_size, rng=rng).eval()
 
     # ------------------------------------------------------------------ #
     def load(self, name: str, pretrained: bool = True):
-        """Return a model; when ``pretrained`` run (or reuse cached) pre-training."""
+        """Return an eval-mode model; when ``pretrained`` run (or reuse cached)
+        pre-training.  Trainers switch to train mode themselves."""
         config = get_config(name)
         model = self._build(config.name)
         if not pretrained:

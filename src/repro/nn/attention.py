@@ -9,7 +9,9 @@ values of already-processed positions are stored in a :class:`KVCache`, so a
 forward pass only has to embed the new tokens (query length ``1..s``) and
 attend against the cached history.  This removes the O(n²·layers) recompute
 from autoregressive generation and lets many requests share one prompt
-prefix.
+prefix.  Cached attention is eval-only inference on plain arrays:
+:meth:`MultiHeadAttention.forward` given a cache takes and returns
+``np.ndarray``s, with no autograd graph and no dropout.
 
 For continuous batching the cache is no longer a fixed-shape batch: a *live*
 decode batch admits new rows mid-decode (:meth:`KVCache.admit_row`), drops
@@ -39,7 +41,7 @@ import numpy as np
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module
 from repro.nn.serialization import pack, unpack
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor, functional as F, kernels
 from repro.utils.rng import new_rng, spawn_rngs
 
 __all__ = [
@@ -552,6 +554,38 @@ def _column_causal_mask(columns: np.ndarray, query_len: int, key_len: int) -> np
     return np.arange(key_len) <= (key_len - query_len + columns)[..., None]
 
 
+@functools.lru_cache(maxsize=8)
+def _hash_multipliers(width: int) -> np.ndarray:
+    """Fixed odd uint64 multipliers: the weights of :func:`_distinct_rows`'s
+    row hash (odd, so no word's low bits are dropped)."""
+    rng = np.random.default_rng(0x5EED)
+    multipliers = rng.integers(0, 2**63, size=width, dtype=np.uint64) | np.uint64(1)
+    multipliers.flags.writeable = False
+    return multipliers
+
+
+def _distinct_rows(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` of the distinct rows of a C-contiguous 2-D array,
+    so that ``flat[first][inverse]`` equals ``flat`` bit for bit.
+
+    Rows are keyed by a uint64 hash of their bytes (a wrapping weighted sum
+    of their 64-bit words), and the grouping is then checked exactly; in
+    the rare case two distinct rows share a hash, the rows are grouped by
+    their bytes instead, which is exact but about twice as slow.
+    """
+    words = flat.view(np.uint64 if flat.shape[1] % 2 == 0 else np.uint32)
+    _, first, inverse = np.unique(
+        words @ _hash_multipliers(words.shape[1]), return_index=True, return_inverse=True
+    )
+    if not (words[first][inverse] == words).all():
+        _, first, inverse = np.unique(
+            flat.view(np.dtype((np.void, flat.strides[0]))).ravel(),
+            return_index=True,
+            return_inverse=True,
+        )
+    return first, inverse
+
+
 def fuse_qkv_linears(q: Linear, k: Linear, v: Linear) -> Linear:
     """Stack three (H, H) projections into one fused (3H, H) Linear.
 
@@ -619,18 +653,20 @@ class MultiHeadAttention(Module):
 
     def forward(
         self,
-        x: Tensor,
+        x: Tensor | np.ndarray,
         attention_mask: np.ndarray | None = None,
         cache: LayerKVCache | None = None,
         query_columns: np.ndarray | None = None,
-    ) -> Tensor:
+    ) -> Tensor | np.ndarray:
         """Apply self-attention.
 
         Parameters
         ----------
         x:
-            Hidden states of shape ``(batch, seq, hidden)``.  With a cache,
-            ``seq`` covers only the *new* positions (query length 1..s).
+            Hidden states of shape ``(batch, seq, hidden)``: a
+            :class:`Tensor` without a cache, a plain array with one.  With
+            a cache, ``seq`` covers only the *new* positions (query length
+            1..s).
         attention_mask:
             Optional boolean array where ``True`` marks real tokens and
             ``False`` padding.  Its shape is ``(batch, key_len)`` where
@@ -639,110 +675,113 @@ class MultiHeadAttention(Module):
         cache:
             Optional :class:`LayerKVCache` (or block-paged
             :class:`~repro.nn.paged.PagedLayerKVCache`, or a
-            :class:`SharedPrefixKVCache` layer).  The new keys/values
-            are appended to it and attention runs against the full cached
-            history with the causal mask offset so position ``i`` of the new
-            block attends to every cached position plus new positions
-            ``<= i``.  Dense caches hand back zero-copy views of their
-            buffers; paged caches hand back freshly *gathered* float32
-            arrays assembled from their blocks (int8 block stores dequantize
-            during the gather), so attention itself is storage-agnostic.
-            Only valid for causal attention.
+            :class:`SharedPrefixKVCache` layer).  Cached attention is
+            eval-mode inference on plain arrays: ``x`` and the result are
+            ``np.ndarray``s and no autograd graph or dropout is involved.
+            The new keys/values are appended to the cache and attention runs
+            against the full cached history with the causal mask offset so
+            position ``i`` of the new block attends to every cached position
+            plus new positions ``<= i``.  Dense caches hand back zero-copy
+            views of their buffers; paged caches hand back freshly
+            *gathered* float32 arrays assembled from their blocks (int8
+            block stores dequantize during the gather), so attention itself
+            is storage-agnostic.  Only valid for causal attention.
         query_columns:
-            Optional ``(batch, k)`` indices into the ``seq`` new positions:
-            every position's keys/values are still appended, but only
-            these columns are attended from, and the output is
-            ``(batch, k, hidden)``.
+            Optional ``(batch, k)`` indices into the ``seq`` new positions
+            (cached attention only): every position's keys/values are still
+            appended, but only these columns are attended from, and the
+            output is ``(batch, k, hidden)``.
         """
+        if cache is not None:
+            return self._cached_attention(x, attention_mask, cache, query_columns)
         batch, seq, _ = x.shape
         h = self.hidden_size
         qkv = self.qkv_proj(x)  # (B, S, 3H): one fused matmul for q, k and v
         q = self._split_heads(qkv[:, :, :h], batch, seq)
         k = self._split_heads(qkv[:, :, h : 2 * h], batch, seq)
         v = self._split_heads(qkv[:, :, 2 * h :], batch, seq)
-
-        if cache is not None:
-            if not self.causal:
-                raise ValueError("KV caching requires causal attention")
-            if isinstance(cache, SharedPrefixLayerCache):
-                return self._shared_prefix_attention(
-                    q.data, cache, k.data, v.data, attention_mask, query_columns
-                )
-            # Cached keys/values are constants (inference only): detach to
-            # plain arrays before appending.  A dense cache hands back
-            # zero-copy array views; a paged cache hands back a
-            # PagedAttentionView whose gather assembles the attended window
-            # straight from the block store (plus live tails) as a
-            # transient activation.
-            appended = cache.append(k.data, v.data)
-            if isinstance(appended, tuple):
-                k_all, v_all = appended
-            else:
-                k_all, v_all = appended.gather_kv()
-            k, v = Tensor(k_all), Tensor(v_all)
-        key_len = k.shape[2]
-
-        mask = self._build_mask(attention_mask, batch, seq, key_len, query_columns)
-        if query_columns is not None:
-            # (B, k, heads, head_dim) -> (B, heads, k, head_dim)
-            q = q[np.arange(batch)[:, None], :, query_columns].transpose(0, 2, 1, 3)
-            seq = query_columns.shape[1]
-        # (B, heads, S, key_len): scale, mask and softmax fused over one buffer.
+        mask = self._build_mask(attention_mask, batch, seq, seq)
+        # (B, heads, S, S): scale, mask and softmax fused over one buffer.
         attn = F.attention_probs(q, k, mask, 1.0 / np.sqrt(self.head_dim), _NEG_INF)
         attn = self.attn_dropout(attn)
         context = attn.matmul(v)  # (B, heads, S, head_dim)
         context = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.hidden_size)
         return self.out_proj(context)
 
+    def _cached_attention(
+        self,
+        x: np.ndarray,
+        attention_mask: np.ndarray | None,
+        cache,
+        query_columns: np.ndarray | None,
+    ) -> np.ndarray:
+        """:meth:`forward` against a KV cache, on plain arrays (eval mode)."""
+        if not self.causal:
+            raise ValueError("KV caching requires causal attention")
+        batch, seq, _ = x.shape
+        # (B, S, 3, heads, head_dim): one fused matmul for q, k and v.
+        qkv = self.qkv_proj.infer(x).reshape(batch, seq, 3, self.num_heads, self.head_dim)
+        q = qkv[:, :, 0]  # (B, S, heads, head_dim)
+        k = qkv[:, :, 1].transpose(0, 2, 1, 3)  # (B, heads, S, head_dim)
+        v = qkv[:, :, 2].transpose(0, 2, 1, 3)
+        if query_columns is not None:
+            q = q[np.arange(batch)[:, None], query_columns]  # (B, k, heads, head_dim)
+        if isinstance(cache, SharedPrefixLayerCache):
+            return self._shared_prefix_attention(
+                q, seq, cache, k, v, attention_mask, query_columns
+            )
+        # A dense cache hands back zero-copy array views; a paged cache
+        # hands back a PagedAttentionView whose gather assembles the
+        # attended window straight from the block store (plus live tails)
+        # as a transient activation.
+        appended = cache.append(k, v)
+        if isinstance(appended, tuple):
+            k_all, v_all = appended
+        else:
+            k_all, v_all = appended.gather_kv()
+        rows = q.shape[1]
+        mask = self._build_mask(attention_mask, batch, seq, k_all.shape[2], query_columns)
+        attn = kernels.attention_probs(
+            q.transpose(0, 2, 1, 3), k_all, mask, 1.0 / np.sqrt(self.head_dim), _NEG_INF
+        )
+        context = np.matmul(attn, v_all)  # (B, heads, rows, head_dim)
+        context = context.transpose(0, 2, 1, 3).reshape(batch, rows, self.hidden_size)
+        return self.out_proj.infer(context)
+
     def _shared_prefix_attention(
         self,
         q: np.ndarray,
+        seq: int,
         cache: SharedPrefixLayerCache,
         k_new: np.ndarray,
         v_new: np.ndarray,
         attention_mask: np.ndarray | None,
         query_columns: np.ndarray | None,
-    ) -> Tensor:
+    ) -> np.ndarray:
         """Attention of every row against one shared prefix plus its own suffix.
 
-        Inference only (plain arrays, no autograd).  The prefix part runs
-        once per *distinct* query vector: a first-layer query depends only
-        on its token and position, which rows of a scoring batch repeat.
-        So the prefix scores ``(heads, U, P)``, their row max, exp-sum and
-        ``exp @ V_prefix`` are computed for the U distinct queries only,
-        found by byte equality over all heads.  The suffix part is per row,
+        ``q`` is (B, rows, heads, head_dim): the ``seq`` new positions, or
+        the selected ``query_columns`` of them.  The prefix part runs once
+        per *distinct* query vector: a first-layer query depends only on its
+        token and position, which rows of a scoring batch repeat.  So the
+        prefix scores ``(heads, U, P)``, their row max, exp-sum and
+        ``exp @ V_prefix`` are computed for the U distinct queries only (see
+        :func:`_distinct_rows`).  The suffix part is per row,
         ``(heads, B, S, T)`` under the causal (or column) mask.  The two
         merge by the log-sum-exp rule (Hydragen, Juravsky et al. 2024):
         both are rescaled to the row's joint max, and the context is
         divided once by the joint exp-sum.
-
-        Under live dropout the mask is drawn in the per-row
-        ``(B, heads, S, P + T)`` layout, as the per-row path draws it, and
-        applied to per-row numerators: the prefix numerator is then
-        expanded to every row instead of shared.
         """
         if attention_mask is not None:
             raise ValueError("shared-prefix attention takes no padding mask: right-pad rows")
         suffix_k, suffix_v = cache.append(k_new, v_new)  # (B, heads, T, head_dim)
-        batch, heads, seq, head_dim = q.shape
-        if query_columns is not None:
-            q = q[np.arange(batch)[:, None], :, query_columns]  # (B, k, heads, head_dim)
-        else:
-            q = q.transpose(0, 2, 1, 3)
-        rows = q.shape[1]
-        prefix_len = cache.prefix_k.shape[1]
+        batch, rows, heads, head_dim = q.shape
         suffix_len = suffix_k.shape[2]
-        # Scaled queries, one contiguous (heads · head_dim) vector per
-        # position; each vector's bytes are its dedupe key, so equal keys
-        # are equal queries and flat[first][inverse] == flat exactly.
+        # Scaled queries, one contiguous (heads · head_dim) vector per position.
         scaled = np.empty((batch, rows, heads, head_dim), dtype=np.float32)
         np.multiply(q, np.float32(1.0 / np.sqrt(head_dim)), out=scaled)
         flat = scaled.reshape(batch * rows, heads * head_dim)
-        _, first, inverse = np.unique(
-            flat.view(np.dtype((np.void, flat.strides[0]))).ravel(),
-            return_index=True,
-            return_inverse=True,
-        )
+        first, inverse = _distinct_rows(flat)
         distinct = flat[first].reshape(len(first), heads, head_dim).transpose(1, 0, 2)
         prefix = np.matmul(distinct, np.swapaxes(cache.prefix_k, -1, -2))  # (heads, U, P)
         # An empty prefix (P = 0) has max -inf, so its rescale below is 0.
@@ -770,26 +809,13 @@ class MultiHeadAttention(Module):
         denominator = suffix.sum(axis=-1)
         denominator += rescale * prefix_sum[:, inverse].reshape(heads, batch, rows)
 
-        if self.attn_dropout.training and self.attn_dropout.p > 0.0:
-            weights = np.empty((heads, batch, rows, prefix_len + suffix_len), dtype=np.float32)
-            np.multiply(
-                prefix[:, inverse].reshape(heads, batch, rows, prefix_len),
-                rescale[..., None],
-                out=weights[..., :prefix_len],
-            )
-            weights[..., prefix_len:] = suffix
-            weights = self.attn_dropout(Tensor(weights.transpose(1, 0, 2, 3))).data
-            weights = weights.transpose(1, 0, 2, 3)
-            context = np.matmul(weights[..., :prefix_len], cache.prefix_v[:, None])
-            suffix = weights[..., prefix_len:]
-        else:
-            context = np.matmul(prefix, cache.prefix_v)[:, inverse]  # (heads, B·S, head_dim)
-            context = context.reshape(heads, batch, rows, head_dim)
-            context *= rescale[..., None]
+        context = np.matmul(prefix, cache.prefix_v)[:, inverse]  # (heads, B·S, head_dim)
+        context = context.reshape(heads, batch, rows, head_dim)
+        context *= rescale[..., None]
         context += np.matmul(suffix, suffix_v.transpose(1, 0, 2, 3))
         context /= denominator[..., None]
         context = context.transpose(1, 2, 0, 3).reshape(batch, rows, self.hidden_size)
-        return self.out_proj(Tensor(context))
+        return self.out_proj.infer(context)
 
     def _build_mask(
         self,

@@ -1,14 +1,19 @@
-"""Elementary layers: Linear, Embedding, LayerNorm, Dropout and activations."""
+"""Elementary layers: Linear, Embedding, LayerNorm, Dropout and activations.
+
+The affine layers also have an ``infer`` method, the same forward on plain
+arrays for eval-mode cached inference; both paths share the forward math
+of :mod:`repro.tensor.kernels`.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor, functional as F
-from repro.utils.rng import new_rng
+from repro.tensor import Tensor, functional as F, kernels
+from repro.utils.rng import new_rng, spawn_rngs
 
-__all__ = ["Linear", "Embedding", "LayerNorm", "Dropout", "GELU", "ReLU", "Tanh"]
+__all__ = ["Linear", "Embedding", "LayerNorm", "Dropout", "reseed_dropout", "GELU", "ReLU", "Tanh"]
 
 
 class Linear(Module):
@@ -41,10 +46,11 @@ class Linear(Module):
         self.bias = Parameter(bias_values) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x.matmul(self.weight.transpose())
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return F.linear(x, self.weight, self.bias)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a plain array (inference: no graph, no Tensor)."""
+        return kernels.linear(x, self.weight.data, None if self.bias is None else self.bias.data)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Linear(in={self.in_features}, out={self.out_features}, bias={self.bias is not None})"
@@ -75,13 +81,20 @@ class Embedding(Module):
     def forward(self, ids: np.ndarray | Tensor) -> Tensor:
         if isinstance(ids, Tensor):
             ids = ids.data
+        return self.weight.take_rows(self._checked(ids))
+
+    def infer(self, ids: np.ndarray) -> np.ndarray:
+        """:meth:`forward` as a plain array (inference: no graph, no Tensor)."""
+        return self.weight.data[self._checked(ids)]
+
+    def _checked(self, ids) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
             raise IndexError(
                 f"token id out of range [0, {self.num_embeddings}): "
                 f"min={ids.min()}, max={ids.max()}"
             )
-        return self.weight.take_rows(ids)
+        return ids
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Embedding(num={self.num_embeddings}, dim={self.embedding_dim})"
@@ -99,6 +112,10 @@ class LayerNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.layer_norm(x, self.weight, self.bias, eps=self.eps)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a plain array (inference: no graph, no Tensor)."""
+        return kernels.layer_norm(x, self.weight.data, self.bias.data, self.eps)[0]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"LayerNorm({self.normalized_shape})"
@@ -119,6 +136,17 @@ class Dropout(Module):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Dropout(p={self.p})"
+
+
+def reseed_dropout(model: Module, seed: int) -> None:
+    """Give every :class:`Dropout` in ``model`` a fresh generator from ``seed``.
+
+    Training runs call this when they start, so the masks a run draws do not
+    depend on how many forwards in train mode ran on the model before it.
+    """
+    layers = [m for m in model.modules() if isinstance(m, Dropout)]
+    for layer, rng in zip(layers, spawn_rngs(seed, len(layers))):
+        layer.rng = rng
 
 
 class GELU(Module):

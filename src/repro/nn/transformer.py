@@ -3,16 +3,20 @@
 Encoder layers use the post-LayerNorm arrangement of the original BERT, the
 decoder layers use the pre-LayerNorm arrangement of GPT-2 — matching the
 families of pre-trained checkpoints the paper fine-tunes and prompts.
+
+The decoder stack has two forwards: ``forward`` builds the autograd graph
+for training and uncached scoring, and ``infer`` runs eval-mode cached
+inference on plain arrays against a KV cache.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.attention import KVCache, LayerKVCache, MultiHeadAttention
+from repro.nn.attention import KVCache, MultiHeadAttention
 from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear
 from repro.nn.module import Module, ModuleList
-from repro.tensor import Tensor
+from repro.tensor import Tensor, kernels
 from repro.utils.rng import new_rng, spawn_rngs
 
 __all__ = [
@@ -44,6 +48,10 @@ class FeedForward(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.dropout(self.fc_out(self.fc_in(x).gelu()))
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` in eval mode on a plain array."""
+        return self.fc_out.infer(kernels.gelu(self.fc_in.infer(x))[0])
 
 
 class TransformerEncoderLayer(Module):
@@ -91,24 +99,30 @@ class TransformerDecoderLayer(Module):
         self.feed_forward = FeedForward(hidden_size, intermediate_size, dropout, rng=rngs[1])
         self.dropout = Dropout(dropout, rng=rngs[2])
 
-    def forward(
+    def forward(self, x: Tensor, attention_mask: np.ndarray | None = None) -> Tensor:
+        x = x + self.dropout(self.attention(self.attn_norm(x), attention_mask))
+        return x + self.feed_forward(self.ffn_norm(x))
+
+    def infer(
         self,
-        x: Tensor,
-        attention_mask: np.ndarray | None = None,
-        cache: LayerKVCache | None = None,
+        x: np.ndarray,
+        attention_mask: np.ndarray | None,
+        cache,
         columns: np.ndarray | None = None,
-    ) -> Tensor:
-        """``columns`` (batch, k), when given, keeps only those positions:
-        every position still feeds the cache, but the attention queries,
-        residual and MLP run at the selected columns alone."""
-        attn = self.attention(
-            self.attn_norm(x), attention_mask, cache=cache, query_columns=columns
+    ) -> np.ndarray:
+        """:meth:`forward` in eval mode on plain arrays, against a KV ``cache``
+        layer.  ``columns`` (batch, k), when given, keeps only those
+        positions: every position still feeds the cache, but the attention
+        queries, residual and MLP run at the selected columns alone."""
+        h = self.attention.forward(
+            self.attn_norm.infer(x), attention_mask, cache=cache, query_columns=columns
         )
         if columns is not None:
             x = x[np.arange(x.shape[0])[:, None], columns]
-        x = x + self.dropout(attn)
-        x = x + self.feed_forward(self.ffn_norm(x))
-        return x
+        h += x
+        out = self.feed_forward.infer(self.ffn_norm.infer(h))
+        out += h
+        return out
 
 
 class PositionalEmbedding(Module):
@@ -164,16 +178,7 @@ class SinusoidalPositionalEncoding(Module):
         block = self.encoding[:seq_len]
         return Tensor(np.broadcast_to(block, (batch_size, seq_len, block.shape[-1])).copy())
 
-    def slice(self, start: int, length: int, batch_size: int) -> Tensor:
-        """Encoding for positions ``start .. start+length`` (incremental decoding)."""
-        if start < 0 or start + length > self.max_positions:
-            raise ValueError(
-                f"positions [{start}, {start + length}) exceed maximum {self.max_positions}"
-            )
-        block = self.encoding[start : start + length]
-        return Tensor(np.broadcast_to(block, (batch_size, length, block.shape[-1])).copy())
-
-    def gather(self, positions: np.ndarray) -> Tensor:
+    def gather(self, positions: np.ndarray) -> np.ndarray:
         """Encoding for an explicit per-token position array of shape (batch, seq).
 
         Left-padded batched decoding needs this: each row's real tokens sit at
@@ -186,7 +191,7 @@ class SinusoidalPositionalEncoding(Module):
                 f"positions must lie in [0, {self.max_positions}), got "
                 f"[{positions.min()}, {positions.max()}]"
             )
-        return Tensor(self.encoding[positions])
+        return self.encoding[positions]
 
 
 class TransformerEncoder(Module):
@@ -257,35 +262,31 @@ class TransformerDecoder(Module):
         )
         self.final_norm = LayerNorm(hidden_size)
 
-    def forward(
+    def forward(self, x: Tensor, attention_mask: np.ndarray | None = None) -> Tensor:
+        for layer in self.layers:
+            x = layer(x, attention_mask)
+        return self.final_norm(x)
+
+    def infer(
         self,
-        x: Tensor,
-        attention_mask: np.ndarray | None = None,
-        cache: KVCache | None = None,
+        x: np.ndarray,
+        attention_mask: np.ndarray | None,
+        cache,
         columns: np.ndarray | None = None,
-    ) -> Tensor:
-        """``columns`` (batch, k) selects the positions returned; in eval
-        mode only those run through the last layer and the final norm (see
-        :meth:`TransformerDecoderLayer.forward`)."""
-        if cache is not None and len(cache.layers) != self.num_layers:
+    ) -> np.ndarray:
+        """:meth:`forward` in eval mode on plain arrays, against a KV ``cache``.
+
+        ``columns`` (batch, k) selects the positions returned: only those
+        run through the last layer and the final norm (see
+        :meth:`TransformerDecoderLayer.infer`)."""
+        if len(cache.layers) != self.num_layers:
             raise ValueError(
                 f"cache has {len(cache.layers)} layers, decoder has {self.num_layers}"
             )
-        # Live dropout draws one mask element per position: pruning would
-        # shift the generators of a model left in train mode, so it prunes
-        # in eval mode only and selects the columns at the end otherwise.
-        pruned = None if self.training else columns
         last = self.num_layers - 1
         for i, layer in enumerate(self.layers):
-            x = layer(
-                x,
-                attention_mask,
-                cache=cache.layers[i] if cache is not None else None,
-                columns=pruned if i == last else None,
-            )
-        if columns is not None and pruned is None:
-            x = x[np.arange(x.shape[0])[:, None], columns]
-        return self.final_norm(x)
+            x = layer.infer(x, attention_mask, cache.layers[i], columns if i == last else None)
+        return self.final_norm.infer(x)
 
     def make_cache(self, batch_size: int, capacity: int) -> KVCache:
         """Allocate an empty :class:`KVCache` matching this stack's geometry."""

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.models.decoder import DecodeBatch, DecodeState, left_pad_batch
 from repro.nn.paged import validate_kv_config
-from repro.tensor import functional as F, no_grad
+from repro.tensor import functional as F
 from repro.utils.rng import new_rng
 
 
@@ -227,14 +227,13 @@ class _DrafterBatch:
             ids[i, g:] = hist[-1]  # junk tail, truncated below
             positions[i] = lens[i] + np.arange(g_max)
         self.mask[:, column : column + g_max] = True
-        with no_grad():
-            logits = self.model.forward_incremental(
-                ids,
-                self.cache,
-                attention_mask=self.mask[:, : column + g_max],
-                positions=positions,
-            )
-            log_probs = F.log_softmax(logits, axis=-1).data
+        logits = self.model.forward_incremental(
+            ids,
+            self.cache,
+            attention_mask=self.mask[:, : column + g_max],
+            positions=positions,
+        )
+        log_probs = F.log_softmax(logits, axis=-1).data
         out = {}
         for i, st in enumerate(self.states):
             out[id(st)] = log_probs[i, gaps[i] - 1]
@@ -255,16 +254,15 @@ class _DrafterBatch:
             [tokens[id(st)] for st in fresh]
         )
         max_len = int(lengths.max())
-        with no_grad():
-            staging = self._make_cache(len(fresh), max_len)
-            logits = self.model.forward_incremental(
-                ids,
-                staging,
-                attention_mask=pmask,
-                positions=positions,
-                logit_columns=[-1],
-            )
-            log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data
+        staging = self._make_cache(len(fresh), max_len)
+        logits = self.model.forward_incremental(
+            ids,
+            staging,
+            attention_mask=pmask,
+            positions=positions,
+            logit_columns=[-1],
+        )
+        log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data
         out = {}
         for i, st in enumerate(fresh):
             self._admit_row(st, staging, i, max_len - int(lengths[i]))
@@ -291,14 +289,13 @@ class _DrafterBatch:
             [[self.row_length(i)] for i in range(len(self.states))], dtype=np.int64
         )
         self.mask[:, column : column + 1] = True
-        with no_grad():
-            logits = self.model.forward_incremental(
-                ids,
-                self.cache,
-                attention_mask=self.mask[:, : column + 1],
-                positions=positions,
-            )
-            lp = F.log_softmax(logits[:, -1, :], axis=-1).data
+        logits = self.model.forward_incremental(
+            ids,
+            self.cache,
+            attention_mask=self.mask[:, : column + 1],
+            positions=positions,
+        )
+        lp = F.log_softmax(logits[:, -1, :], axis=-1).data
         return {id(st): lp[i] for i, st in enumerate(self.states)}
 
     def rollback(self, st: DecodeState, history_len: int, accepted_emitted: int) -> None:

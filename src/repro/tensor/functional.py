@@ -1,21 +1,24 @@
 """Composite differentiable functions built on top of :class:`Tensor`.
 
 These are the numerically stable building blocks used by the layers and
-losses: softmax / log-softmax, the fused attention probabilities
-(``attention_probs``: scaled, masked softmax of ``q @ kᵀ``), layer
-normalisation, dropout, cross entropy and one-hot encoding.  Each function
-returns a :class:`Tensor` that is part of the autograd graph.
+losses: softmax / log-softmax, the fused linear map, the fused attention
+probabilities (``attention_probs``: scaled, masked softmax of ``q @ kᵀ``),
+layer normalisation, dropout, cross entropy and one-hot encoding.  Each
+function returns a :class:`Tensor` that is part of the autograd graph; the
+fused ops take their forward math from :mod:`repro.tensor.kernels`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor
+from repro.tensor import kernels
+from repro.tensor.tensor import Tensor, _unbroadcast
 
 __all__ = [
     "softmax",
     "log_softmax",
+    "linear",
     "attention_probs",
     "layer_norm",
     "dropout",
@@ -57,23 +60,34 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._from_op(out_data, (x,), backward, "log_softmax")
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``x @ weightᵀ + bias`` as one op (``weight`` is (out, in))."""
+    out_data = kernels.linear(x.data, weight.data, None if bias is None else bias.data)
+
+    def backward(grad: np.ndarray) -> None:
+        g = np.asarray(grad)
+        if x.requires_grad:
+            x._accumulate(g @ weight.data)
+        if weight.requires_grad:
+            w_t = np.swapaxes(x.data, -1, -2) @ g
+            weight._accumulate(_unbroadcast(w_t, weight.data.T.shape).T)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.data.shape))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._from_op(out_data, parents, backward, "linear")
+
+
 def attention_probs(
     q: Tensor, k: Tensor, mask: np.ndarray | None, scale: float, fill: float
 ) -> Tensor:
     """``softmax(masked_fill(q @ kᵀ * scale, ~mask, fill))`` as one op.
 
-    ``q`` is (..., S, d) and ``k`` (..., K, d) with matching leading dims;
-    ``mask`` (True = attend) broadcasts to (..., S, K).  The forward owns
-    one score buffer and scales, masks and normalises it in place; the
-    backward is the closed-form softmax gradient, zeroed where masked.
+    The forward is :func:`repro.tensor.kernels.attention_probs`, one score
+    buffer scaled, masked and normalised in place; the backward is the
+    closed-form softmax gradient, zeroed where masked.
     """
-    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    p *= np.float32(scale)
-    if mask is not None:
-        np.copyto(p, np.float32(fill), where=~mask)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p = kernels.attention_probs(q.data, k.data, mask, scale, fill)
 
     def backward(grad: np.ndarray) -> None:
         g = np.asarray(grad)
@@ -91,16 +105,8 @@ def attention_probs(
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalisation over the last dimension with affine transform."""
-    data = x.data
-    n = data.shape[-1]
-    # np.add.reduce / n equals ndarray.mean bit for bit on float32 and
-    # skips numpy's Python-level _mean wrapper.
-    mu = np.add.reduce(data, -1, keepdims=True) / n
-    centered = data - mu
-    var = np.add.reduce(centered**2, -1, keepdims=True) / n
-    inv_std = 1.0 / np.sqrt(var + eps)
-    normalized = centered * inv_std
-    out_data = normalized * weight.data + bias.data
+    out_data, normalized, inv_std = kernels.layer_norm(x.data, weight.data, bias.data, eps)
+    n = x.data.shape[-1]
 
     def backward(grad: np.ndarray) -> None:
         g = np.asarray(grad)

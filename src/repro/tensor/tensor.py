@@ -17,6 +17,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.tensor import kernels
+
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
 # Grad mode is per-thread (like torch's): the async serving layer runs
@@ -377,16 +379,11 @@ class Tensor:
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation, as used by BERT/GPT)."""
         x = self.data
-        c = np.float32(np.sqrt(2.0 / np.pi))
-        # x * x * x, not x**3: numpy sends float32 cubes through a slow
-        # per-element pow loop.
-        inner = c * (x + 0.044715 * (x * x * x))
-        t = np.tanh(inner)
-        out_data = 0.5 * x * (1.0 + t)
+        out_data, t = kernels.gelu(x)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                dinner = c * (1.0 + 3 * 0.044715 * x**2)
+                dinner = kernels.GELU_C * (1.0 + 3 * 0.044715 * x**2)
                 d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
                 self._accumulate(grad * d)
 

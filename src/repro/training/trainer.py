@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.models.encoder import EncoderForSequenceClassification
+from repro.nn.layers import reseed_dropout
 from repro.tokenization.tokenizer import LogTokenizer
 from repro.training.loss import classification_loss
 from repro.training.metrics import MetricReport, classification_report
@@ -139,6 +140,7 @@ class SFTTrainer:
         )
 
         start = time.perf_counter()
+        reseed_dropout(self.model, cfg.seed)
         for epoch in range(cfg.epochs):
             self.model.train()
             order = self.rng.permutation(len(labels)) if cfg.shuffle else np.arange(len(labels))

@@ -345,6 +345,48 @@ class TestICLFineTuning:
             ICLFineTuneConfig(lora_rank=0)
 
 
+class TestDeterministicPaperPath:
+    """Registry models score in eval mode, and a fine-tune reseeds its
+    dropout generators: no result depends on the calls made before it."""
+
+    def test_fresh_registry_model_scores_identically_twice(self, registry, small_dataset):
+        model = registry.load_decoder("gpt2")
+        assert not model.training
+        engine = ICLEngine(model, registry.tokenizer)
+        test = small_dataset.test.subsample(12, rng=4)
+
+        def selector():  # a fresh one per call: selection advances its rng
+            return FewShotSelector(small_dataset.train.records[:100], mode="mixed", seed=0)
+
+        runs = [
+            engine.classify_batch(test.records, selector=selector(), num_examples=2)
+            for _ in range(2)
+        ]
+        # Labels and both category log-likelihoods, hence the scores.
+        assert runs[0] == runs[1]
+        reports = [
+            engine.evaluate(test.records, test.labels(), selector=selector(), num_examples=2)
+            for _ in range(2)
+        ]
+        assert reports[0] == reports[1]
+
+    def test_finetune_losses_ignore_earlier_scoring(self, registry, small_dataset):
+        def finetune(model):
+            config = ICLFineTuneConfig(epochs=1, batch_size=16, quantization_bits=None, seed=2)
+            tuner = ICLFineTuner(model, registry.tokenizer, config)
+            return tuner.finetune(small_dataset.train.records[:48]).losses
+
+        reference = finetune(registry.load_decoder("gpt2"))
+        model = registry.load_decoder("gpt2")
+        # Uncached scoring in train mode draws dropout masks.
+        model.train()
+        ICLEngine(model, registry.tokenizer, use_cache=False).classify_batch(
+            small_dataset.test.records[:3]
+        )
+        model.eval()
+        assert finetune(model) == reference
+
+
 class TestChainOfThought:
     def test_explanation_structure(self, decoder_engine, small_dataset):
         explainer = ChainOfThoughtExplainer(decoder_engine, small_dataset.train.records[:300])

@@ -17,10 +17,19 @@ import pytest
 from repro.detection import ICLStreamingDetector
 from repro.icl import FewShotSelector, ICLEngine
 from repro.models.config import get_config
-from repro.models.decoder import DecoderLM, PrefixCachedScorer, common_prefix_length
-from repro.nn import KVCache, MultiHeadAttention, SharedPrefixKVCache
+from repro.models.decoder import (
+    DecoderLM,
+    PrefixCachedScorer,
+    common_prefix_length,
+    left_pad_batch,
+)
+from repro.models.lora import LoRALinear, apply_lora
+from repro.models.quantization import quantize_model
+from repro.nn import KVCache, Module, SharedPrefixKVCache
 from repro.serving import PrefixCachePool
 from repro.tensor import Tensor, no_grad
+
+from parity import assert_logits_close
 
 VOCAB = 43
 MAX_POS = 48
@@ -121,6 +130,138 @@ class TestIncrementalForward:
         cache = model.make_cache(2)
         with pytest.raises(ValueError):
             model.forward_incremental(random_ids(rng, 1, 4), cache)
+
+
+def adapted_model(model, *, bits=None, lora=False):
+    """An eval-mode copy of ``model`` with ``bits``-bit base projections and/or
+    LoRA adapters whose update is non-zero (so it shows in the logits)."""
+    adapted = copy.deepcopy(model)
+    if bits is not None:
+        quantize_model(adapted, bits=bits)
+    if lora:
+        apply_lora(adapted, rank=4, alpha=8.0, rng=0)
+        rng = np.random.default_rng(1)
+        for module in adapted.modules():
+            if isinstance(module, LoRALinear):
+                module.lora_b.data = rng.normal(0.0, 0.05, module.lora_b.shape).astype(np.float32)
+    return adapted.eval()
+
+
+#: The parity table: every case forwards left-padded ragged prompts (or,
+#: for the shared prefix, right-padded suffix rows) with a padding mask,
+#: explicit positions and ``logit_columns``, in two chunks, and must match
+#: the uncached ``forward`` of each row's real tokens.  int8 paged storage
+#: quantizes only at sharing and pooling boundaries, so a private cache's
+#: logits stay float32-exact.
+PARITY_CASES = {
+    "dense": dict(cache="dense"),
+    "paged_fp32": dict(cache="fp32"),
+    "paged_int8": dict(cache="int8"),
+    "shared_prefix": dict(cache="shared"),
+    "lora": dict(cache="dense", lora=True),
+    "quantized_4bit": dict(cache="fp32", bits=4),
+    "qlora_4bit": dict(cache="dense", bits=4, lora=True),
+}
+
+
+class TestForwardIncrementalParity:
+    @staticmethod
+    def reference(model, tokens: np.ndarray) -> np.ndarray:
+        with no_grad():
+            return model.forward(tokens[None, :]).data[0]
+
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_matches_uncached_forward(self, model, rng, case):
+        spec = PARITY_CASES[case]
+        m = adapted_model(model, bits=spec.get("bits"), lora=spec.get("lora", False))
+        if spec["cache"] == "shared":
+            self.check_shared_prefix(m, rng)
+        else:
+            self.check_left_padded(m, rng, spec["cache"])
+
+    def check_left_padded(self, m, rng, layout):
+        prompts = [random_ids(rng, n) for n in (9, 4, 13)]
+        ids, mask, positions, lengths = left_pad_batch(prompts)
+        batch, width = ids.shape
+        split = 6
+        cache = (
+            m.make_cache(batch, width)
+            if layout == "dense"
+            else m.make_paged_cache(batch, width, kv_dtype=layout)
+        )
+        columns = np.array([[4, 6], [5, 6], [0, 6]])  # real tokens of chunk two
+        with no_grad():
+            m.forward_incremental(
+                ids[:, :split], cache, attention_mask=mask[:, :split], positions=positions[:, :split]
+            )
+            got = m.forward_incremental(
+                ids[:, split:],
+                cache,
+                attention_mask=mask,
+                positions=positions[:, split:],
+                logit_columns=columns,
+            ).data
+        for r, prompt in enumerate(prompts):
+            pad = width - lengths[r]
+            want = self.reference(m, prompt)[split + columns[r] - pad]
+            assert_logits_close(got[r], want, atol=1e-6, context=f"row {r}")
+        if layout != "dense":
+            cache.release()
+
+    def check_shared_prefix(self, m, rng):
+        prefix = random_ids(rng, 11)
+        suffixes = [random_ids(rng, n) for n in (5, 2, 4)]
+        batch, width = len(suffixes), max(len(s) for s in suffixes)
+        rows = np.zeros((batch, width), dtype=np.int64)
+        for r, suffix in enumerate(suffixes):
+            rows[r, : len(suffix)] = suffix  # right padding: never attended
+        positions = np.broadcast_to(len(prefix) + np.arange(width), rows.shape)
+        with no_grad():
+            shared = shared_prefix_cache(m, prefix, batch, width)
+            m.forward_incremental(rows[:, :1], shared, positions=positions[:, :1])
+            last = np.array([[len(s) - 2, 0] for s in suffixes]).clip(0)
+            got = m.forward_incremental(
+                rows[:, 1:], shared, positions=positions[:, 1:], logit_columns=last
+            ).data
+        for r, suffix in enumerate(suffixes):
+            want = self.reference(m, np.concatenate([prefix, suffix]))[len(prefix) + 1 + last[r]]
+            assert_logits_close(got[r], want, atol=1e-6, context=f"row {r}")
+
+    def test_train_mode_raises(self, model, rng):
+        trained = copy.deepcopy(model).train()
+        with pytest.raises(RuntimeError, match="eval-only"):
+            trained.forward_incremental(random_ids(rng, 1, 3), trained.make_cache(1))
+
+    @pytest.mark.parametrize("case", ["dense", "paged_int8", "shared_prefix", "qlora_4bit"])
+    def test_builds_one_tensor_and_calls_no_module(self, model, rng, monkeypatch, case):
+        """Cached inference runs on plain arrays: the returned logits are
+        its only Tensor, and no Module.__call__ dispatch happens."""
+        spec = PARITY_CASES[case]
+        m = adapted_model(model, bits=spec.get("bits"), lora=spec.get("lora", False))
+        with no_grad():
+            if spec["cache"] == "shared":
+                cache = shared_prefix_cache(m, random_ids(rng, 8), 2, 4)
+            elif spec["cache"] == "dense":
+                cache = m.make_cache(2, 12)
+            else:
+                cache = m.make_paged_cache(2, 12, kv_dtype=spec["cache"])
+            counts = {"tensors": 0, "calls": 0}
+            tensor_init, module_call = Tensor.__init__, Module.__call__
+
+            def counting_init(self, *args, **kwargs):
+                counts["tensors"] += 1
+                tensor_init(self, *args, **kwargs)
+
+            def counting_call(self, *args, **kwargs):
+                counts["calls"] += 1
+                return module_call(self, *args, **kwargs)
+
+            monkeypatch.setattr(Tensor, "__init__", counting_init)
+            monkeypatch.setattr(Module, "__call__", counting_call)
+            logits = m.forward_incremental(random_ids(rng, 2, 3), cache, logit_columns=[-1])
+            monkeypatch.undo()
+        assert isinstance(logits, Tensor) and logits.shape == (2, 1, VOCAB)
+        assert counts == {"tensors": 1, "calls": 0}
 
 
 def shared_prefix_cache(model, prefix_ids, rows, capacity):
@@ -240,35 +381,22 @@ class TestSharedPrefixDedup:
         if layout in ("fp32", "int8"):
             base.release()
 
-    @pytest.mark.parametrize("pruned", [False, True], ids=["full", "query_columns"])
-    def test_live_dropout_draws_the_per_row_mask(self, pruned):
-        """Under live dropout the shared path draws a (B, heads, S, P+T) mask,
-        as the per-row path does, and applies it row by row: with equal
-        generator states both paths return the same output."""
-        rng = np.random.default_rng(2)
-        batch, seq, prefix_len, hidden, heads = 4, 5, 7, 16, 2
-        shared_attn, per_row_attn = (
-            MultiHeadAttention(hidden, heads, dropout=0.3, causal=True, rng=9) for _ in range(2)
-        )
-        prefix_k, prefix_v = rng.standard_normal((2, heads, prefix_len, hidden // heads))
-        prefix_k, prefix_v = prefix_k.astype(np.float32), prefix_v.astype(np.float32)
-        x = Tensor(rng.standard_normal((batch, seq, hidden)).astype(np.float32))
-        x.data[2] = x.data[0]  # a duplicate row
-        columns = np.array([[4], [1], [4], [0]]) if pruned else None
-        rows = seq if columns is None else columns.shape[1]
-        dense = KVCache(1, batch, heads, hidden // heads, prefix_len + seq)
-        dense.layers[0].append(
-            np.broadcast_to(prefix_k, (batch, *prefix_k.shape)),
-            np.broadcast_to(prefix_v, (batch, *prefix_v.shape)),
-        )
-        shared = SharedPrefixKVCache([(prefix_k, prefix_v)], batch, seq)
-        drawn = copy.deepcopy(shared_attn.attn_dropout.rng)
-        drawn.random((batch, heads, rows, prefix_len + seq))
+    def test_hash_collision_falls_back_to_exact_grouping(self, model, monkeypatch):
+        """With every row hashing alike, the exact check catches the
+        collision and the rows are grouped by their bytes instead."""
+        from repro.nn import attention
+
+        ids = DEDUP_CHUNKS["shared_leading_tokens"]
         with no_grad():
-            got = shared_attn(x, cache=shared.layers[0], query_columns=columns).data
-            want = per_row_attn(x, cache=dense.layers[0], query_columns=columns).data
-        assert shared_attn.attn_dropout.rng.bit_generator.state == drawn.bit_generator.state
-        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+            _, prefix = self.read_prefix(model, np.arange(16) % 13, "dense")
+            want = model.forward_incremental(
+                ids, SharedPrefixKVCache(prefix, *ids.shape)
+            ).data
+            monkeypatch.setattr(
+                attention, "_hash_multipliers", lambda n: np.zeros(n, dtype=np.uint64)
+            )
+            got = model.forward_incremental(ids, SharedPrefixKVCache(prefix, *ids.shape)).data
+        np.testing.assert_array_equal(got, want)
 
 
 class TestCachedGenerate:

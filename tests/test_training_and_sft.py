@@ -92,6 +92,32 @@ class TestSFTTrainer:
             fitted_trainer.history.best_epoch("nonexistent_metric")
 
 
+class TestDeterministicFineTune:
+    @pytest.mark.parametrize("before", ["live_dropout_scoring", "another_fit"])
+    def test_fit_losses_ignore_earlier_calls(self, registry, small_dataset, before):
+        """A fit reseeds the model's dropout generators from its config seed,
+        so its losses do not depend on the dropout masks drawn before it."""
+        train = small_dataset.train.subsample(64, rng=2)
+        config = TrainingConfig(epochs=2, batch_size=32, max_length=40, seed=3)
+
+        def fit(model):
+            trainer = SFTTrainer(model, registry.tokenizer, config)
+            history = trainer.fit(train.sentences(), train.labels())
+            return history.metric_curve("train_loss")
+
+        reference = fit(registry.load_encoder("distilbert-base-uncased"))
+        model = registry.load_encoder("distilbert-base-uncased")
+        if before == "live_dropout_scoring":
+            bias_probe(SFTTrainer(model, registry.tokenizer, config), runs=3)
+        else:
+            pristine = model.state_dict()
+            fit(model)
+            # Restore the weights: only the dropout generators' state, which
+            # the earlier fit advanced, could still differ.
+            model.load_state_dict(pristine)
+        assert fit(model) == reference
+
+
 class TestDebiasing:
     def test_bias_probe_reports_probabilities(self, fitted_trainer):
         result = bias_probe(fitted_trainer, runs=5, rng=0)
