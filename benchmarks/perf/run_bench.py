@@ -859,12 +859,12 @@ def bench_speculative(ctx: Context) -> dict:
     technique is built for.
 
     The headline (gated) number is the **single-stream** regime —
-    latency-bound decode is where the technique pays, because the drafter
-    decodes its proposals off a batch-1 cache per request: at one live row,
+    latency-bound decode is where the technique pays: at one live row,
     ``draft_k`` cheap drafter forwards replace ``draft_k`` full target
-    forwards; at many rows the per-row drafter loop competes against an
-    already-batched target step and speculation stops being worth it
-    (reported as the ungated ``batched_speedup``).
+    forwards.  Drafting is batched across rows on one dense drafter
+    ``DecodeBatch``, but at many rows the drafter forwards still compete
+    against an already-batched target step (reported as the ungated
+    ``batched_speedup``).
 
     Greedy outputs must be token-identical to plain cached decode — the
     drafter can only move throughput, never tokens.

@@ -142,10 +142,6 @@ class DecodeState:
     #: :class:`repro.serving.speculative.SpeculativeDecoder` is stepping
     #: this request, cleared once the verify forward consumed them.
     draft_tokens: np.ndarray | None = field(default=None, repr=False)
-    #: Opaque per-request drafter state (the draft model's own KV cache
-    #: plus bookkeeping); owned by the speculative decoder, released when
-    #: the request retires.
-    draft_cache: object = field(default=None, repr=False)
     #: Cumulative speculative-decoding counters for this request: drafter
     #: tokens proposed, and proposals accepted *and emitted*.
     spec_drafted: int = 0
@@ -629,7 +625,6 @@ class DecodeBatch:
             st.col_start = -1
             st.next_log_probs = None
             st.draft_tokens = None
-            st.draft_cache = None  # frees the drafter's KV (blocks, if paged)
         return retired
 
     def _realign(self, new_length: int) -> None:
@@ -1085,20 +1080,53 @@ class DecoderLM(Module):
         columns are needed — a row near the context limit never truncates
         its batchmates' generations.
         """
+        rng = new_rng(rng)
+        batch, states = self.prefill_batch(
+            prompts,
+            max_new_tokens,
+            temperature=temperature,
+            stop_ids=stop_ids,
+            pad_id=pad_id,
+            kv_layout=kv_layout,
+            kv_dtype=kv_dtype,
+        )
+        while batch.num_rows:
+            batch.step(rng)
+        return [st.output() for st in states]
+
+    def prefill_batch(
+        self,
+        prompts: Sequence[np.ndarray],
+        max_new_tokens: int,
+        *,
+        temperature: float,
+        stop_ids: set[int] | None,
+        pad_id: int,
+        kv_layout: str,
+        kv_dtype: str,
+    ) -> tuple[DecodeBatch, list[DecodeState]]:
+        """The setup every ``generate_batch`` front door shares.
+
+        Validates the prompts, sizes a :class:`DecodeBatch` to the longest
+        prompt plus the token budget (capped at the model context), and
+        admits one :class:`DecodeState` per prompt through one padded
+        prefill.  Returns the batch and the states in input order (an empty
+        prompt list gives an empty batch); the caller steps the batch until
+        it has no rows.
+        """
         arrays = [np.asarray(p, dtype=np.int64).ravel() for p in prompts]
-        if not arrays:
-            return []
         if any(len(a) == 0 for a in arrays):
             raise ValueError("generate_batch requires non-empty prompts")
-        max_len = max(len(a) for a in arrays)
+        max_len = max((len(a) for a in arrays), default=0)
         if max_len > self.config.max_position:
             raise ValueError(
                 f"longest prompt ({max_len}) exceeds the maximum context "
                 f"{self.config.max_position}"
             )
-        rng = new_rng(rng)
         capacity = min(max_len + max(max_new_tokens, 0), self.config.max_position)
-        batch = DecodeBatch(self, capacity=capacity, kv_layout=kv_layout, kv_dtype=kv_dtype)
+        batch = DecodeBatch(
+            self, capacity=max(capacity, 1), kv_layout=kv_layout, kv_dtype=kv_dtype
+        )
         states = [
             DecodeState(
                 prompt_ids=a,
@@ -1109,9 +1137,7 @@ class DecoderLM(Module):
             for a in arrays
         ]
         batch.admit_many(states, pad_id=pad_id)
-        while batch.num_rows:
-            batch.step(rng)
-        return [st.output() for st in states]
+        return batch, states
 
     def make_decode_batch(
         self,

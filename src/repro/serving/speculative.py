@@ -3,10 +3,11 @@
 Per-token decode cost in the serving stack is one full target forward per
 emitted token.  :class:`SpeculativeDecoder` breaks that bound with the
 classic draft-then-verify loop: a small drafter model proposes ``draft_k``
-tokens autoregressively off its own (dense or paged) KV cache, the target
-verifies all of them in **one** batched :meth:`forward_incremental` call,
-the matched prefix is accepted, and each row's rejected tail rolls back via
-per-row cache truncation (:meth:`DecodeBatch.rollback_row`).
+tokens autoregressively — batched across rows on one dense drafter
+:class:`DecodeBatch` — the target verifies all of them in **one** batched
+:meth:`forward_incremental` call, the matched prefix is accepted, and each
+row's rejected tail rolls back via per-row cache truncation
+(:meth:`DecodeBatch.rollback_row`).
 
 The invariant that makes the verify forward pay for itself: between
 speculative steps a row's target cache holds every history position *except
@@ -29,123 +30,56 @@ emitted distribution is exactly the target's ``p`` for any drafter ``q``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.models.decoder import DecodeBatch, DecodeState, left_pad_batch
-from repro.nn.paged import validate_kv_config
-from repro.tensor import functional as F
+from repro.models.decoder import DecodeBatch, DecodeState
 from repro.utils.rng import new_rng
 
 
+@dataclass
+class _Shadow(DecodeState):
+    """A drafter row: the history of the target request ``target``.
+
+    Holding the target itself, not just its id, keeps ``id(target)`` from
+    being reused by a new request while the row lives."""
+
+    target: DecodeState | None = None
+
+
 class _DrafterBatch:
-    """Every live row's drafter state in one shared multi-row KV cache.
+    """Every live row's drafter history as one row of a drafter :class:`DecodeBatch`.
 
-    Drafting used to run the draft model row by row: each proposal step was
-    a batch-1 ``forward_incremental`` per live request, so a batch of R rows
-    paid ``R * (k-1)`` drafter forwards per speculative step.  This batch
-    mirrors :class:`DecodeBatch`'s ragged bookkeeping (right-aligned spans,
-    per-row mask, per-row truncation, compaction) for the *drafter's* cache,
-    so one speculative step costs at most two batched catch-up forwards
-    (newcomer prefill + resident gap fill) plus ``k - 1`` batched proposal
-    forwards — independent of R.
-
-    Row membership follows the stepped target batch: newcomers prefill
-    their history as one left-padded batch and splice in via
-    ``admit_row``; residents fill their 1–2 token history gap in one ragged
-    right-padded forward (junk tail columns are truncated away immediately,
-    so spans stay contiguous); rows whose history outgrew the drafter's
-    context leave the batch and pad their proposals (correctness is
-    untouched — pads just stop saving target forwards, exactly as before).
+    Each target request gets one shadow :class:`DecodeState` in a dense fp32
+    batch over the draft model; the shadow's cache row holds the drafter's
+    view of that request's history.  All rows' proposals therefore come from
+    batched forwards: one speculative step costs at most one newcomer
+    prefill (:meth:`DecodeBatch.admit_many`), one resident gap fill and
+    ``k - 1`` proposal forwards (:meth:`DecodeBatch._forward_columns`) —
+    independent of the number of rows.  Junk tail columns and rejected
+    proposals leave via :meth:`DecodeBatch.rollback_row`, and rows that
+    retire, or whose history outgrew the drafter's context, leave via
+    :meth:`DecodeBatch.retire_finished` (the latter pad their proposals:
+    correctness is untouched, pads just stop saving target forwards).
     """
 
-    def __init__(self, draft_model, kv_layout: str, kv_dtype: str) -> None:
-        self.model = draft_model
-        self.kv_layout = kv_layout
-        self.kv_dtype = kv_dtype
-        self.capacity = draft_model.config.max_position
-        self.cache = self._make_cache(
-            0, min(self.capacity, 64) if kv_layout == "dense" else self.capacity
-        )
-        self.states: list[DecodeState] = []
-        self.col_start: list[int] = []
-        self.rows: dict[int, int] = {}  # id(state) -> row index
-        self.mask = np.zeros((0, self.capacity), dtype=bool)
+    def __init__(self, draft_model) -> None:
+        self.batch = DecodeBatch(draft_model)
+        #: ``id(target state) -> its drafter row``.
+        self.shadows: dict[int, _Shadow] = {}
 
-    def _make_cache(self, rows: int, capacity: int):
-        if self.kv_layout == "paged":
-            return self.model.make_paged_cache(rows, capacity, kv_dtype=self.kv_dtype)
-        return self.model.make_cache(rows, capacity)
-
-    def row_length(self, row: int) -> int:
-        return self.cache.length - self.col_start[row]
-
-    # ------------------------------------------------------------------ #
-    # row bookkeeping (the DecodeBatch mechanics, on the drafter's cache)
-    # ------------------------------------------------------------------ #
-    def _retire_keep(self, keep: list[int]) -> None:
-        if len(keep) == len(self.states):
-            return
-        idx = np.asarray(keep, dtype=np.int64)
-        self.cache.retire_rows(idx)
-        self.mask = self.mask[idx]
-        self.states = [self.states[i] for i in keep]
-        self.col_start = [self.col_start[i] for i in keep]
-        self.rows = {id(st): i for i, st in enumerate(self.states)}
+    def row_length(self, shadow: DecodeState) -> int:
+        return self.batch.cache.length - shadow.col_start
 
     def discard(self, states) -> None:
-        """Drop retired requests' rows (their blocks free immediately)."""
-        gone = {id(st) for st in states}
-        if gone & self.rows.keys():
-            self._retire_keep(
-                [i for i, st in enumerate(self.states) if id(st) not in gone]
-            )
+        """Drop these requests' drafter rows (a no-op for rows without one)."""
+        for st in states:
+            shadow = self.shadows.pop(id(st), None)
+            if shadow is not None:
+                shadow.finished = True
+        self.batch.retire_finished()
 
-    def _realign(self, new_length: int) -> None:
-        if not self.states:
-            self.cache.truncate(0)
-            return
-        starts = np.array(self.col_start, dtype=np.int64)
-        new_starts = self.cache.realign(starts, new_length)
-        self.mask[:] = False
-        for i, start in enumerate(new_starts):
-            self.col_start[i] = int(start)
-            self.mask[i, start:new_length] = True
-
-    def _ensure_columns(self, extra: int) -> None:
-        """Make room for ``extra`` fresh columns: compact dead columns away
-        when the live end would overrun the drafter context, grow the dense
-        allocation on demand."""
-        widest = max((self.cache.length - s for s in self.col_start), default=0)
-        if self.cache.length + extra > self.capacity or self.cache.length - widest > 16:
-            self._realign(widest)
-        needed = self.cache.length + extra
-        if needed > self.cache.capacity:
-            self.cache.grow(min(self.capacity, max(needed, 2 * self.cache.capacity)))
-
-    def _admit_row(self, st: DecodeState, src, src_row: int, src_start: int) -> None:
-        width = src.length - src_start
-        if width > self.cache.capacity:
-            self.cache.grow(min(self.capacity, max(width, 2 * self.cache.capacity)))
-        if width > self.cache.length and self.states:
-            self._realign(width)
-        start = self.cache.admit_row(src, src_row, src_start)
-        self.col_start.append(start)
-        self.rows[id(st)] = len(self.states)
-        self.states.append(st)
-        row_mask = np.zeros((1, self.capacity), dtype=bool)
-        row_mask[0, start : self.cache.length] = True
-        self.mask = np.concatenate([self.mask, row_mask], axis=0)
-
-    def _truncate_row_tail(self, row: int, drop: int) -> None:
-        if drop <= 0:
-            return
-        self.cache.truncate_row(row, self.cache.length - drop)
-        self.mask[row, self.col_start[row] : self.col_start[row] + drop] = False
-        self.col_start[row] += drop
-
-    # ------------------------------------------------------------------ #
-    # drafting
-    # ------------------------------------------------------------------ #
     def propose(self, states, k_eff: int, rng) -> list[list[np.ndarray | None]]:
         """Propose ``k_eff`` tokens for every row into ``st.draft_tokens``.
 
@@ -159,7 +93,9 @@ class _DrafterBatch:
             return qs
         drafts = np.empty((len(states), k_eff), dtype=np.int64)
         tokens = {id(st): st.output() for st in states}
-        self._retire_keep([i for i, st in enumerate(self.states) if id(st) in tokens])
+        self.discard(
+            [sh.target for sh in self.batch.states if id(sh.target) not in tokens]
+        )
         # Per-state next-proposal distribution; absent/None means the row
         # left the drafter batch and pads its remaining proposals.
         lp = self._fill_gaps(tokens)
@@ -197,106 +133,79 @@ class _DrafterBatch:
         The gap is 1 token after a rejection, 2 after full acceptance (the
         bonus token plus the proposal the drafter never entered).  All gaps
         fill in one ragged right-padded forward: rows feed their real gap
-        first, junk afterwards, and each row's junk tail is truncated away
+        first, junk afterwards, and each row's junk tail is rolled back
         right after — so every span stays exactly its drafter history.
         """
-        while self.states:
-            lens = [self.row_length(i) for i in range(len(self.states))]
-            gaps = [len(tokens[id(st)]) - lens[i] for i, st in enumerate(self.states)]
+        rows = self.batch.states
+        while rows:
+            hists = [tokens[id(shadow.target)] for shadow in rows]
+            lens = [self.row_length(shadow) for shadow in rows]
+            gaps = [len(hist) - n for hist, n in zip(hists, lens)]
             g_max = max(gaps)
             # Rows with nothing to feed, or that cannot fit the batch's
             # uniform g_max columns inside the drafter context, leave.
-            keep = [
-                i
-                for i in range(len(self.states))
-                if gaps[i] > 0 and lens[i] + g_max <= self.capacity
+            gone = [
+                shadow.target
+                for shadow, n, g in zip(rows, lens, gaps)
+                if g <= 0 or n + g_max > self.batch.capacity
             ]
-            if len(keep) == len(self.states):
+            if not gone:
                 break
-            self._retire_keep(keep)
-        if not self.states:
+            self.discard(gone)
+            rows = self.batch.states
+        if not rows:
             return {}
-        self._ensure_columns(g_max)
-        column = self.cache.length
-        ids = np.empty((len(self.states), g_max), dtype=np.int64)
+        ids = np.empty((len(rows), g_max), dtype=np.int64)
         positions = np.empty_like(ids)
-        for i, st in enumerate(self.states):
-            hist = tokens[id(st)]
-            g = gaps[i]
-            ids[i, :g] = hist[lens[i] : lens[i] + g]
-            ids[i, g:] = hist[-1]  # junk tail, truncated below
+        for i, hist in enumerate(hists):
+            ids[i, : gaps[i]] = hist[lens[i] :]
+            ids[i, gaps[i] :] = hist[-1]  # junk tail, rolled back below
             positions[i] = lens[i] + np.arange(g_max)
-        self.mask[:, column : column + g_max] = True
-        logits = self.model.forward_incremental(
-            ids,
-            self.cache,
-            attention_mask=self.mask[:, : column + g_max],
-            positions=positions,
-        )
-        log_probs = F.log_softmax(logits, axis=-1).data
+        log_probs = self.batch._forward_columns(ids, positions)
         out = {}
-        for i, st in enumerate(self.states):
-            out[id(st)] = log_probs[i, gaps[i] - 1]
-            self._truncate_row_tail(i, g_max - gaps[i])
+        for i, shadow in enumerate(rows):
+            out[id(shadow.target)] = log_probs[i, gaps[i] - 1]
+            self.batch.rollback_row(shadow, g_max - gaps[i])
         return out
 
     def _admit_fresh(self, states, tokens: dict) -> dict:
-        """Prefill newcomers' full history as one left-padded drafter batch
-        (the admission analogue of :meth:`DecodeBatch.admit_many`)."""
+        """Prefill newcomers' full history as one left-padded drafter batch.
+
+        A history that fills the drafter context exactly finishes on
+        admission (reason ``"context"``) and pads from its first proposal."""
         fresh = [
-            st
+            _Shadow(prompt_ids=tokens[id(st)], max_new_tokens=1, target=st)
             for st in states
-            if id(st) not in self.rows and len(tokens[id(st)]) <= self.capacity
+            if id(st) not in self.shadows and len(tokens[id(st)]) <= self.batch.capacity
         ]
         if not fresh:
             return {}
-        ids, pmask, positions, lengths = left_pad_batch(
-            [tokens[id(st)] for st in fresh]
-        )
-        max_len = int(lengths.max())
-        staging = self._make_cache(len(fresh), max_len)
-        logits = self.model.forward_incremental(
-            ids,
-            staging,
-            attention_mask=pmask,
-            positions=positions,
-            logit_columns=[-1],
-        )
-        log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data
+        self.batch.admit_many(fresh)
         out = {}
-        for i, st in enumerate(fresh):
-            self._admit_row(st, staging, i, max_len - int(lengths[i]))
-            out[id(st)] = log_probs[i]
-        if hasattr(staging, "release"):
-            staging.release()
+        for shadow in fresh:
+            if shadow.admitted:
+                self.shadows[id(shadow.target)] = shadow
+                out[id(shadow.target)] = shadow.next_log_probs
         return out
 
     def _extend(self, feed: dict) -> dict:
         """One batched proposal forward: every remaining row enters its just
         proposed token and returns the next proposal's distribution."""
-        keep = [
-            i
-            for i, st in enumerate(self.states)
-            if id(st) in feed and self.row_length(i) + 1 <= self.capacity
-        ]
-        self._retire_keep(keep)
-        if not self.states:
+        self.discard(
+            [
+                shadow.target
+                for shadow in self.batch.states
+                if id(shadow.target) not in feed
+                or self.row_length(shadow) + 1 > self.batch.capacity
+            ]
+        )
+        rows = self.batch.states
+        if not rows:
             return {}
-        self._ensure_columns(1)
-        column = self.cache.length
-        ids = np.array([[feed[id(st)]] for st in self.states], dtype=np.int64)
-        positions = np.array(
-            [[self.row_length(i)] for i in range(len(self.states))], dtype=np.int64
-        )
-        self.mask[:, column : column + 1] = True
-        logits = self.model.forward_incremental(
-            ids,
-            self.cache,
-            attention_mask=self.mask[:, : column + 1],
-            positions=positions,
-        )
-        lp = F.log_softmax(logits[:, -1, :], axis=-1).data
-        return {id(st): lp[i] for i, st in enumerate(self.states)}
+        ids = np.array([[feed[id(sh.target)]] for sh in rows], dtype=np.int64)
+        positions = np.array([[self.row_length(sh)] for sh in rows], dtype=np.int64)
+        lp = self.batch._forward_columns(ids, positions)[:, -1]
+        return {id(sh.target): lp[i] for i, sh in enumerate(rows)}
 
     def rollback(self, st: DecodeState, history_len: int, accepted_emitted: int) -> None:
         """Truncate one row to its accepted history prefix.
@@ -305,13 +214,13 @@ class _DrafterBatch:
         ``k_eff - 1`` proposals; of those proposals only the emitted
         accepted prefix survives in the *target's* history, so everything
         past ``history_len + accepted_emitted`` is stale."""
-        row = self.rows.get(id(st))
-        if row is None:
+        shadow = self.shadows.get(id(st))
+        if shadow is None:
             return
-        length = self.row_length(row)
+        length = self.row_length(shadow)
         entered = max(length - history_len, 0)
         keep = history_len + min(accepted_emitted, entered)
-        self._truncate_row_tail(row, length - keep)
+        self.batch.rollback_row(shadow, length - keep)
 
 
 class SpeculativeDecoder:
@@ -340,8 +249,6 @@ class SpeculativeDecoder:
         draft_k: int = 4,
         tokenizer=None,
         draft_tokenizer=None,
-        draft_kv_layout: str = "dense",
-        draft_kv_dtype: str = "fp32",
     ) -> None:
         if int(draft_k) < 1:
             raise ValueError(f"draft_k must be >= 1, got {draft_k}")
@@ -363,14 +270,11 @@ class SpeculativeDecoder:
                 "drafter and target were built for different tokenizers — "
                 "their token ids do not refer to the same strings"
             )
-        validate_kv_config(draft_kv_layout, draft_kv_dtype)
         self.model = model
         self.draft_model = draft_model
         self.tokenizer = tokenizer
         self.draft_tokenizer = draft_tokenizer
         self.draft_k = int(draft_k)
-        self.draft_kv_layout = draft_kv_layout
-        self.draft_kv_dtype = draft_kv_dtype
         self._drafter: _DrafterBatch | None = None
         #: Cumulative across every stepped batch: drafter proposals made,
         #: proposals accepted *and emitted*, and verify steps run.
@@ -428,9 +332,7 @@ class SpeculativeDecoder:
         k_eff = max(k_eff, 0)
         states = list(batch.states)
         if self._drafter is None:
-            self._drafter = _DrafterBatch(
-                self.draft_model, self.draft_kv_layout, self.draft_kv_dtype
-            )
+            self._drafter = _DrafterBatch(self.draft_model)
         # All rows' proposals come from batched drafter forwards (catch-up
         # plus k_eff - 1 extensions) — not one drafter loop per row.
         draft_qs = self._drafter.propose(states, k_eff, rng)
@@ -559,37 +461,21 @@ class SpeculativeDecoder:
     ) -> list[np.ndarray]:
         """Speculatively extend many prompts in one live batch.
 
-        Mirrors :meth:`DecoderLM.generate_batch` (same admission, same
-        capacity, same finish semantics); greedy outputs are token-identical
-        to it — only the number of target forwards differs.
+        Shares :meth:`DecoderLM.generate_batch`'s setup
+        (:meth:`DecoderLM.prefill_batch`: same admission, same capacity) and
+        finish semantics; greedy outputs are token-identical to it — only
+        the number of target forwards differs.
         """
-        arrays = [np.asarray(p, dtype=np.int64).ravel() for p in prompts]
-        if not arrays:
-            return []
-        if any(len(a) == 0 for a in arrays):
-            raise ValueError("generate_batch requires non-empty prompts")
-        max_len = max(len(a) for a in arrays)
-        max_position = self.model.config.max_position
-        if max_len > max_position:
-            raise ValueError(
-                f"longest prompt ({max_len}) exceeds the maximum context "
-                f"{max_position}"
-            )
         rng = new_rng(rng) if temperature > 0 else None
-        capacity = min(max_len + max(max_new_tokens, 0), max_position)
-        batch = DecodeBatch(
-            self.model, capacity=capacity, kv_layout=kv_layout, kv_dtype=kv_dtype
+        batch, states = self.model.prefill_batch(
+            prompts,
+            max_new_tokens,
+            temperature=temperature,
+            stop_ids=stop_ids,
+            pad_id=pad_id,
+            kv_layout=kv_layout,
+            kv_dtype=kv_dtype,
         )
-        states = [
-            DecodeState(
-                prompt_ids=a,
-                max_new_tokens=max_new_tokens,
-                temperature=temperature,
-                stop_ids=frozenset(stop_ids or ()),
-            )
-            for a in arrays
-        ]
-        batch.admit_many(states, pad_id=pad_id)
         while batch.num_rows:
             self.step(batch, rng)
         return [st.output() for st in states]

@@ -67,9 +67,6 @@ class _AdversarialDrafter:
     def make_cache(self, batch_size: int = 1, capacity: int | None = None):
         return self._inner.make_cache(batch_size, capacity)
 
-    def make_paged_cache(self, *args, **kwargs):
-        return self._inner.make_paged_cache(*args, **kwargs)
-
     def forward_incremental(self, input_ids, cache, **kwargs):
         return -self._inner.forward_incremental(input_ids, cache, **kwargs)
 
@@ -195,6 +192,30 @@ class TestRollbackAndStepping:
             reference,
             context=f"mid-flight admissions {kv_layout}/{kv_dtype}",
         )
+
+    @pytest.mark.parametrize("kv_layout,kv_dtype", KV_CONFIGS)
+    def test_short_context_drafter_pads_past_its_window(
+        self, target, kv_layout, kv_dtype
+    ):
+        """A drafter with a shorter context than the target: rows whose
+        history outgrows it (or starts at or past it) leave the drafter
+        batch and pad their proposals, and every output is still plain
+        cached decode's."""
+        short = DecoderLM(get_config("gpt2").scaled(max_position=16), VOCAB, rng=1)
+        short.eval()
+        rng = np.random.default_rng(23)
+        prompts = [rng.integers(1, VOCAB, size=n) for n in (3, 7, 12, 16, 20)]
+        spec = SpeculativeDecoder(target, short, draft_k=4)
+        outputs = spec.generate_batch(
+            prompts, 12, kv_layout=kv_layout, kv_dtype=kv_dtype
+        )
+        cached = target.generate_batch(
+            prompts, 12, kv_layout=kv_layout, kv_dtype=kv_dtype
+        )
+        assert_generations_equal(
+            outputs, cached, context=f"short-context drafter {kv_layout}/{kv_dtype}"
+        )
+        assert spec.drafted > 0
 
     def test_emission_truncates_at_stop_token_mid_burst(self, target, ragged_prompts):
         """A stop token accepted mid-burst ends the request exactly there —
