@@ -2,9 +2,10 @@
 
 The paper loads the 7-billion-parameter decoders in 4-bit precision before
 attaching LoRA adapters.  ``QuantizedLinear`` reproduces the mechanism:
-weights are stored as signed integers with a per-output-channel scale and
-dequantised on the fly in the forward pass.  The quantized base layer is
-frozen — gradient updates flow only through LoRA adapters stacked on top.
+weights are stored as signed integers with a per-output-channel scale, and
+the forward pass multiplies by the float32 weight dequantised from them
+(derived once, not per call).  The quantized base layer is frozen — gradient
+updates flow only through LoRA adapters stacked on top.
 """
 
 from __future__ import annotations
@@ -35,14 +36,26 @@ class QuantizedLinear(Module):
         quantized = np.clip(np.round(weight / scale), -q_max - 1, q_max).astype(np.int8)
         self.register_buffer("q_weight", quantized)
         self.register_buffer("scale", scale)
+        self._dequantized: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         if base.bias is not None:
             self.bias = Parameter(base.bias.data.copy(), requires_grad=False)
         else:
             self.bias = None
 
     def dequantized_weight(self) -> np.ndarray:
-        """Reconstruct the float32 weight matrix."""
-        return self.q_weight.astype(np.float32) * self.scale
+        """The float32 weight matrix ``q_weight * scale``.
+
+        Derived once and reused until ``q_weight`` or ``scale`` is rebound
+        (``load_state_dict`` rebinds buffers).  The array is read-only, so
+        the cached weight cannot be edited in place by mistake.
+        """
+        q_weight, scale = self.q_weight, self.scale
+        cached = self._dequantized
+        if cached is None or cached[0] is not q_weight or cached[1] is not scale:
+            weight = q_weight.astype(np.float32) * scale
+            weight.flags.writeable = False
+            self._dequantized = cached = (q_weight, scale, weight)
+        return cached[2]
 
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, Tensor(self.dequantized_weight()), self.bias)

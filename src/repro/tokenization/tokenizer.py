@@ -12,9 +12,11 @@ workflows — the property the paper relies on for transfer learning.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,6 +48,41 @@ PROMPT_TOKENS: tuple[str, ...] = (
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _derive_table(binner: "NumericBinner") -> tuple[tuple[float, ...], ...]:
+    """``(boundaries, positive tokens, negative tokens)`` of one binner
+    configuration, derived from :meth:`NumericBinner.formula`.
+
+    Bins are numbered by ordinal ``(exponent - min_exponent) *
+    bins_per_decade + sub_bin``, which the formula never decreases as the
+    magnitude grows.  ``boundaries[o - 1]`` is the least double whose ordinal
+    is at least ``o``, so ``bisect_right(boundaries, magnitude)`` is the
+    ordinal of ``magnitude``.  Each entry is found by stepping one ulp at a
+    time from the closed-form boundary ``10 ** (sub_bin / bins_per_decade) *
+    10 ** exponent``, which the formula's rounding moves by a few ulps
+    (up to a few hundred near the ends of the double range).
+    """
+    per_decade, lowest = binner.bins_per_decade, binner.min_exponent
+
+    def ordinal(magnitude: float) -> int:
+        exponent, sub_bin = binner.formula(magnitude)
+        return (exponent - lowest) * per_decade + sub_bin
+
+    count = (binner.max_exponent - lowest + 1) * per_decade
+    boundaries = []
+    for o in range(1, count):
+        decade, sub_bin = divmod(o, per_decade)
+        x = 10.0 ** (sub_bin / per_decade) * 10.0 ** (lowest + decade)
+        while ordinal(x) >= o:
+            x = math.nextafter(x, 0.0)
+        while ordinal(x) < o:
+            x = math.nextafter(x, math.inf)
+        boundaries.append(x)
+    names = [f"e{lowest + o // per_decade}|b{o % per_decade}>" for o in range(count)]
+    positive, negative = (tuple(f"<num|{sign}{name}" for name in names) for sign in "+-")
+    return tuple(boundaries), positive, negative
+
+
 @dataclass(frozen=True)
 class NumericBinner:
     """Map a float to a discrete, order-preserving token.
@@ -53,32 +90,58 @@ class NumericBinner:
     The token encodes the sign, the order of magnitude (clipped to
     ``[min_exponent, max_exponent]``) and the position within that decade
     divided into ``bins_per_decade`` equal sub-bins.
+
+    :meth:`formula` is the specification of a magnitude's bin.  :meth:`bin`
+    does not evaluate it: it looks the magnitude up in :attr:`boundaries`, a
+    sorted table derived from the formula once per configuration, and returns
+    the formula's bin for every finite double without the formula's two
+    scalar ``np.log10`` calls.  ``±inf`` land in the top bin
+    (``<num|±e{max_exponent}|b{bins_per_decade - 1}>``), where any magnitude
+    beyond ``10 ** (max_exponent + 1)`` already lands.
     """
 
     bins_per_decade: int = 4
     min_exponent: int = -2
     max_exponent: int = 12
+    #: Derived in ``__post_init__`` (see :func:`_derive_table`).
+    boundaries: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _positive: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _negative: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    def bin(self, value: float) -> str:
-        if value is None or (isinstance(value, float) and math.isnan(value)):
-            return "<num|nan>"
-        value = float(value)
-        if value == 0.0:
-            return "<num|zero>"
-        sign = "-" if value < 0 else "+"
-        mag = abs(value)
+    def __post_init__(self) -> None:
+        # Every boundary of the table must be a normal finite double.
+        if self.bins_per_decade < 1 or not -307 <= self.min_exponent <= self.max_exponent <= 307:
+            raise ValueError(
+                "need bins_per_decade >= 1 and -307 <= min_exponent <= max_exponent <= 307; "
+                f"got {self.bins_per_decade}, {self.min_exponent}, {self.max_exponent}"
+            )
+        boundaries, positive, negative = _derive_table(self)
+        object.__setattr__(self, "boundaries", boundaries)
+        object.__setattr__(self, "_positive", positive)
+        object.__setattr__(self, "_negative", negative)
+
+    def formula(self, magnitude: float) -> tuple[int, int]:
+        """``(exponent, sub_bin)`` of a finite ``magnitude > 0``: the
+        specification :attr:`boundaries` is derived from."""
         # np.log10, not math.log10: the two disagree at exact sub-bin
         # boundaries such as 10**1.25.
-        exponent = math.floor(np.log10(mag))
-        # Builtin min/max rather than scalar np.clip, whose per-call overhead
-        # dominated this function; the results are identical.
+        exponent = math.floor(np.log10(magnitude))
         exponent = max(self.min_exponent, min(exponent, self.max_exponent))
-        mantissa = mag / (10.0**exponent)
+        mantissa = magnitude / (10.0**exponent)
         # mantissa in [1, 10): map to bins_per_decade equal log-spaced sub-bins
         frac = np.log10(max(1.0, min(mantissa, 10.0 - 1e-12)))
-        sub_bin = int(frac * self.bins_per_decade)
-        sub_bin = min(sub_bin, self.bins_per_decade - 1)
-        return f"<num|{sign}e{exponent}|b{sub_bin}>"
+        sub_bin = min(int(frac * self.bins_per_decade), self.bins_per_decade - 1)
+        return exponent, sub_bin
+
+    def bin(self, value: float) -> str:
+        if value is None:
+            return "<num|nan>"
+        value = float(value)
+        if value > 0.0:
+            return self._positive[bisect_right(self.boundaries, value)]
+        if value < 0.0:
+            return self._negative[bisect_right(self.boundaries, -value)]
+        return "<num|zero>" if value == 0.0 else "<num|nan>"
 
     def all_tokens(self) -> list[str]:
         """Enumerate every token the binner can emit (for vocabulary priming)."""

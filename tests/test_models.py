@@ -21,7 +21,7 @@ from repro.models import (
 from repro.models.pretrain import pretrain_decoder_clm, pretrain_encoder_mlm
 from repro.models.quantization import quantization_error
 from repro.nn import Linear
-from repro.tensor import Tensor
+from repro.tensor import Tensor, kernels
 
 VOCAB = 64
 
@@ -220,6 +220,33 @@ class TestQuantization:
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
             QuantizedLinear(Linear(4, 4, rng=0), bits=3)
+
+    @staticmethod
+    def per_call_dequantized(quantized, x):
+        weight = quantized.q_weight.astype(np.float32) * quantized.scale
+        return kernels.linear(x, weight, quantized.bias.data)
+
+    def test_cached_weight_is_bit_identical_to_per_call_dequantization(self):
+        quantized = QuantizedLinear(Linear(16, 8, rng=0), bits=8)
+        x = np.random.default_rng(0).normal(size=(4, 16)).astype(np.float32)
+        expected = self.per_call_dequantized(quantized, x)
+        for _ in range(2):
+            np.testing.assert_array_equal(quantized.infer(x), expected)
+            np.testing.assert_array_equal(quantized(Tensor(x)).data, expected)
+        assert quantized.dequantized_weight() is quantized.dequantized_weight()
+        with pytest.raises(ValueError):
+            quantized.dequantized_weight()[0, 0] = 1.0
+
+    def test_loaded_state_dict_replaces_the_cached_weight(self):
+        source = QuantizedLinear(Linear(16, 8, rng=1), bits=4)
+        quantized = QuantizedLinear(Linear(16, 8, rng=0), bits=4)
+        x = np.random.default_rng(0).normal(size=(4, 16)).astype(np.float32)
+        before = quantized.infer(x)
+        quantized.load_state_dict(source.state_dict())
+        after = quantized.infer(x)
+        assert not np.array_equal(before, after)
+        np.testing.assert_array_equal(after, self.per_call_dequantized(source, x))
+        np.testing.assert_array_equal(after, source.infer(x))
 
 
 class TestPretrainingAndRegistry:

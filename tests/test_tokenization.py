@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from repro.tokenization import (
     sentence_to_record,
     streaming_prefixes,
 )
+from repro.flowbench import WORKFLOW_NAMES, generate_dataset
 from repro.icl import PromptTemplate
 from repro.tokenization.tokenizer import _PIECE_RE, PROMPT_TOKENS
 
@@ -87,6 +89,14 @@ class TestTemplates:
             assert parsed.features[name] == pytest.approx(features[name], rel=1e-6)
 
 
+#: The two binners the binning tests run on: the default and a finer one.
+BINNERS = pytest.mark.parametrize(
+    "binner",
+    [NumericBinner(), NumericBinner(bins_per_decade=10, min_exponent=-6, max_exponent=20)],
+    ids=["default", "fine"],
+)
+
+
 class TestNumericBinner:
     def test_special_values(self):
         binner = NumericBinner()
@@ -142,18 +152,36 @@ class TestNumericBinner:
         sub_bin = min(int(frac * binner.bins_per_decade), binner.bins_per_decade - 1)
         return f"<num|{sign}e{exponent}|b{sub_bin}>"
 
-    @pytest.mark.parametrize(
-        "binner",
-        [NumericBinner(), NumericBinner(bins_per_decade=10, min_exponent=-6, max_exponent=20)],
-        ids=["default", "fine"],
-    )
+    @staticmethod
+    def formula_token(binner, value):
+        """The token ``NumericBinner.formula`` (the specification) gives a
+        nonzero value, ±inf taking the top bin."""
+        sign = "-" if value < 0 else "+"
+        if np.isinf(value):
+            return f"<num|{sign}e{binner.max_exponent}|b{binner.bins_per_decade - 1}>"
+        exponent, sub_bin = binner.formula(abs(value))
+        return f"<num|{sign}e{exponent}|b{sub_bin}>"
+
+    def assert_bins_match_formula(self, binner, values):
+        """``bin`` equals the formula on every nonzero value and its negation."""
+        values = [float(v) for v in values if v != 0.0 and not np.isnan(v)]
+        mismatches = [
+            v for v in values + [-v for v in values]
+            if binner.bin(v) != self.formula_token(binner, v)
+        ]
+        assert not mismatches, mismatches[:10]
+
+    @BINNERS
     def test_bin_equals_np_clip_formula(self, binner, small_dataset):
-        """Bit-identical to the np.clip formula on sub-bin boundaries (and
-        their float neighbours), the clip extremes and real feature values."""
-        values = [1e-300, 5e-324, 1.7e308]
-        for k in range(-4, 16):
-            for j in range(5):
-                boundary = 10.0 ** (k + j / 4)
+        """Bit-identical to the np.clip formula, and ``formula`` to both, on the
+        binner's own sub-bin boundaries (and their float neighbours) one
+        decade past each clip end, the double range's extremes and real
+        feature values."""
+        values = [1e-300, 5e-324, 1.7e308, sys.float_info.max]
+        per_decade = binner.bins_per_decade
+        for k in range(binner.min_exponent - 1, binner.max_exponent + 2):
+            for j in range(per_decade + 1):
+                boundary = 10.0 ** (k + j / per_decade)
                 values += [
                     boundary,
                     float(np.nextafter(boundary, 0.0)),
@@ -163,7 +191,85 @@ class TestNumericBinner:
         for sentence in small_dataset.train.sentences() + small_dataset.test.sentences():
             values += [float(number) for number, _ in _PIECE_RE.findall(sentence) if number]
         for value in values:
-            assert binner.bin(value) == self.np_clip_reference(binner, value), value
+            expected = self.np_clip_reference(binner, value)
+            assert binner.bin(value) == expected, value
+            assert self.formula_token(binner, value) == expected, value
+
+    @BINNERS
+    def test_bin_equals_formula_around_every_table_entry(self, binner):
+        table = binner.boundaries
+        bins = (binner.max_exponent - binner.min_exponent + 1) * binner.bins_per_decade
+        assert len(table) == bins - 1
+        assert list(table) == sorted(table)
+        values = []
+        for entry in table:
+            below = above = entry
+            for _ in range(2):
+                below = float(np.nextafter(below, 0.0))
+                above = float(np.nextafter(above, np.inf))
+                values += [below, above]
+            values.append(entry)
+        self.assert_bins_match_formula(binner, values)
+
+    @BINNERS
+    def test_bin_equals_formula_on_flowbench_features(self, binner):
+        """Every feature value of every FlowBench workflow, raw and as the
+        sentences print it (``.1f``)."""
+        values = []
+        for workflow in WORKFLOW_NAMES:
+            dataset = generate_dataset(workflow, num_traces=2, seed=0)
+            for split in dataset.splits().values():
+                for record in split.records:
+                    for value in record.features.values():
+                        if value is not None and not np.isnan(value):
+                            values += [value, float(f"{value:.1f}")]
+        assert len(values) > 10_000
+        self.assert_bins_match_formula(binner, values)
+
+    @BINNERS
+    def test_bin_equals_formula_on_log_uniform_magnitudes(self, binner):
+        """200,000 values: 100,000 log-uniform magnitudes, each with both signs."""
+        rng = np.random.default_rng(0)
+        exponents = rng.uniform(binner.min_exponent - 3, binner.max_exponent + 3, size=100_000)
+        self.assert_bins_match_formula(binner, (10.0**exponents).tolist())
+
+    def test_infinities_take_the_extreme_bins(self, tokenizer):
+        binner = NumericBinner()
+        assert binner.bin(float("inf")) == "<num|+e12|b3>" == binner.bin(1e300)
+        assert binner.bin(float("-inf")) == "<num|-e12|b3>" == binner.bin(-1e300)
+        fine = NumericBinner(bins_per_decade=10, min_exponent=-6, max_exponent=20)
+        assert fine.bin(float("inf")) == "<num|+e20|b9>"
+        assert tokenizer.tokenize("runtime is 1e400") == ["runtime", "is", "<num|+e12|b3>"]
+        assert tokenizer.tokenize("runtime is -1e400") == ["runtime", "is", "<num|-e12|b3>"]
+        assert tokenizer.vocab.unk_id not in tokenizer.encode_causal("runtime is 1e400")
+
+    def test_special_values_of_any_float_type(self):
+        binner = NumericBinner()
+        assert binner.bin(None) == "<num|nan>"
+        assert binner.bin(np.float32("nan")) == "<num|nan>"
+        assert binner.bin(-0.0) == "<num|zero>"
+        assert binner.bin(250) == binner.bin(250.0)
+
+    def test_rejects_configurations_without_a_normal_table(self):
+        for fields in ((0, -2, 12), (4, 3, 2), (4, -2, 400), (4, -320, 0)):
+            with pytest.raises(ValueError):
+                NumericBinner(*fields)
+
+    @BINNERS
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sign=st.sampled_from(["", "+", "-"]),
+        whole=st.from_regex(r"[0-9]{1,20}", fullmatch=True),
+        fraction=st.from_regex(r"(\.[0-9]{0,20})?", fullmatch=True),
+        exponent=st.none() | st.integers(min_value=-400, max_value=400),
+    )
+    def test_tokenize_any_numeral_matches_formula(self, binner, sign, whole, fraction, exponent):
+        """Numerals of any size, beyond the double range too, never raise."""
+        numeral = f"{sign}{whole}{fraction}" + ("" if exponent is None else f"e{exponent}")
+        tok = LogTokenizer(Vocabulary(), binner)
+        value = float(numeral)
+        expected = "<num|zero>" if value == 0.0 else self.formula_token(binner, value)
+        assert tok.tokenize(f"runtime is {numeral}") == ["runtime", "is", expected]
 
 
 class TestVocabulary:
