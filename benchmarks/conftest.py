@@ -4,8 +4,9 @@ Every benchmark regenerates one table or figure of the paper at laptop scale:
 the datasets are smaller (a few traces per workflow) and the models are the
 scaled-down configurations, but the workload structure, training recipes and
 reported quantities match the paper.  Results are printed so that
-``pytest benchmarks/ --benchmark-only -s`` doubles as the experiment log;
-EXPERIMENTS.md summarises paper-vs-measured for each experiment.
+``pytest benchmarks/ --benchmark-only -s`` doubles as the experiment log.
+Each module's docstring names the paper claim it reproduces, and its
+assertions are what the reproduction checks of it.
 """
 
 from __future__ import annotations

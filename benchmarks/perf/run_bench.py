@@ -13,8 +13,6 @@ Measures, for the decoder-LM stack that powers every ICL experiment
   int8-quantized) KV caches vs. the dense layout on a long-context
   multi-family trace with byte-budgeted prefix pools;
 * chunked prefill vs. atomic admission on an adversarial prompt-length mix;
-* speculative decoding — a registry-pretrained drafter (``gpt2`` config)
-  proposing for a ``mistral-7b``-config target vs. plain cached decode;
 * replica fleet — a data-parallel :class:`~repro.serving.ReplicaFleet` at
   1/2/4 workers vs a single engine at equal total traffic, with
   prefix-affinity vs round-robin hit rates;
@@ -65,7 +63,6 @@ from repro.flowbench import generate_dataset  # noqa: E402
 from repro.icl import FewShotSelector, ICLEngine  # noqa: E402
 from repro.models.config import get_config  # noqa: E402
 from repro.models.decoder import DecoderLM, left_pad_batch  # noqa: E402
-from repro.models.registry import ModelRegistry  # noqa: E402
 from repro.serving import (  # noqa: E402
     AsyncEngine,
     ContinuousBatchingEngine,
@@ -73,7 +70,6 @@ from repro.serving import (  # noqa: E402
     HttpServer,
     PrefixCachePool,
     ReplicaFleet,
-    SpeculativeDecoder,
 )
 from repro.tensor import no_grad  # noqa: E402
 from repro.tokenization import LogTokenizer  # noqa: E402
@@ -847,74 +843,6 @@ def bench_chunked_prefill(ctx: Context) -> dict:
     )
 
 
-def bench_speculative(ctx: Context) -> dict:
-    """Draft-then-verify decoding vs plain cached decode, registry models.
-
-    The pairing speculative decoding exists for: a big target (``mistral-7b``
-    config) and a small drafter (``gpt2`` config) pre-trained on the *same*
-    registry corpus, so the drafter's greedy guesses usually match the
-    target's and each batched verify forward emits several tokens.  This
-    section alone pre-trains: random weights would pin the identity
-    guarantee but measure an accept rate of ~0, which is not the regime the
-    technique is built for.
-
-    The headline (gated) number is the **single-stream** regime —
-    latency-bound decode is where the technique pays: at one live row,
-    ``draft_k`` cheap drafter forwards replace ``draft_k`` full target
-    forwards.  Drafting is batched across rows on one dense drafter
-    ``DecodeBatch``, but at many rows the drafter forwards still compete
-    against an already-batched target step (reported as the ungated
-    ``batched_speedup``).
-
-    Greedy outputs must be token-identical to plain cached decode — the
-    drafter can only move throughput, never tokens.
-    """
-    rng, draft_k = ctx.rng(), 6
-    prompt = ctx.ids(1, 12)
-    batch_prompts = [ctx.ids(i * 5 + 2, int(rng.integers(6, 20))) for i in range(4)]
-    new_tokens = 64 if ctx.smoke else 192
-    registry = ModelRegistry(ctx.tokenizer, ctx.sentences[:200], pretrain_steps=10, seed=0)
-    spec = SpeculativeDecoder.from_registry(registry, "mistral-7b", "gpt2", draft_k=draft_k)
-    target = spec.model
-
-    def single(decoder):
-        return lambda: decoder.generate(prompt, max_new_tokens=new_tokens)
-
-    def batched(decoder):
-        return lambda: decoder.generate_batch(batch_prompts, max_new_tokens=new_tokens)
-
-    spec_out = single(spec)()
-    tokens_match = bool(np.array_equal(spec_out, single(target)()))
-    accept_rate = spec.accept_rate  # measured over the parity run above
-    batch_match = outputs_match(batched(spec)(), batched(target)())
-    samples = measure(
-        {
-            "speculative": timed(single(spec)),
-            "plain": timed(single(target)),
-            "batched_speculative": timed(batched(spec)),
-            "batched_plain": timed(batched(target)),
-        },
-        ctx.repeats,
-    )
-    return report(
-        samples,
-        "plain",
-        "speculative",
-        target_model=target.config.name,
-        draft_model=spec.draft_model.config.name,
-        draft_k=draft_k,
-        prompt_tokens=int(len(prompt)),
-        new_tokens=int(len(spec_out) - len(prompt)),
-        accept_rate=float(accept_rate),
-        drafted_tokens=int(spec.drafted),
-        accepted_draft_tokens=int(spec.accepted),
-        batch_size=len(batch_prompts),
-        batched_speedup=ratio(samples, "batched_plain", "batched_speculative")[0],
-        tokens_match=tokens_match,
-        tokens_match_batched=batch_match,
-    )
-
-
 def _fleet_model(config_name: str, vocab_size: int, seed: int) -> DecoderLM:
     """Picklable replica factory: deterministic weights from the seed, so
     every fleet worker (and the single-engine reference) is bit-identical."""
@@ -1221,20 +1149,6 @@ SECTIONS = (
         ),
     ),
     Section(
-        "speculative",
-        bench_speculative,
-        ("accept_rate", "batched_speedup", "tokens_match", "tokens_match_batched"),
-        (
-            ("speedup", ">=", 0.95, "single-stream speculation is slower than plain"),
-            # A registry-pretrained drafter/target pair agrees almost always;
-            # a collapsed accept rate means the verify or rollback path broke
-            # even if the (drafter-independent) output identity still holds.
-            ("accept_rate", ">=", 0.5, "the registry pair's accept rate collapsed"),
-            ("tokens_match", "==", True, "speculative decoding changed the tokens"),
-            ("tokens_match_batched", "==", True, "batched speculation changed the tokens"),
-        ),
-    ),
-    Section(
         "fleet",
         bench_fleet,
         ("affinity_hit_rate", "round_robin_hit_rate", "tokens_match"),
@@ -1285,7 +1199,6 @@ TARGETS = {
     "http_serving_goodput_ratio": 0.9,
     "paged_kv_speedup": 1.0,
     "chunked_prefill_speedup": 1.0,
-    "speculative_speedup": 1.0,
     "fleet_speedup": 2.5,
     "logits_rtol": 1e-5,
 }

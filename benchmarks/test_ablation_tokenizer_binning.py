@@ -1,6 +1,6 @@
 """Ablation — numeric-binning granularity of the log tokenizer.
 
-DESIGN.md calls out the bins-per-decade choice as a design decision: too
+The bins-per-decade choice is a design decision: too
 coarse and the anomaly signal (1.3–2× runtime inflation for CPU anomalies)
 disappears inside one bin; too fine and the vocabulary fragments.  This
 ablation sweeps the granularity with a fixed SFT recipe.

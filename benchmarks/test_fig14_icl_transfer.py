@@ -1,11 +1,11 @@
 """Fig. 14 — ICL transfer learning matrix: a decoder fine-tuned on one
 workflow, evaluated on every workflow.
 
-Scale substitution (see DESIGN.md "Substitutions"): the paper prompts the
-fine-tuned 7B decoders with 10 in-context examples from the target
-workflow.  The laptop-scale stand-ins are fine-tuned on single
-instruction/answer prompts (``examples_per_prompt=0`` — the configuration
-that generalises at this scale, see ``ICLFineTuneConfig``), and prompting
+Scale substitution: the paper prompts the fine-tuned 7B decoders with 10
+in-context examples from the target workflow.  The laptop-scale stand-ins
+are fine-tuned on single instruction/answer prompts (the
+``examples_per_prompt=0`` default of ``ICLFineTuneConfig``; no benchmark
+measures whether another setting generalises better), and prompting
 them with long example blocks afterwards is out-of-distribution: they
 collapse onto the category of the nearest example (recency bias), which
 buries the transfer signal.  The matrix is therefore evaluated zero-shot —

@@ -14,8 +14,8 @@ The top level re-exports the pieces most users need:
 * :func:`~repro.models.registry.default_registry` — the pre-trained model
   registry standing in for the HuggingFace hub.
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-per-table/figure reproduction harness.
+The per-table/figure reproduction harness is ``benchmarks/``: one
+``test_*`` module per table or figure, each printing its table.
 """
 
 from repro.detection import WorkflowAnomalyDetector

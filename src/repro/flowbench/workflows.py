@@ -4,9 +4,10 @@ Each of the three Flow-Bench workflows is reconstructed as a directed acyclic
 graph whose node counts match the instances described in the paper
 (1000 Genome: 137 jobs, Montage: 539 jobs, Predict Future Sales: 165 jobs)
 and whose structure follows the published descriptions of the real
-applications.  Edge counts are close to but not exactly the paper's numbers
-(see DESIGN.md); the detectors only consume node-level features plus the DAG
-for the GNN baselines, so the node structure is what matters.
+applications.  ``tests/test_flowbench.py`` checks the node counts; edge
+counts are not checked against the paper's numbers.  The detectors only
+consume node-level features plus the DAG for the GNN baselines, so the node
+structure is what matters.
 
 Every job type carries a :class:`JobTypeProfile` describing the baseline
 distributions of its timing / I/O / CPU features, which the simulator samples

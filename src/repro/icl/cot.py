@@ -11,8 +11,9 @@ example reasons over (per-class feature means estimated from the example
 pool / training data), while the final category still comes from the LM
 scoring path of :class:`~repro.icl.engine.ICLEngine`.  This preserves the
 interpretability property — every step is a verifiable feature-vs-class-mean
-comparison — which is the claim Fig. 13 supports.  See DESIGN.md,
-"Substitutions".
+comparison — which is the claim Fig. 13 supports
+(``benchmarks/test_fig13_cot.py`` prints one such rationale and checks its
+steps and verdict).
 """
 
 from __future__ import annotations

@@ -55,14 +55,15 @@ class ICLFineTuneConfig:
     #: signal over the prompt tokens.
     answer_only_loss: bool = True
     #: Maximum number of in-context examples embedded in each *training*
-    #: prompt.  The default of 0 trains on single instruction/answer pairs,
-    #: which at this model scale generalises markedly better than training on
-    #: long few-shot prompts (see EXPERIMENTS.md).
+    #: prompt.  The default of 0 trains on single instruction/answer pairs.
+    #: That it generalises better at this model scale than training on long
+    #: few-shot prompts is unmeasured: no benchmark compares the two.
     examples_per_prompt: int = 0
     #: Also train the (tied) token-embedding matrix.  The full-scale QLoRA
     #: recipe keeps embeddings frozen, but at laptop scale the tied LM head is
     #: the only path from hidden states to category logits, so freezing it
-    #: prevents the adapters from learning the task at all (see DESIGN.md).
+    #: prevents the adapters from learning the task at all.  No test or
+    #: benchmark fine-tunes with it frozen, so that claim is unmeasured.
     train_token_embedding: bool = True
     #: Downsample the majority class so fine-tuning sees both categories
     #: equally often.  Workflow anomaly data is heavily Normal-skewed

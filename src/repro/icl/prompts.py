@@ -95,7 +95,8 @@ class PromptTemplate:
         work better without the long constant prefix (it dilutes attention
         over the informative feature tokens), so the ICL engine defaults to a
         compact prompt while display-oriented prompts keep the full text.
-        See DESIGN.md, "Substitutions".
+        No benchmark measures the two variants against each other, so the
+        "work better" is unmeasured.
     """
 
     feature_names: tuple[str, ...] = FEATURE_ORDER

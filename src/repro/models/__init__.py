@@ -5,8 +5,9 @@ RoBERTa, ALBERT, XLNet families) for sentence classification and prompts
 three decoder-only checkpoints (GPT-2, Mistral-7B, LLama2-7B) for in-context
 learning.  We reproduce each as a configuration of the same transformer
 architecture at laptop scale, pre-trained synthetically (masked-LM for
-encoders, causal-LM for decoders) on unlabeled workflow-log text — see
-DESIGN.md for the substitution rationale.
+encoders, causal-LM for decoders) on unlabeled workflow-log text.  Each
+``benchmarks/`` module reports what its table or figure measures on these
+stand-ins.
 """
 
 from repro.models.config import (

@@ -138,14 +138,6 @@ class DecodeState:
     col_start: int = -1
     next_log_probs: np.ndarray | None = field(default=None, repr=False)
     generated: np.ndarray = field(default=None, repr=False)
-    #: Drafter-proposed tokens awaiting verification; set while a
-    #: :class:`repro.serving.speculative.SpeculativeDecoder` is stepping
-    #: this request, cleared once the verify forward consumed them.
-    draft_tokens: np.ndarray | None = field(default=None, repr=False)
-    #: Cumulative speculative-decoding counters for this request: drafter
-    #: tokens proposed, and proposals accepted *and emitted*.
-    spec_drafted: int = 0
-    spec_accepted: int = 0
 
     def __post_init__(self) -> None:
         self.prompt_ids = np.asarray(self.prompt_ids, dtype=np.int64).ravel()
@@ -518,94 +510,43 @@ class DecodeBatch:
         """
         if not self.states:
             return []
-        for st in self.states:
-            if st.next_log_probs is None:
-                raise RuntimeError(
-                    "live row has no pending distribution — it is mid-speculative "
-                    "decode and must be stepped through its SpeculativeDecoder"
-                )
         log_probs = np.stack([st.next_log_probs for st in self.states])
         temperatures = np.array([st.temperature for st in self.states], dtype=np.float64)
         tokens = self.model._sample_rows(log_probs, temperatures, rng)
-        for st, token in zip(self.states, tokens):
-            st.next_log_probs = None
-            self._emit_tokens(st, (int(token),))
-        retired = self.retire_finished()
-        if self.states:
-            ids = np.array([[st.generated[st.gen_len - 1]] for st in self.states])
-            positions = np.array([[st.position - 1] for st in self.states])
-            log_probs = self._forward_columns(ids, positions)
-            for st, row_log_probs in zip(self.states, log_probs[:, -1, :]):
-                st.next_log_probs = row_log_probs
-        return retired
-
-    def _emit_tokens(self, state: DecodeState, tokens) -> int:
-        """Append decoded tokens to ``state``, finish-checking *per token*.
-
-        The stop/budget/context checks run after every individual token —
-        a burst of speculatively accepted tokens must not skip a stop token
-        mid-burst or overshoot ``max_new_tokens``/the context window — and
-        emission truncates at the first hit.  Returns how many of
-        ``tokens`` were actually emitted.
-        """
         max_position = self.model.config.max_position
-        emitted = 0
-        for token in tokens:
+        for st, token in zip(self.states, tokens):
             token = int(token)
-            state.generated[state.gen_len] = token
-            state.gen_len += 1
-            emitted += 1
-            if token in state.stop_ids:
-                state.finished, state.finish_reason = True, "stop"
-            elif state.gen_len >= state.max_new_tokens:
-                state.finished, state.finish_reason = True, "length"
-            elif state.position >= max_position:
-                state.finished, state.finish_reason = True, "context"
-            if state.finished:
-                break
-        return emitted
-
-    def _forward_columns(self, ids: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Append ``s`` fresh columns for every live row in one forward.
-
-        ``ids``/``positions`` are (rows, s); compacts first if the new
-        columns would overrun the cache, marks them attendable for every
-        row, and returns the (rows, s, vocab) next-token log-probabilities.
-        The plain :meth:`step` uses it with s=1; the speculative verify
-        forward uses s = 1 + draft_k.
-        """
-        s = ids.shape[1]
+            st.next_log_probs = None
+            st.generated[st.gen_len] = token
+            st.gen_len += 1
+            if token in st.stop_ids:
+                st.finished, st.finish_reason = True, "stop"
+            elif st.gen_len >= st.max_new_tokens:
+                st.finished, st.finish_reason = True, "length"
+            elif st.position >= max_position:
+                st.finished, st.finish_reason = True, "context"
+        retired = self.retire_finished()
+        if not self.states:
+            return retired
         widest = max(self.cache.length - st.col_start for st in self.states)
         if (
-            self.cache.length + s > self.cache.capacity
+            self.cache.length >= self.cache.capacity
             or self.cache.length - widest > self.compact_slack
         ):
             self.compact()
-        self._ensure_columns(self.cache.length + s)
+        self._ensure_columns(self.cache.length + 1)
         column = self.cache.length
-        self._mask[:, column : column + s] = True
+        self._mask[:, column] = True
         logits = self.model.forward_incremental(
-            ids,
+            np.array([[st.generated[st.gen_len - 1]] for st in self.states]),
             self.cache,
-            attention_mask=self._mask[:, : column + s],
-            positions=positions,
+            attention_mask=self._mask[:, : column + 1],
+            positions=np.array([[st.position - 1] for st in self.states]),
         )
-        return F.log_softmax(logits, axis=-1).data
-
-    def rollback_row(self, state: DecodeState, drop: int) -> None:
-        """Drop the last ``drop`` cache columns of one live row (a rejected
-        speculative tail); batch neighbours keep theirs.
-
-        Per-row truncation re-right-aligns the kept span against the live
-        end, so the row's span shrinks from the *left*: ``col_start`` moves
-        right and the vacated leading columns are masked off (compaction
-        reclaims them later, like any other dead columns).
-        """
-        if drop <= 0:
-            return
-        self.cache.truncate_row(state.row, self.cache.length - drop)
-        self._mask[state.row, state.col_start : state.col_start + drop] = False
-        state.col_start += drop
+        log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data
+        for st, row_log_probs in zip(self.states, log_probs):
+            st.next_log_probs = row_log_probs
+        return retired
 
     def retire_finished(self) -> list[DecodeState]:
         """Drop finished rows from the live batch (their cache rows are freed)."""
@@ -624,7 +565,6 @@ class DecodeBatch:
             st.row = -1
             st.col_start = -1
             st.next_log_probs = None
-            st.draft_tokens = None
         return retired
 
     def _realign(self, new_length: int) -> None:

@@ -127,31 +127,6 @@ class LayerKVCache:
             raise ValueError(f"cannot truncate cache of length {self.length} to {length}")
         self.length = length
 
-    def truncate_row(self, row: int, length: int) -> None:
-        """Roll *one* row back ``length - self.length`` columns, batchmates untouched.
-
-        Drops the row's columns ``[length, self.length)`` — its most recent
-        ``drop`` appended positions — and shifts the kept columns right so
-        the row's filled span ends at the (unchanged) live end again.  This
-        is the speculative-decode rollback primitive: a rejected draft tail
-        rolls back without disturbing the other rows, at the cost of the
-        row's start column moving right by ``drop`` (the caller owns the
-        padding mask and must re-mask those dead leading columns; the decode
-        batch's compaction reclaims them later).
-        """
-        if not 0 <= row < self.rows:
-            raise ValueError(f"row {row} outside batch of {self.rows}")
-        if not 0 <= length <= self.length:
-            raise ValueError(
-                f"cannot roll a row of a length-{self.length} cache back to {length}"
-            )
-        drop = self.length - length
-        if drop == 0:
-            return
-        # .copy(): source and destination spans overlap for drop < length.
-        self.keys[row, :, drop : self.length] = self.keys[row, :, :length].copy()
-        self.values[row, :, drop : self.length] = self.values[row, :, :length].copy()
-
     def grow(self, capacity: int) -> None:
         """Reallocate to a larger column capacity, preserving the filled region.
 
@@ -210,16 +185,6 @@ class KVCache:
         """Roll every layer back to ``length`` positions (prefix reuse)."""
         for layer in self.layers:
             layer.truncate(length)
-
-    def truncate_row(self, row: int, length: int) -> None:
-        """Roll one row back to ``length`` positions in every layer.
-
-        Speculative-decode rollback: drops the row's rejected tail and
-        re-right-aligns its span without touching batch neighbours (see
-        :meth:`LayerKVCache.truncate_row`).
-        """
-        for layer in self.layers:
-            layer.truncate_row(row, length)
 
     def grow(self, capacity: int) -> None:
         """Reallocate every layer to a larger column capacity (no-op if smaller)."""

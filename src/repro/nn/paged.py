@@ -786,7 +786,7 @@ class PagedLayerKVCache:
         kept block is deliberately left alone — it may still be CoW-shared
         with a pool entry or clone, and the only legal way to write into it
         again is :meth:`flush_row`, whose ``make_writable`` call claims (or
-        splits) every block it is about to touch.  Rollback must never
+        splits) every block it is about to touch.  Truncation must never
         poke block storage directly, or a shared donor would see the
         re-decoded bytes.
         """
@@ -810,37 +810,6 @@ class PagedLayerKVCache:
             for row in range(self.batch_size):
                 self._shrink_row(row, min(drop, self.widths[row]))
         self.length = length
-
-    # table-edit
-    def truncate_row(self, row: int, length: int) -> None:
-        """Roll *one* row back ``self.length - length`` positions.
-
-        The speculative-decode rollback primitive, mirroring the dense
-        :meth:`~repro.nn.attention.LayerKVCache.truncate_row`: the row's
-        rejected tail is dropped and its kept span still ends at the
-        (unchanged) live end, while batch neighbours keep their accepted
-        positions.  The tail buffer's origin is ``flushed``, so the cut is
-        pure bookkeeping — either the tail shrinks from its end in place,
-        or the cut lands below ``flushed`` and empties the tail entirely.
-        Either way a partially kept, possibly CoW-shared block is reclaimed
-        only later, by ``flush_row``'s ``make_writable`` claim (see
-        :meth:`_shrink_row`).
-        """
-        if not 0 <= row < self.batch_size:
-            raise ValueError(f"row {row} outside batch of {self.batch_size}")
-        if not 0 <= length <= self.length:
-            raise ValueError(
-                f"cannot roll a row of a length-{self.length} cache back to {length}"
-            )
-        drop = self.length - length
-        if drop == 0:
-            return
-        if drop > self.widths[row]:
-            raise ValueError(
-                f"cannot drop {drop} positions from row {row}'s "
-                f"{self.widths[row]}-position span"
-            )
-        self._shrink_row(row, drop)
 
     # table-edit
     def grow(self, capacity: int) -> None:
@@ -964,13 +933,6 @@ class PagedKVCache:
     def truncate(self, length: int) -> None:
         for layer in self.layers:
             layer.truncate(length)
-
-    # table-edit
-    def truncate_row(self, row: int, length: int) -> None:
-        """Roll one row back to ``length`` positions in every layer
-        (speculative-decode rollback; batch neighbours untouched)."""
-        for layer in self.layers:
-            layer.truncate_row(row, length)
 
     # table-edit
     def grow(self, capacity: int) -> None:

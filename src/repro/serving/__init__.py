@@ -16,11 +16,6 @@ pieces that turn single-stream inference into a serving stack:
   stepping thread owns the engine, clients get a future per request
   (``submit``), awaitables (``generate``/``score``), per-request token
   streams, cancellation and timeouts, and drain/abort shutdown.
-* :class:`SpeculativeDecoder` — draft-then-verify decoding: a small
-  drafter proposes ``draft_k`` tokens, the target verifies them in one
-  forward, rejected tails roll back via per-row cache truncation.  Both
-  engines enable it with ``EngineConfig(draft_model=...)``; greedy outputs
-  stay token-identical to plain stepping.
 * :class:`ReplicaFleet` — data-parallel scale-out: N engine workers in
   separate processes, each with a private model/pool/engine, behind a
   prefix-affinity router that pins prompt families to the replica whose
@@ -39,7 +34,6 @@ from repro.serving.config import EngineConfig
 from repro.serving.pool import PoolStats, PrefixCachePool, stable_prefix_key
 from repro.serving.engine import ContinuousBatchingEngine, EngineRequest, EngineStats
 from repro.serving.aio import AsyncEngine, AsyncRequest, RequestCancelled, RequestTimeout
-from repro.serving.speculative import SpeculativeDecoder
 from repro.serving.fleet import FleetRequest, FleetStats, ReplicaFleet
 from repro.serving.http import HttpServer, HttpStats, TokenBucket
 
@@ -58,7 +52,6 @@ __all__ = [
     "AsyncRequest",
     "RequestCancelled",
     "RequestTimeout",
-    "SpeculativeDecoder",
     "HttpServer",
     "HttpStats",
     "TokenBucket",

@@ -280,9 +280,9 @@ class AsyncEngine:
         self.model = model
         self.clock = clock
         self.rng = new_rng(rng)
-        # Build the engine first: it can still raise (drafter resolution,
-        # the speculative vocab check), and the default pool registers the
-        # model process-wide, so it must not exist until nothing else fails.
+        # Build the engine first: it can still raise, and the default pool
+        # registers the model process-wide, so it must not exist until
+        # nothing else fails.
         self.engine = ContinuousBatchingEngine(
             model,
             config=config,

@@ -2,19 +2,12 @@
 
 :class:`~repro.serving.engine.ContinuousBatchingEngine`,
 :class:`~repro.serving.aio.AsyncEngine` and the fleet's worker builder all
-take their tunables (batch geometry, admission policy, KV storage,
-speculative decoding) from one :class:`EngineConfig` passed as ``config=``
-(``None`` means the defaults), so the validation lives in one place.  The
-config is a *frozen* dataclass validated at construction, picklable (so
-it crosses the fleet's process boundary unchanged) and JSON
-round-trippable (so the HTTP server and the benchmark script configure
-engines declaratively).
-
-``draft_model`` may be a live :class:`~repro.models.decoder.DecoderLM`
-(in-process use) or a registry model *name* (declarative / cross-process
-use); :meth:`resolve_draft_model` materialises the latter on demand.  Only
-the name form serialises to JSON — a weight blob has no business inside a
-config file.
+take their tunables (batch geometry, admission policy, KV storage)
+from one :class:`EngineConfig` passed as ``config=`` (``None`` means the
+defaults), so the validation lives in one place.  The config is a *frozen*
+dataclass validated at construction, picklable (so it crosses the fleet's
+process boundary unchanged) and JSON round-trippable (so the HTTP server
+and the benchmark script configure engines declaratively).
 """
 
 from __future__ import annotations
@@ -48,11 +41,6 @@ class EngineConfig:
     kv_layout: str = "dense"
     #: KV element type: ``"fp32"`` or ``"int8"`` (paged block store).
     kv_dtype: str = "fp32"
-    #: Speculative drafter: a live ``DecoderLM``, a registry model name,
-    #: or ``None`` to decode plainly.
-    draft_model: object | None = None
-    #: Tokens the drafter proposes per iteration.
-    draft_k: int = 4
     #: Allow the scheduler to preempt a decoding row when a strictly
     #: higher-priority request is waiting and the batch is full.  Equal
     #: priorities never preempt, so all-default traffic is unaffected.
@@ -85,37 +73,15 @@ class EngineConfig:
                 f"got {self.prefill_chunk_tokens}"
             )
         validate_kv_config(self.kv_layout, self.kv_dtype)
-        if self.draft_k <= 0:
-            raise ValueError(f"draft_k must be positive, got {self.draft_k}")
 
     def replace(self, **changes) -> "EngineConfig":
         """A copy with ``changes`` applied (re-validated on construction)."""
         return dataclasses.replace(self, **changes)
 
     # ------------------------------------------------------------------ #
-    def resolve_draft_model(self):
-        """The drafter as a live model, loading registry names on demand."""
-        if self.draft_model is None or not isinstance(self.draft_model, str):
-            return self.draft_model
-        from repro.models.registry import default_registry
-
-        return default_registry().load_decoder(self.draft_model)
-
-    # ------------------------------------------------------------------ #
     def to_json(self) -> str:
-        """Serialise to a JSON object string (declarative config files).
-
-        A live in-process drafter model cannot be serialised — use the
-        registry-name form for declarative configs.
-        """
-        payload = dataclasses.asdict(self)
-        draft = payload["draft_model"]
-        if draft is not None and not isinstance(draft, str):
-            raise ValueError(
-                "draft_model holds a live model instance; only registry-name "
-                "drafters serialise to JSON"
-            )
-        return json.dumps(payload, sort_keys=True)
+        """Serialise to a JSON object string (declarative config files)."""
+        return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "EngineConfig":

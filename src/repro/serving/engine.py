@@ -144,14 +144,9 @@ class EngineRequest:
 
     @property
     def decode_steps(self) -> int:
-        """Tokens emitted for this request.
-
-        Equals the engine iterations it decoded through under plain
-        stepping; a speculative engine emits up to ``draft_k + 1`` tokens
-        per iteration, so this stays the *token* count (the quantity SLA
-        math and throughput reports care about).  Stable across
-        preemptions: tokens decoded before a preemption live in the
-        resumed state's prompt and still count.
+        """Tokens emitted for this request: the engine iterations it decoded
+        through.  Stable across preemptions: tokens decoded before a
+        preemption live in the resumed state's prompt and still count.
         """
         return (len(self.state.prompt_ids) - self.prompt_len) + self.state.gen_len
 
@@ -250,23 +245,6 @@ class EngineStats:
     prefill_seconds: list = field(default_factory=list)
     ttft_seconds: list = field(default_factory=list)
     decode_steps: list = field(default_factory=list)
-    #: Speculative decoding (populated when the engine runs with a
-    #: ``draft_model``): lifetime drafter proposals and how many of them
-    #: were accepted and emitted.  Tokens emitted stay measured by
-    #: ``decode_steps``; ``steps`` counts engine iterations, so tokens per
-    #: iteration rises with the accept rate.
-    drafted_tokens: int = 0
-    accepted_draft_tokens: int = 0
-
-    @property
-    def accept_rate(self) -> float:
-        """Fraction of drafter proposals accepted (0.0 without a drafter)."""
-        return (
-            self.accepted_draft_tokens / self.drafted_tokens
-            if self.drafted_tokens
-            else 0.0
-        )
-
     @property
     def mean_rows_per_step(self) -> float:
         return self.row_steps / self.steps if self.steps else 0.0
@@ -335,9 +313,6 @@ class EngineStats:
             "mean_decode_steps": (
                 float(np.mean(decode_steps)) if decode_steps else 0.0
             ),
-            "drafted_tokens": self.drafted_tokens,
-            "accepted_draft_tokens": self.accepted_draft_tokens,
-            "accept_rate": self.accept_rate,
             "cancelled": self.cancelled,
             "timeouts": self.timeouts,
             "preemptions": self.preemptions,
@@ -422,19 +397,6 @@ class ContinuousBatchingEngine:
         self.clock = clock
         self.rng = new_rng(rng)
         self.stats = EngineStats()
-        #: Speculative decoding: when a ``draft_model`` is supplied, every
-        #: decode iteration drafts up to ``draft_k`` tokens per row with it
-        #: and verifies them in one target forward — greedy outputs stay
-        #: token-identical to plain stepping, the drafter only buys
-        #: throughput.  Accept-rate counters land in :class:`EngineStats`.
-        self.speculative = None
-        draft_model = config.resolve_draft_model()
-        if draft_model is not None:
-            from repro.serving.speculative import SpeculativeDecoder
-
-            self.speculative = SpeculativeDecoder(
-                model, draft_model, draft_k=config.draft_k
-            )
         self.batch = DecodeBatch(
             model,
             capacity=model.config.max_position,
@@ -784,14 +746,7 @@ class ContinuousBatchingEngine:
         # survivors' forward — stamp first-token times accordingly so TTFT
         # does not absorb the next step's compute.
         sampled_at = self.clock()
-        if self.speculative is not None:
-            drafted = self.speculative.drafted
-            accepted = self.speculative.accepted
-            retired = self.speculative.step(self.batch, self.rng)
-            self.stats.drafted_tokens += self.speculative.drafted - drafted
-            self.stats.accepted_draft_tokens += self.speculative.accepted - accepted
-        else:
-            retired = self.batch.step(self.rng)
+        retired = self.batch.step(self.rng)
         self.stats.steps += 1
         self.stats.row_steps += rows
         for state in retired:

@@ -269,9 +269,7 @@ class ReplicaFleet:
         pool_kwargs = dict(pool_kwargs or {})
         # One EngineConfig for every worker's engine.  It validates on
         # construction, in the parent, so a bad config fails before N
-        # processes spawn; it crosses the process boundary by pickle (a
-        # draft model must therefore be a registry *name*, not a live
-        # model instance).
+        # processes spawn; it crosses the process boundary by pickle.
         if config is None:
             config = EngineConfig()
         if spill_threshold is None:

@@ -67,7 +67,6 @@ class TestEngineConfig:
             ("prefill_chunk_tokens", 0, "prefill_chunk_tokens must be positive"),
             ("kv_layout", "sparse", "kv_layout"),
             ("kv_dtype", "fp64", "kv_dtype"),
-            ("draft_k", 0, "draft_k must be positive"),
         ],
     )
     def test_validation_raises_at_construction(self, field, value, message):
@@ -90,14 +89,11 @@ class TestEngineConfig:
             prefill_chunk_tokens=16,
             kv_layout="paged",
             kv_dtype="int8",
-            draft_model="tiny-draft",
             allow_preemption=False,
         )
         assert EngineConfig.from_json(config.to_json()) == config
 
-    def test_json_rejects_live_model_and_unknown_keys(self, model):
-        with pytest.raises(ValueError, match="live model instance"):
-            EngineConfig(draft_model=model).to_json()
+    def test_json_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown engine config keys: max_rowz"):
             EngineConfig.from_json('{"max_rowz": 3}')
         with pytest.raises(ValueError, match="must be an object"):
@@ -121,18 +117,22 @@ class TestConfigPlumbing:
         with pytest.raises(TypeError):
             AsyncEngine(model, max_batch_rows=3)
 
-    def test_async_engine_bad_config_leaks_nothing(self, model):
+    def test_async_engine_bad_config_leaks_nothing(self, model, monkeypatch):
         """A failing engine build leaves no stepping thread and registers
-        no process-wide shared pool: here the drafter's vocabulary does not
-        match the target's, which only the engine constructor detects."""
+        no process-wide shared pool: here the engine constructor's live
+        batch refuses to build."""
+        from repro.models.decoder import DecodeBatch
         from repro.serving.pool import _SHARED_POOLS
+
+        def refuse(self, *args, **kwargs):
+            raise ValueError("live batch refused to build")
 
         victim = DecoderLM(get_config("gpt2"), VOCAB, rng=1)
         victim.eval()
-        drafter = DecoderLM(get_config("gpt2"), VOCAB + 1, rng=2)
+        monkeypatch.setattr(DecodeBatch, "__init__", refuse)
         threads_before = threading.active_count()
-        with pytest.raises(ValueError, match="drafter vocab size"):
-            AsyncEngine(victim, config=EngineConfig(draft_model=drafter))
+        with pytest.raises(ValueError, match="live batch refused to build"):
+            AsyncEngine(victim, config=EngineConfig())
         assert victim not in _SHARED_POOLS
         assert threading.active_count() == threads_before
 

@@ -237,7 +237,7 @@ class TestLockstepParity:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_random_row_ops_keep_dense_and_paged_identical(self, kv_dtype, data):
-        """Random admit/retire/append/compact/rollback sequences leave the
+        """Random admit/retire/append/compact sequences leave the
         paged cache holding the dense cache's live spans — exactly for fp32,
         within quantization tolerance for int8 — and releasing the paged
         cache frees every block."""
@@ -251,7 +251,7 @@ class TestLockstepParity:
             has_rows = dense.batch_size > 0
             op = data.draw(
                 st.sampled_from(
-                    ["admit", "append", "retire", "compact", "truncate_row"]
+                    ["admit", "append", "retire", "compact"]
                     if has_rows
                     else ["admit"]
                 ),
@@ -303,20 +303,56 @@ class TestLockstepParity:
                 new_starts_p = paged.realign(np.array(starts), new_length)
                 np.testing.assert_array_equal(new_starts_d, new_starts_p)
                 starts = [int(s) for s in new_starts_d]
-            elif op == "truncate_row":
-                # The speculative-rollback primitive: one row drops its last
-                # `drop` positions, batchmates keep theirs (a drop equal to
-                # the row's width empties it, like normalising a 1-token
-                # prompt into the speculative invariant).
-                row = data.draw(st.integers(0, dense.batch_size - 1), label="row")
-                drop = data.draw(
-                    st.integers(0, dense.length - starts[row]), label="drop"
-                )
-                dense.truncate_row(row, dense.length - drop)
-                paged.truncate_row(row, dense.length - drop)
-                starts[row] += drop
             assert_live_spans_equal(dense, paged, starts, atol=atol)
 
+        paged.release()
+        assert allocator.blocks_in_use == 0
+
+    @pytest.mark.parametrize("cut", [10, 8, 7, 4, 2, 0], ids=lambda c: f"to_{c}")
+    @pytest.mark.parametrize("kv_dtype", ["fp32", "int8"])
+    def test_truncate_ragged_rows_then_append(self, kv_dtype, cut):
+        """Whole-cache ``truncate`` over ragged rows (live end 10; rows of
+        width 10, 7 and 3; block size 4): each row keeps its span up to the
+        cut, and rows the cut drops entirely come back empty.  The next
+        append lands in the same column for every row on both layouts,
+        the cache's own whole tail blocks are freed, and releasing frees
+        the rest."""
+        atol = 0.0 if kv_dtype == "fp32" else 0.05
+        rng = np.random.default_rng(cut)
+        dense, paged, allocator = make_pair(kv_dtype)
+        starts: list[int] = []
+        for width in (10, 7, 3):
+            kv = random_kv(rng, 1, width)
+            d_src, p_src = fill_source(kv, -kv, allocator=allocator)
+            starts.append(dense.admit_row(d_src))
+            assert paged.admit_row(p_src) == starts[-1]
+            p_src.release()
+        assert starts == [0, 3, 7]
+        blocks_before = allocator.blocks_in_use
+
+        dense.truncate(cut)
+        paged.truncate(cut)
+        starts = [min(s, cut) for s in starts]
+        assert_live_spans_equal(dense, paged, starts, atol=atol)
+        if cut < 10:
+            assert allocator.blocks_in_use < blocks_before
+        else:
+            assert allocator.blocks_in_use == blocks_before
+
+        kv = random_kv(rng, 3, 1)
+        for layer_d, layer_p in zip(dense.layers, paged.layers):
+            layer_d.append(kv, 2 * kv)
+            layer_p.append(kv, 2 * kv)
+        assert_live_spans_equal(dense, paged, starts, atol=atol)
+        for layer in paged.layers:
+            for row in range(3):
+                k_new, _ = layer.read_span(row, cut, cut + 1)
+                np.testing.assert_allclose(
+                    k_new[:, 0], kv[row, :, 0], rtol=0, atol=atol
+                )
+
+        with pytest.raises(ValueError, match="cannot truncate"):
+            paged.truncate(cut + 2)
         paged.release()
         assert allocator.blocks_in_use == 0
 
@@ -451,12 +487,13 @@ class TestBlockSharing:
 
     @pytest.mark.parametrize("kv_dtype", ["fp32", "int8"])
     def test_midblock_rollback_then_append_claims_shared_tail_block(self, kv_dtype):
-        """Regression (speculative rollback): rolling a row back *into* a
-        partially filled, CoW-shared tail block and then appending must not
-        write that block in place — ``truncate_row`` defers the re-claim to
-        the flush path, whose ``make_writable`` splits the block.  The donor
-        keeps every byte (including the rolled-back position) and ends up
-        sole owner of the original block."""
+        """Regression: truncating a cache back *into* a partially filled,
+        CoW-shared tail block and then appending must not write that block
+        in place — ``truncate`` defers the re-claim to the flush path, whose
+        ``make_writable`` splits the block.  The pool truncates a consumed
+        checkout whose blocks clones may share exactly so.  The donor keeps
+        every byte (including the truncated position) and ends up sole
+        owner of the original block."""
         rng = np.random.default_rng(11)
         width = 2 * BLOCK_SIZE + 2  # the third block is only partially filled
         kv = random_kv(rng, 1, width)
@@ -476,9 +513,9 @@ class TestBlockSharing:
         assert clone_layer.tables[0][2] == tail_block
         assert allocator.refcount(tail_block) == 2
 
-        # The rollback cut lands mid-block: the kept partial block stays
-        # shared (nothing is freed, nothing is written)...
-        clone.truncate_row(0, width - 1)
+        # The cut lands mid-block: the kept partial block stays shared
+        # (nothing is freed, nothing is written)...
+        clone.truncate(width - 1)
         assert allocator.refcount(tail_block) == 2
         extra = random_kv(rng, 1, 1)
         for layer in clone.layers:
@@ -492,10 +529,11 @@ class TestBlockSharing:
         k_now, v_now = donor_layer.read_span(0, 0, width)
         np.testing.assert_array_equal(k_now, donor_k)
         np.testing.assert_array_equal(v_now, donor_v)
-        # The clone sees the kept prefix plus its own new position (its span
-        # shifted right by the dropped column: [1, width + 1)).
-        ck, _ = clone_layer.read_span(0, 1, width + 1)
+        # The clone sees the kept prefix plus its own new position.
+        ck, _ = clone_layer.read_span(0, 0, width)
         np.testing.assert_array_equal(ck[:, : width - 1], donor_k[:, : width - 1])
+        atol = 0.0 if kv_dtype == "fp32" else 0.05
+        np.testing.assert_allclose(ck[:, width - 1], extra[0, :, 0], rtol=0, atol=atol)
         clone.release()
         donor.release()
         assert allocator.blocks_in_use == 0
