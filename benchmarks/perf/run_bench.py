@@ -696,9 +696,7 @@ def bench_paged_kv(ctx: Context) -> dict:
         )
         engine = ContinuousBatchingEngine(
             model,
-            config=EngineConfig(
-                max_batch_rows=6, min_admit_rows=1, kv_layout=kv_layout, kv_dtype=kv_dtype
-            ),
+            config=EngineConfig(max_batch_rows=6, kv_layout=kv_layout, kv_dtype=kv_dtype),
             cache_pool=pool,
         )
         results = [None] * len(prompts)
@@ -788,7 +786,6 @@ def bench_chunked_prefill(ctx: Context) -> dict:
             ctx.model,
             config=EngineConfig(
                 max_batch_rows=6,
-                min_admit_rows=1,
                 prefill_chunk_tokens=chunk,
                 kv_layout="paged",
             ),
@@ -799,7 +796,7 @@ def bench_chunked_prefill(ctx: Context) -> dict:
         ]
         start = time.perf_counter()
         while engine.has_work:
-            engine.step(force_admit=True)
+            engine.step()
         wall = time.perf_counter() - start
         ttfts = np.array([r.ttft_seconds for r in requests])
         return [r.result for r in requests], ttfts, wall, engine.stats

@@ -126,7 +126,6 @@ def main() -> None:
         model,
         config=EngineConfig(
             max_batch_rows=6,
-            min_admit_rows=2,
             prefill_chunk_tokens=PREFILL_CHUNK_TOKENS,
         ),
     )

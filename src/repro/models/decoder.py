@@ -76,6 +76,13 @@ __all__ = [
 #: and stepping threads may race to build the first paged cache).
 _PAGED_ALLOCATOR_LOCK = maybe_watch_lock("allocator-registry", threading.Lock())
 
+#: A :class:`DecodeBatch` compacts once its live end overhangs the widest
+#: row by this many columns.  Without it the live end creeps monotonically
+#: under continuous admission/retirement and every step attends over the
+#: dead columns departed rows left behind.  (A paged batch moves no data:
+#: its rows' start columns are derived, so compaction is bookkeeping alone.)
+_COMPACT_SLACK = 16
+
 
 def common_prefix_length(a: np.ndarray, b: np.ndarray) -> int:
     """Length of the longest common prefix of two 1-D token arrays."""
@@ -196,7 +203,6 @@ class DecodeBatch:
         self,
         model: "DecoderLM",
         capacity: int | None = None,
-        compact_slack: int = 16,
         *,
         kv_layout: str = "dense",
         kv_dtype: str = "fp32",
@@ -206,20 +212,11 @@ class DecodeBatch:
             raise ValueError(
                 f"capacity must lie in (0, {model.config.max_position}], got {capacity}"
             )
-        if compact_slack < 0:
-            raise ValueError(f"compact_slack must be >= 0, got {compact_slack}")
         validate_kv_config(kv_layout, kv_dtype)
         self.model = model
         self.capacity = capacity
         self.kv_layout = kv_layout
         self.kv_dtype = kv_dtype
-        #: Compact once the live end overhangs the widest row by this many
-        #: columns.  Without it the live end creeps monotonically under
-        #: continuous admission/retirement and every step attends over the
-        #: dead columns departed rows left behind.  (A paged batch moves no
-        #: data: its rows' start columns are derived, so compaction is
-        #: bookkeeping alone.)
-        self.compact_slack = compact_slack
         # The shared dense cache starts small and doubles on demand
         # (hard-capped at ``capacity``): admission/retirement copy whole row
         # buffers, so their cost must track the live working set, not the
@@ -274,6 +271,18 @@ class DecodeBatch:
     # ------------------------------------------------------------------ #
     # admission
     # ------------------------------------------------------------------ #
+    def _check_admissible(self, state: DecodeState) -> None:
+        """Reject a state that already holds a slot or cannot fit."""
+        if state.admitted:
+            raise ValueError("state already occupies a live batch row")
+        if id(state) in self._prefill:
+            raise ValueError("state is already prefilling")
+        if len(state.prompt_ids) > self.capacity:
+            raise ValueError(
+                f"prompt of {len(state.prompt_ids)} tokens exceeds the batch "
+                f"capacity {self.capacity}"
+            )
+
     def _finish_unstartable(self, state: DecodeState) -> bool:
         """Finish requests that cannot emit a single token (no row needed)."""
         if state.max_new_tokens <= 0:
@@ -315,33 +324,14 @@ class DecodeBatch:
         caller can check it back into the pool: the live batch keeps its own
         copy of the row.  Requests that cannot emit a token (empty budget,
         prompt at the context limit) finish immediately without a row.
+
+        This is a chunked admission whose one chunk is the whole prompt
+        remainder: one forward, then the staging cache is unregistered (a
+        private one released, a borrowed one left to the caller).
         """
-        if state.admitted:
-            raise ValueError("state already occupies a live batch row")
-        if len(state.prompt_ids) > self.capacity:
-            raise ValueError(
-                f"prompt of {len(state.prompt_ids)} tokens exceeds the batch "
-                f"capacity {self.capacity}"
-            )
-        if self._finish_unstartable(state):
-            return
-        prompt = state.prompt_ids
-        owned = prefill_cache is None
-        if prefill_cache is None:
-            prefill_cache = self._make_cache(1, len(prompt))
-        # Re-forward at least the last prompt token: its logits seed the
-        # first decode step.
-        past = min(prefill_cache.length, len(prompt) - 1)
-        prefill_cache.truncate(past)
-        logits = self.model.forward_incremental(
-            prompt[None, past:], prefill_cache, logit_columns=[-1]
-        )
-        log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data[0]
-        self._admit_prefilled_row(state, prefill_cache, 0, 0, log_probs)
-        if owned and hasattr(prefill_cache, "release"):
-            # A private paged prefill returns its block references now (the
-            # live row holds its own, mostly shared, references).
-            prefill_cache.release()
+        if self.admit_chunked(state, prefill_cache):
+            self.prefill_step(state, len(state.prompt_ids))
+            self.release_prefill(state)
 
     def admit_many(
         self, states: Sequence[DecodeState], pad_id: int = 0, row_sink=None
@@ -349,7 +339,7 @@ class DecodeBatch:
         """Prefill several requests as one left-padded batch, then admit each.
 
         This is the batch-formation path :meth:`DecoderLM.generate_batch`
-        uses (and the engine's deadline-closed admission groups): one padded
+        uses (and the engine's cold admission groups): one padded
         forward prefills every startable newcomer, after which each row is
         spliced into the live batch exactly like a single admission.
 
@@ -360,13 +350,7 @@ class DecodeBatch:
         staging forward otherwise could not.
         """
         for state in states:
-            if state.admitted:
-                raise ValueError("state already occupies a live batch row")
-            if len(state.prompt_ids) > self.capacity:
-                raise ValueError(
-                    f"prompt of {len(state.prompt_ids)} tokens exceeds the batch "
-                    f"capacity {self.capacity}"
-                )
+            self._check_admissible(state)
         todo = [st for st in states if not self._finish_unstartable(st)]
         if not todo:
             return
@@ -414,15 +398,7 @@ class DecodeBatch:
         Returns ``False`` when the request cannot emit a single token and
         finished immediately (no slot taken), ``True`` otherwise.
         """
-        if state.admitted:
-            raise ValueError("state already occupies a live batch row")
-        if id(state) in self._prefill:
-            raise ValueError("state is already prefilling")
-        if len(state.prompt_ids) > self.capacity:
-            raise ValueError(
-                f"prompt of {len(state.prompt_ids)} tokens exceeds the batch "
-                f"capacity {self.capacity}"
-            )
+        self._check_admissible(state)
         if self._finish_unstartable(state):
             return False
         prompt = state.prompt_ids
@@ -531,7 +507,7 @@ class DecodeBatch:
         widest = max(self.cache.length - st.col_start for st in self.states)
         if (
             self.cache.length >= self.cache.capacity
-            or self.cache.length - widest > self.compact_slack
+            or self.cache.length - widest > _COMPACT_SLACK
         ):
             self.compact()
         self._ensure_columns(self.cache.length + 1)

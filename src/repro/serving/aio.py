@@ -26,9 +26,10 @@ The design work here is keeping the :class:`~repro.models.decoder
 * **Wakeups are arrival-driven, not polled.**  With no queued work and an
   empty batch the stepping thread parks on the condition variable
   (``EngineStats.parks``/``wakeups`` count park/wake cycles); a submission,
-  cancellation, or shutdown wakes it.  The only timed waits are for real
-  deadlines: an idle engine holding arrivals under ``admit_deadline`` and
-  per-request timeouts.
+  cancellation, or shutdown wakes it.  While work remains every engine
+  step makes progress (it admits, prefills, decodes or finishes
+  something), so the thread never sleeps with work pending; per-request
+  timeouts are checked at each step boundary.
 * **Cancellation is a flag, retirement is the stepping thread's.**
   ``AsyncRequest.cancel()`` (or an expired per-request ``timeout``, or the
   awaiting asyncio task being cancelled) marks the request; at the next
@@ -682,16 +683,6 @@ class AsyncEngine:
             )
             self._thread.start()
 
-    def _earliest_deadline(self) -> float | None:  # guarded-by: self._lock
-        """Soonest per-request deadline across inbox/scores/active, if any
-        (caller holds the lock)."""
-        deadlines = [
-            r.deadline
-            for r in list(self._inbox) + list(self._scores) + list(self._active.values())
-            if r.deadline is not None and not r.future.done()
-        ]
-        return min(deadlines) if deadlines else None
-
     @staticmethod
     def _drop_reason(request: AsyncRequest, now: float) -> str | None:
         """Why a pending request must be dropped now, or None to keep it."""
@@ -833,7 +824,7 @@ class AsyncEngine:
         finished: list[EngineRequest] = []
         try:
             if engine.has_work:
-                finished = engine.step(force_admit=closing == "drain")
+                finished = engine.step()
         except Exception as exc:
             # A fatal step error fails every request the engine owns and
             # resets the batch; the thread stays up for future traffic.
@@ -851,8 +842,7 @@ class AsyncEngine:
             self._publish(request, final=False)
         scored = self._run_one_score()
         # A pure chunk-prefill step decodes nothing but *is* progress — the
-        # prompts advanced — so count consumed prefill tokens alongside
-        # decode steps or the stepper would deadline-sleep mid-prefill.
+        # prompts advanced — so it counts alongside decode steps.
         stepped = (
             engine.stats.steps > steps_before
             or engine.stats.prefill_tokens > prefill_before
@@ -862,21 +852,4 @@ class AsyncEngine:
                 self.on_step(self)
             except Exception:
                 pass  # observation hooks must not kill the stepper
-        made_progress = stepped or bool(finished) or scored
-        if not made_progress and engine.has_work:
-            # The engine is deadline-holding queued arrivals (idle batch
-            # under admit_deadline, or a min_admit_rows hold).  Sleep
-            # until the relevant deadline instead of spinning.
-            with self._work:
-                if self._inbox or self._scores or self._closing is not None:
-                    return True
-                waits = []
-                if engine.admit_deadline > 0 and engine.num_queued:
-                    oldest = min(r.submitted_at for r in engine._queue)
-                    waits.append(engine.admit_deadline - (self.clock() - oldest))
-                request_deadline = self._earliest_deadline()
-                if request_deadline is not None:
-                    waits.append(request_deadline - self.clock())
-                timeout = max(min(waits), 0.0) if waits else 0.001
-                self._work.wait(timeout=max(timeout, 1e-4))
         return True

@@ -2,21 +2,32 @@
 
 :class:`~repro.serving.engine.ContinuousBatchingEngine`,
 :class:`~repro.serving.aio.AsyncEngine` and the fleet's worker builder all
-take their tunables (batch geometry, admission policy, KV storage)
-from one :class:`EngineConfig` passed as ``config=`` (``None`` means the
-defaults), so the validation lives in one place.  The config is a *frozen*
-dataclass validated at construction, picklable (so it crosses the fleet's
-process boundary unchanged) and JSON round-trippable (so the HTTP server
-and the benchmark script configure engines declaratively).
+take their tunables (batch geometry, prefill chunking, KV storage) from one
+:class:`EngineConfig` passed as ``config=`` (``None`` means the defaults),
+so the validation lives in one place.  Admission has no tunable: a queued
+request joins the live batch at the next step boundary whenever a row is
+free.  The config is a *frozen* dataclass validated at construction,
+picklable (so it crosses the fleet's process boundary unchanged) and JSON
+round-trippable (so the HTTP server and the benchmark script configure
+engines declaratively).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 
 __all__ = ["EngineConfig"]
+
+
+def _positive_int(name: str, value) -> None:
+    # bool is an Integral subclass, and a JSON ``true`` must not become 1.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -31,47 +42,25 @@ class EngineConfig:
 
     #: Live-batch row capacity (concurrent decoding requests).
     max_batch_rows: int = 8
-    #: Idle-engine batch-closing deadline in seconds (0 = admit at once).
-    admit_deadline: float = 0.0
-    #: Group small admissions until this many can be admitted together.
-    min_admit_rows: int = 1
     #: Per-step prefill token budget (Sarathi chunking); ``None`` = atomic.
     prefill_chunk_tokens: int | None = None
     #: KV storage of the live batch: ``"dense"`` or ``"paged"``.
     kv_layout: str = "dense"
     #: KV element type: ``"fp32"`` or ``"int8"`` (paged block store).
     kv_dtype: str = "fp32"
-    #: Allow the scheduler to preempt a decoding row when a strictly
-    #: higher-priority request is waiting and the batch is full.  Equal
-    #: priorities never preempt, so all-default traffic is unaffected.
-    allow_preemption: bool = True
 
     def __post_init__(self) -> None:
         self.validate()
 
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
-        """Raise ``ValueError`` on any out-of-range field (no side effects)."""
+        """Raise ``ValueError`` on any ill-typed or out-of-range field (no
+        side effects)."""
         from repro.nn.paged import validate_kv_config
 
-        if self.max_batch_rows <= 0:
-            raise ValueError(
-                f"max_batch_rows must be positive, got {self.max_batch_rows}"
-            )
-        if self.admit_deadline < 0:
-            raise ValueError(
-                f"admit_deadline must be >= 0, got {self.admit_deadline}"
-            )
-        if not 0 < self.min_admit_rows <= self.max_batch_rows:
-            raise ValueError(
-                f"min_admit_rows must lie in [1, max_batch_rows], "
-                f"got {self.min_admit_rows}"
-            )
-        if self.prefill_chunk_tokens is not None and self.prefill_chunk_tokens <= 0:
-            raise ValueError(
-                f"prefill_chunk_tokens must be positive, "
-                f"got {self.prefill_chunk_tokens}"
-            )
+        _positive_int("max_batch_rows", self.max_batch_rows)
+        if self.prefill_chunk_tokens is not None:
+            _positive_int("prefill_chunk_tokens", self.prefill_chunk_tokens)
         validate_kv_config(self.kv_layout, self.kv_dtype)
 
     def replace(self, **changes) -> "EngineConfig":

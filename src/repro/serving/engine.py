@@ -6,13 +6,13 @@ for the whole batch to drain.  The :class:`ContinuousBatchingEngine`
 schedules at *iteration* granularity instead, driving the
 :class:`~repro.models.decoder.DecodeBatch` stepping core directly:
 
-* between any two decode steps, queued requests are admitted into the live
-  batch (up to ``max_batch_rows``): prompts overlapping a pooled prefix are
-  prefilled individually off the shared
+* at every step boundary, queued requests are admitted into the free rows
+  of the live batch (up to ``max_batch_rows``) — there is no batch to
+  close, so nothing is held back for batchmates: prompts overlapping a
+  pooled prefix are prefilled individually off the shared
   :class:`~repro.serving.pool.PrefixCachePool` checkout (the advanced
-  full-prompt prefill is checked back in for future traffic), cold prompts
-  share one left-padded batched prefill, and ``min_admit_rows`` groups
-  small admissions so lone stragglers do not pay one prefill forward each;
+  full-prompt prefill is checked back in for future traffic), and cold
+  prompts that arrive together share one left-padded batched prefill;
 * rows retire the moment they emit a stop token, exhaust their token
   budget, or hit the context window, immediately freeing their slot;
 * with a ``prefill_chunk_tokens`` budget, admissions instead enter the
@@ -22,10 +22,9 @@ schedules at *iteration* granularity instead, driving the
   arriving prompt delays each decode step by at most one bounded chunk
   instead of stalling it for the whole prompt, and greedy outputs stay
   token-identical to the atomic path;
-* when the engine is *idle*, batch formation follows a deadline-based
-  closing policy: decoding starts once ``max_batch_rows`` requests are
-  queued or the oldest request has waited ``admit_deadline`` seconds,
-  whichever comes first (``admit_deadline=0`` starts immediately).
+* a full batch retires its lowest-priority decoding row for a strictly
+  higher-priority arrival (see :meth:`ContinuousBatchingEngine.preempt`);
+  equal priorities never preempt, so priority-less traffic is plain FIFO.
 
 Per-request SLA timings (queue, prefill, decode, time-to-first-token) are
 stamped on every :class:`EngineRequest` from an injectable ``clock`` and
@@ -63,9 +62,9 @@ def validate_prompt(model: DecoderLM, prompt_ids: np.ndarray) -> np.ndarray:
     """Coerce and admission-check one prompt (shared by every front end).
 
     The async engine and the engine itself must agree on what is
-    admissible — batched decoding validates whole padded batches, so an
-    oversized prompt slipping past one layer would fail all of its
-    batchmates later.
+    admissible — batched decoding forwards whole padded batches, so an
+    oversized prompt or an out-of-vocabulary id slipping past one layer
+    would fail all of its batchmates later.
     """
     prompt = np.asarray(prompt_ids, dtype=np.int64).ravel()
     if len(prompt) == 0:
@@ -74,6 +73,11 @@ def validate_prompt(model: DecoderLM, prompt_ids: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"prompt of {len(prompt)} tokens exceeds the model's maximum "
             f"context {model.config.max_position}"
+        )
+    if prompt.min() < 0 or prompt.max() >= model.vocab_size:
+        raise ValueError(
+            f"prompt token ids must lie in [0, {model.vocab_size}), "
+            f"got [{prompt.min()}, {prompt.max()}]"
         )
     return prompt
 
@@ -340,10 +344,9 @@ class ContinuousBatchingEngine:
 
     ``submit`` queues a request; ``step`` runs one scheduling iteration
     (admission + one decode step + retirement) and returns the requests it
-    finished; ``drain`` runs until no work remains (ignoring the admission
-    deadline — everything queued is decoded now) and returns all finished
-    requests in submit order.  The engine is synchronous and reusable: after
-    a drain it sits empty, ready for new traffic.
+    finished; ``drain`` runs until no work remains and returns all
+    finished requests in submit order.  The engine is synchronous and
+    reusable: after a drain it sits empty, ready for new traffic.
     """
 
     def __init__(
@@ -362,7 +365,6 @@ class ContinuousBatchingEngine:
         self.model = model
         self.max_batch_rows = config.max_batch_rows
         self.cache_pool = cache_pool
-        self.admit_deadline = config.admit_deadline
         #: KV storage of the live batch: ``"dense"`` (rectangular buffers)
         #: or ``"paged"`` (ref-counted block tables; ``kv_dtype="int8"``
         #: quantizes the block store).  Greedy outputs are identical across
@@ -370,13 +372,6 @@ class ContinuousBatchingEngine:
         #: compaction is free.
         self.kv_layout = config.kv_layout
         self.kv_dtype = config.kv_dtype
-        #: Admission-group batching: while the batch is running, hold queued
-        #: requests until this many can be admitted *together*, amortising
-        #: the prefill forward.  1 = admit eagerly.  The hold is bounded: a
-        #: straggler is released after ``min_admit_rows`` held decode steps
-        #: (or past ``admit_deadline``), never starved until the batch
-        #: drains.
-        self.min_admit_rows = config.min_admit_rows
         #: Per-step prefill token budget (Sarathi-style chunked prefill).
         #: When set, admissions enter the batch immediately in a
         #: ``prefilling`` state and each scheduling step consumes at most
@@ -384,16 +379,7 @@ class ContinuousBatchingEngine:
         #: running decode rows — so a long arriving prompt never stalls the
         #: in-flight decodes for its whole length.  ``None`` keeps the
         #: atomic (one-forward) prefill path.
-        self.prefill_chunk_tokens = (
-            None
-            if config.prefill_chunk_tokens is None
-            else int(config.prefill_chunk_tokens)
-        )
-        #: Whether a full batch may retire its lowest-priority decoding row
-        #: to make room for a strictly higher-priority arrival.  Equal
-        #: priorities never preempt, so all-default traffic is untouched.
-        self.allow_preemption = config.allow_preemption
-        self._held_steps = 0
+        self.prefill_chunk_tokens = config.prefill_chunk_tokens
         self.clock = clock
         self.rng = new_rng(rng)
         self.stats = EngineStats()
@@ -495,23 +481,13 @@ class ContinuousBatchingEngine:
             # peek probes without allocating: only prompts with a usable
             # pooled overlap pay the checkout.
             if self.cache_pool is not None and self.cache_pool.peek(prompt) > 0:
-                prefill_cache, reused = self.cache_pool.checkout(prompt)
-                request.reused_tokens = reused
-                self.batch.admit(state, prefill_cache=prefill_cache)
-                self.cache_pool.checkin(prompt, prefill_cache)
-                request.prefill_seconds = self.clock() - request.admitted_at
-                self._live[id(state)] = request
+                self._admit_through_pool(request)
                 continue
             fresh.append(request)
         if len(fresh) == 1 and self.cache_pool is not None:
             # A lone pool miss prefills at batch 1 through a checked-out
             # cache, seeding the pool for future overlapping traffic.
-            request = fresh[0]
-            prefill_cache, _ = self.cache_pool.checkout(request.state.prompt_ids)
-            self.batch.admit(request.state, prefill_cache=prefill_cache)
-            self.cache_pool.checkin(request.state.prompt_ids, prefill_cache)
-            request.prefill_seconds = self.clock() - request.admitted_at
-            self._live[id(request.state)] = request
+            self._admit_through_pool(fresh[0])
         elif fresh:
             # Several cold prompts share one left-padded batched prefill;
             # each admitted row's prompt prefill is cloned out of the shared
@@ -528,6 +504,17 @@ class ContinuousBatchingEngine:
                 request.prefill_seconds = prefill_end - request.admitted_at
                 self._live[id(request.state)] = request
         return finished
+
+    def _admit_through_pool(self, request: EngineRequest) -> None:
+        """Prefill one request at batch 1 off a pool checkout, then check
+        the advanced full-prompt cache back in (the live batch keeps its
+        own row copy)."""
+        prompt = request.state.prompt_ids
+        prefill_cache, request.reused_tokens = self.cache_pool.checkout(prompt)
+        self.batch.admit(request.state, prefill_cache=prefill_cache)
+        self.cache_pool.checkin(prompt, prefill_cache)
+        request.prefill_seconds = self.clock() - request.admitted_at
+        self._live[id(request.state)] = request
 
     def _admit_group_chunked(self, group: list[EngineRequest]) -> list[EngineRequest]:
         """Register an admission group for chunk-by-chunk prefilling.
@@ -629,15 +616,13 @@ class ContinuousBatchingEngine:
             return False
         return len(state.prompt_ids) + state.gen_len < self.model.config.max_position
 
-    def _preempt_for_queue(self) -> int:
+    def _preempt_for_queue(self) -> None:
         """Preempt lowest-priority decoding rows for higher-priority waiters.
 
         Frees exactly as many rows as there are queued requests with
         priority *strictly* above the victim's — equal priorities never
-        preempt, so priority-less traffic can never thrash.  Returns the
-        number of rows preempted.
+        preempt, so priority-less traffic can never thrash.
         """
-        count = 0
         while True:
             victim = None
             victim_key = None
@@ -648,50 +633,20 @@ class ContinuousBatchingEngine:
                 if victim is None or key < victim_key:
                     victim, victim_key = request, key
             if victim is None:
-                return count
+                return
             waiting = sum(1 for r in self._queue if r.priority > victim.priority)
             free = self.max_batch_rows - self.batch.num_rows
             if waiting == 0 or free >= waiting:
-                return count
+                return
             self.preempt(victim)
-            count += 1
 
-    def _admit_pending(self, force: bool) -> list[EngineRequest]:
+    def _admit_pending(self) -> list[EngineRequest]:
         """Admit queued requests into free rows; returns any that finished
         during admission (unstartable requests take no row)."""
         if not self._queue:
             return []
-        preempted = 0
-        if self.allow_preemption and self.batch.num_rows >= self.max_batch_rows:
-            preempted = self._preempt_for_queue()
-        if self.batch.num_rows == 0 and not force and self.admit_deadline > 0:
-            # Idle engine: deadline-based batch closing.  Hold the queue open
-            # until it can fill the batch or the oldest request's deadline
-            # lapses, so co-arriving traffic shares one admission group.
-            oldest_wait = self.clock() - self._queue[0].submitted_at
-            if len(self._queue) < self.max_batch_rows and oldest_wait < self.admit_deadline:
-                return []
-        if (
-            self.batch.num_rows > 0
-            and not force
-            and preempted == 0
-            and self.min_admit_rows > 1
-        ):
-            # Running engine: group small admissions so a stream of lone
-            # arrivals does not pay one prefill forward per request.  The
-            # hold is bounded in *steps* so a straggler joins after at most
-            # min_admit_rows iterations, not when the batch drains.  A
-            # preemption bypasses the hold — the slot was freed *for* the
-            # waiter, holding it would defeat the eviction.
-            free = self.max_batch_rows - self.batch.num_rows
-            hold_lapsed = self._held_steps >= self.min_admit_rows or (
-                self.admit_deadline > 0
-                and self.clock() - self._queue[0].submitted_at >= self.admit_deadline
-            )
-            if min(free, len(self._queue)) < self.min_admit_rows and not hold_lapsed:
-                self._held_steps += 1
-                return []
-        self._held_steps = 0
+        if self.batch.num_rows >= self.max_batch_rows:
+            self._preempt_for_queue()
         free = self.max_batch_rows - self.batch.num_rows
         if free <= 0:
             return []
@@ -705,12 +660,8 @@ class ContinuousBatchingEngine:
                 # A preempted request re-entering the batch: its pinned
                 # resume entry is about to be checked out by the normal
                 # admission path, so release the eviction pin first.
-                if self.cache_pool is not None:
-                    self.cache_pool.unpin(request._pinned_ids)
-                request._pinned_ids = None
+                self._release_pin(request)
                 self.stats.resumes += 1
-        if not group:
-            return []
         finished = self._admit_group(group)
         self.stats.admissions += 1
         self.stats.admitted_rows += len(group)
@@ -718,19 +669,18 @@ class ContinuousBatchingEngine:
         self.stats.peak_rows = max(self.stats.peak_rows, self.batch.num_rows)
         return finished
 
-    def step(self, *, force_admit: bool = False) -> list[EngineRequest]:
+    def step(self) -> list[EngineRequest]:
         """One scheduling iteration: admit, chunk-prefill, decode, retire.
 
-        Returns the requests that finished during this iteration.  An idle
-        engine holding requests back under the admission deadline does
-        nothing and returns ``[]`` (``force_admit`` overrides, as
-        :meth:`drain` does).  Under a ``prefill_chunk_tokens`` budget the
-        step first consumes up to one budget's worth of queued prompt
-        tokens (requests whose prompt completes join this very step's
-        decode), then decodes the live rows — so decode latency per step is
-        bounded regardless of arriving prompt lengths.
+        Returns the requests that finished during this iteration.  Queued
+        requests take every free row first.  Under a
+        ``prefill_chunk_tokens`` budget the step then consumes up to one
+        budget's worth of queued prompt tokens (requests whose prompt
+        completes join this very step's decode), then decodes the live
+        rows — so decode latency per step is bounded regardless of
+        arriving prompt lengths.
         """
-        finished = self._admit_pending(force_admit)
+        finished = self._admit_pending()
         if self.batch.num_rows == 0:
             return finished
         chunk_tokens = 0
@@ -875,7 +825,6 @@ class ContinuousBatchingEngine:
             self._release_pin(request)
         self._queue.clear()
         self._live.clear()
-        self._held_steps = 0
         for state in list(self.batch.prefilling):
             staging = self.batch.release_prefill(state)
             if staging is not None and hasattr(staging, "release"):
@@ -890,11 +839,9 @@ class ContinuousBatchingEngine:
     def drain(self) -> list[EngineRequest]:
         """Run scheduling iterations until queue and live batch are empty.
 
-        The admission deadline is bypassed — a drain means "decode
-        everything queued, now".  Returns the finished requests in submit
-        order.
+        Returns the finished requests in submit order.
         """
         finished: list[EngineRequest] = []
         while self.has_work:
-            finished.extend(self.step(force_admit=True))
+            finished.extend(self.step())
         return sorted(finished, key=lambda r: r.request_id)

@@ -146,7 +146,7 @@ def _worker_main(conn, builder, config, pool_kwargs: dict, seed: int) -> None:
             continue
         idle_polls = 0
         try:
-            finished = engine.step(force_admit=True)
+            finished = engine.step()
         except Exception as exc:  # noqa: BLE001 - fail the batch, keep serving
             message = f"{type(exc).__name__}: {exc}"
             for rid in pending.values():

@@ -196,6 +196,35 @@ class TestAsyncParity:
             with pytest.raises(ValueError):
                 engine.submit_score(np.empty(0, dtype=np.int64), [np.array([1])])
 
+    def test_out_of_vocabulary_id_fails_only_its_submission(self, model, ragged_prompts):
+        """A bad token id raises at submit time, so it never reaches the
+        stepping thread's forward and cannot fail a live batchmate."""
+        stepped = threading.Event()
+        release = threading.Event()
+
+        def hook(_engine):
+            stepped.set()
+            release.wait(10)
+
+        engine = AsyncEngine(model, config=EngineConfig(max_batch_rows=4), on_step=hook)
+        try:
+            live = engine.submit(ragged_prompts[0], max_new_tokens=40)
+            assert stepped.wait(10) and not live.done  # in flight, held
+            for bad in ([1, 2, VOCAB], [1, -1, 2]):
+                with pytest.raises(ValueError, match="token ids must lie in"):
+                    engine.submit(np.array(bad))
+            release.set()
+            assert_generations_equal(
+                [live.result(timeout=30)],
+                [model.generate(ragged_prompts[0], max_new_tokens=40)],
+                context="batchmate of a rejected bad-id prompt",
+            )
+        finally:
+            release.set()
+            engine.shutdown(drain=False)
+        assert engine.stats.finished == 1
+        assert_no_leaked_rows(engine)
+
 
 # ---------------------------------------------------------------------- #
 # cancellation and timeouts

@@ -14,7 +14,8 @@ Pins the invariants of the per-step prefill token budget
   forwards the uncovered suffix;
 * cancelling (or timing out) a request mid-prefill reclaims its
   scheduling slot and every KV block it held;
-* ``min_admit_rows`` batch-closing still applies to chunked admission;
+* a prefilling row holds its scheduling slot, and arrivals take the free
+  slots at the next step;
 * the new :class:`EngineStats` occupancy fields (per-step prefill tokens,
   decode rows, chunk counts, stall histogram) are populated coherently.
 """
@@ -82,7 +83,7 @@ def _run(model, prompts, *, chunk=None, pool=None, clock=None, **config_fields):
         engine.drain()
     else:
         while engine.has_work:
-            engine.step(force_admit=True)
+            engine.step()
             clock.advance(0.125)
     return engine, requests
 
@@ -103,9 +104,11 @@ class TestChunkedParity:
         rng = np.random.default_rng(seed)
         lengths = rng.integers(2, 70, size=6)
         prompts = _prompts(seed, lengths)
-        kwargs = dict(kv_layout=kv_layout, kv_dtype=kv_dtype, min_admit_rows=2)
-        _, base = _run(model, prompts, chunk=None, **kwargs)
+        kwargs = dict(kv_layout=kv_layout, kv_dtype=kv_dtype)
+        base_engine, base = _run(model, prompts, chunk=None, **kwargs)
         _, got = _run(model, prompts, chunk=chunk, **kwargs)
+        # The atomic reference admits a cold group through one padded prefill.
+        assert max(base_engine.stats.batch_sizes) >= 2
         for a, b in zip(base, got):
             assert a.finish_reason == b.finish_reason
             np.testing.assert_array_equal(a.result, b.result)
@@ -238,7 +241,7 @@ class TestChunkedPool:
             cache_pool=pool,
         )
         request = engine.submit(prompt, max_new_tokens=4)
-        engine.step(force_admit=True)  # one 8-token chunk only
+        engine.step()  # one 8-token chunk only
         assert not request.done
         assert engine.cancel(request)
         assert request.finish_reason == "cancelled"
@@ -268,7 +271,7 @@ class TestMidPrefillReclaim:
         allocator = engine.batch.cache.allocator
         baseline = allocator.blocks_in_use
         request = engine.submit(prompt, max_new_tokens=4)
-        engine.step(force_admit=True)
+        engine.step()
         assert engine.num_active == 1  # mid-prefill slot held
         assert not request.done
         assert engine.cancel(request, reason=reason)
@@ -298,7 +301,7 @@ class TestMidPrefillReclaim:
         baseline = allocator.blocks_in_use
         for n in (30, 44):
             engine.submit(rng.integers(1, VOCAB, size=n), max_new_tokens=4)
-        engine.step(force_admit=True)
+        engine.step()
         assert engine.num_active == 2
         engine.reset()
         assert engine.num_active == 0
@@ -309,48 +312,23 @@ class TestMidPrefillReclaim:
 # admission policy
 # ---------------------------------------------------------------------- #
 class TestChunkedAdmissionPolicy:
-    def test_min_admit_rows_still_gates_chunked_admission(self, model):
-        """A prefilling row counts as a live slot, and a lone straggler is
-        held back by ``min_admit_rows`` exactly as on the atomic path."""
+    def test_prefilling_rows_hold_their_slots(self, model):
+        """A prefilling row counts as a live slot; an arrival takes a free
+        slot at the next step and waits while every slot is prefilling."""
         engine = ContinuousBatchingEngine(
             model,
-            config=EngineConfig(
-                max_batch_rows=4,
-                min_admit_rows=2,
-                prefill_chunk_tokens=4,
-            ),
+            config=EngineConfig(max_batch_rows=2, prefill_chunk_tokens=4),
         )
         rng = np.random.default_rng(41)
         engine.submit(rng.integers(1, VOCAB, size=30), max_new_tokens=8)
-        engine.step(force_admit=True)
+        engine.step()
         assert engine.num_active == 1  # chunk-prefilling, slot already held
         engine.submit(rng.integers(1, VOCAB, size=25), max_new_tokens=4)
         engine.step()
-        # One straggler below min_admit_rows: held while the batch runs.
-        assert engine.num_active == 1
+        assert engine.num_active == 2  # joined at the next step
+        assert engine.batch.num_prefilling == 2
         engine.submit(rng.integers(1, VOCAB, size=7), max_new_tokens=4)
         engine.step()
-        assert engine.num_active == 3  # group formed, all slots held at once
+        assert engine.num_active == 2 and engine.num_queued == 1
         engine.drain()
         assert engine.stats.finished == 3
-
-    def test_idle_deadline_admits_lone_chunked_request(self, model):
-        clock = ManualClock()
-        engine = ContinuousBatchingEngine(
-            model,
-            config=EngineConfig(
-                max_batch_rows=4,
-                admit_deadline=0.5,
-                prefill_chunk_tokens=8,
-            ),
-            clock=clock,
-        )
-        rng = np.random.default_rng(43)
-        engine.submit(rng.integers(1, VOCAB, size=20), max_new_tokens=4)
-        engine.step()
-        assert engine.num_active == 0  # idle engine holds for co-arrivals
-        clock.advance(1.0)
-        engine.step()
-        assert engine.num_active == 1  # deadline admitted the lone request
-        engine.drain()
-        assert engine.stats.finished == 1

@@ -46,19 +46,6 @@ def ragged_prompts():
     return [rng.integers(1, VOCAB, size=n) for n in (4, 11, 6, 9, 5, 13, 7, 8)]
 
 
-class ManualClock:
-    """Injectable clock: time only moves when the test advances it."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-    def __call__(self) -> float:
-        return self.now
-
-
 class TickingClock:
     """Strictly increasing clock so every stamped interval is positive."""
 
@@ -359,55 +346,25 @@ class TestContinuousBatchingEngine:
         assert 1 <= len(extra) <= 9
         assert extra.min() >= 0 and extra.max() < VOCAB
 
-    def test_deadline_based_batch_closing(self, model, ragged_prompts):
-        clock = ManualClock()
-        engine = ContinuousBatchingEngine(
-            model,
-            config=EngineConfig(max_batch_rows=4, admit_deadline=5.0),
-            clock=clock,
-        )
-        engine.submit(ragged_prompts[0], max_new_tokens=4)
-        engine.submit(ragged_prompts[1], max_new_tokens=4)
-        assert engine.step() == [] and engine.num_active == 0  # held for batchmates
-        clock.advance(6.0)
-        engine.step()
-        assert engine.num_active == 2 and engine.stats.batch_sizes == [2]
-        # A full batch closes immediately, deadline notwithstanding.
-        engine2 = ContinuousBatchingEngine(
-            model,
-            config=EngineConfig(max_batch_rows=2, admit_deadline=1000.0),
-            clock=ManualClock(),
-        )
-        engine2.submit(ragged_prompts[0], max_new_tokens=4)
-        assert engine2.step() == [] and engine2.num_active == 0
-        engine2.submit(ragged_prompts[1], max_new_tokens=4)
-        engine2.step()
-        assert engine2.num_active == 2
-        # Once decoding runs, later arrivals are admitted without waiting.
-        engine2.submit(ragged_prompts[2], max_new_tokens=4)
-        finished = engine2.drain()
-        assert len(finished) == 3 and engine2.stats.admissions == 2
-
-    def test_admission_grouping_hold_is_bounded(self, model, ragged_prompts):
-        """min_admit_rows may hold a straggler, but never until the batch drains."""
-        engine = ContinuousBatchingEngine(
-            model,
-            config=EngineConfig(max_batch_rows=3, min_admit_rows=2),
-        )
+    def test_arrivals_join_at_the_next_step(self, model, ragged_prompts):
+        """Admission holds nothing back: co-arrivals share one admission
+        group, and a later arrival joins the running batch at the very next
+        step boundary."""
+        engine = ContinuousBatchingEngine(model, config=EngineConfig(max_batch_rows=3))
         for p in ragged_prompts[:2]:
             engine.submit(p, max_new_tokens=20)
         engine.step()
+        assert engine.num_active == 2 and engine.stats.batch_sizes == [2]
         straggler = engine.submit(ragged_prompts[2], max_new_tokens=3)
-        held_steps = 0
-        while not straggler.state.admitted and not straggler.done:
-            engine.step()
-            held_steps += 1
-            assert held_steps <= engine.min_admit_rows + 1, "straggler starved"
+        engine.step()
+        assert straggler.state.admitted and engine.num_active == 3
+        assert engine.stats.batch_sizes == [2, 1]
         engine.drain()
+        assert engine.stats.admissions == 2
         assert_generations_equal(
             [straggler.result],
             [model.generate(ragged_prompts[2], max_new_tokens=3)],
-            context="held straggler",
+            context="next-step straggler",
         )
 
     def test_pool_peek_probes_without_side_effects(self, model):
@@ -537,7 +494,6 @@ class TestEngineEdgeCases:
     def test_step_on_an_empty_engine_is_a_noop(self, model):
         engine = ContinuousBatchingEngine(model, config=EngineConfig(max_batch_rows=2))
         assert engine.step() == []
-        assert engine.step(force_admit=True) == []
         assert engine.drain() == []
         assert engine.stats.steps == 0 and not engine.has_work
         assert engine.batch.num_rows == 0

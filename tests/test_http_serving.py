@@ -21,6 +21,7 @@ Pins the API-redesign invariants:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import threading
 import time
@@ -61,10 +62,12 @@ class TestEngineConfig:
         "field, value, message",
         [
             ("max_batch_rows", 0, "max_batch_rows must be positive"),
-            ("admit_deadline", -0.1, "admit_deadline must be >= 0"),
-            ("min_admit_rows", 0, "min_admit_rows must lie in"),
-            ("min_admit_rows", 9, "min_admit_rows must lie in"),
+            ("max_batch_rows", True, "max_batch_rows must be an integer"),
+            ("max_batch_rows", 2.5, "max_batch_rows must be an integer"),
+            ("max_batch_rows", "4", "max_batch_rows must be an integer"),
             ("prefill_chunk_tokens", 0, "prefill_chunk_tokens must be positive"),
+            ("prefill_chunk_tokens", 3.5, "prefill_chunk_tokens must be an integer"),
+            ("prefill_chunk_tokens", False, "prefill_chunk_tokens must be an integer"),
             ("kv_layout", "sparse", "kv_layout"),
             ("kv_dtype", "fp64", "kv_dtype"),
         ],
@@ -85,28 +88,41 @@ class TestEngineConfig:
     def test_json_round_trip(self):
         config = EngineConfig(
             max_batch_rows=6,
-            min_admit_rows=2,
             prefill_chunk_tokens=16,
             kv_layout="paged",
             kv_dtype="int8",
-            allow_preemption=False,
         )
         assert EngineConfig.from_json(config.to_json()) == config
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+            "max_batch_rows",
+            "prefill_chunk_tokens",
+            "kv_layout",
+            "kv_dtype",
+        ]
 
     def test_json_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown engine config keys: max_rowz"):
             EngineConfig.from_json('{"max_rowz": 3}')
+        # Admission has no tunable left: the removed hold/preemption knobs
+        # are typos like any other.
+        for key, value in (
+            ("admit_deadline", "0.5"),
+            ("min_admit_rows", "2"),
+            ("allow_preemption", "false"),
+        ):
+            with pytest.raises(ValueError, match=f"unknown engine config keys: {key}"):
+                EngineConfig.from_json(f'{{"{key}": {value}}}')
         with pytest.raises(ValueError, match="must be an object"):
             EngineConfig.from_json("[1, 2]")
 
 
 class TestConfigPlumbing:
     def test_engine_accepts_config_object(self, model):
-        config = EngineConfig(max_batch_rows=2, min_admit_rows=2, kv_layout="paged")
+        config = EngineConfig(max_batch_rows=2, prefill_chunk_tokens=8, kv_layout="paged")
         engine = ContinuousBatchingEngine(model, config=config)
         assert engine.config is config
         assert engine.max_batch_rows == 2
-        assert engine.min_admit_rows == 2
+        assert engine.prefill_chunk_tokens == 8
         assert engine.kv_layout == "paged"
         assert ContinuousBatchingEngine(model).config == EngineConfig()
 
@@ -203,7 +219,7 @@ class TestPriorityScheduling:
         engine = ContinuousBatchingEngine(model, config=EngineConfig(max_batch_rows=1))
         low = engine.submit(prompt_of(6, 1), max_new_tokens=2, priority=0)
         high = engine.submit(prompt_of(6, 2), max_new_tokens=2, priority=5)
-        engine.step(force_admit=True)
+        engine.step()
         # The later-submitted high-priority request got the lone row.
         assert high.state.admitted and not low.state.admitted
         drain_done(engine)
@@ -213,7 +229,7 @@ class TestPriorityScheduling:
         engine = ContinuousBatchingEngine(model, config=EngineConfig(max_batch_rows=1))
         first = engine.submit(prompt_of(6, 1), max_new_tokens=2)
         engine.submit(prompt_of(6, 2), max_new_tokens=2, deadline=engine.clock() + 0.01)
-        engine.step(force_admit=True)
+        engine.step()
         assert first.state.admitted
         drain_done(engine)
 
@@ -225,10 +241,10 @@ class TestPriorityScheduling:
         victim_prompt = prompt_of(6, 3)
         victim = engine.submit(victim_prompt, max_new_tokens=12, priority=0)
         for _ in range(5):
-            engine.step(force_admit=True)
+            engine.step()
         assert victim.state.gen_len >= 4  # mid-decode
         urgent = engine.submit(prompt_of(6, 4), max_new_tokens=4, priority=5)
-        engine.step(force_admit=True)
+        engine.step()
         assert victim.preemptions == 1
         assert engine.stats.preemptions == 1
         assert pool.pinned_entries == 1  # resume state pinned while queued
@@ -256,9 +272,9 @@ class TestPriorityScheduling:
         victim_prompt = prompt_of(6, 3)
         victim = engine.submit(victim_prompt, max_new_tokens=12, priority=0)
         for _ in range(5):
-            engine.step(force_admit=True)
+            engine.step()
         engine.submit(prompt_of(6, 4), max_new_tokens=4, priority=5)
-        engine.step(force_admit=True)
+        engine.step()
         assert victim.preemptions == 1
         drain_done(engine)
         # Parity target is the same engine config *without* the preemption.
@@ -275,9 +291,9 @@ class TestPriorityScheduling:
         victim_prompt = prompt_of(6, 3)
         victim = engine.submit(victim_prompt, max_new_tokens=12, priority=0)
         for _ in range(5):
-            engine.step(force_admit=True)
+            engine.step()
         engine.submit(prompt_of(6, 4), max_new_tokens=4, priority=5)
-        engine.step(force_admit=True)
+        engine.step()
         assert victim.preemptions == 1
         drain_done(engine)
         np.testing.assert_array_equal(
@@ -288,21 +304,9 @@ class TestPriorityScheduling:
         engine = ContinuousBatchingEngine(model, config=EngineConfig(max_batch_rows=1))
         engine.submit(prompt_of(6, 1), max_new_tokens=8, priority=3)
         for _ in range(3):
-            engine.step(force_admit=True)
+            engine.step()
         engine.submit(prompt_of(6, 2), max_new_tokens=2, priority=3)
-        engine.step(force_admit=True)
-        assert engine.stats.preemptions == 0
-        drain_done(engine)
-
-    def test_allow_preemption_false_disables(self, model):
-        engine = ContinuousBatchingEngine(
-            model, config=EngineConfig(max_batch_rows=1, allow_preemption=False)
-        )
-        engine.submit(prompt_of(6, 1), max_new_tokens=8, priority=0)
-        for _ in range(3):
-            engine.step(force_admit=True)
-        engine.submit(prompt_of(6, 2), max_new_tokens=2, priority=9)
-        engine.step(force_admit=True)
+        engine.step()
         assert engine.stats.preemptions == 0
         drain_done(engine)
 
@@ -313,9 +317,9 @@ class TestPriorityScheduling:
         )
         victim = engine.submit(prompt_of(6, 3), max_new_tokens=12, priority=0)
         for _ in range(5):
-            engine.step(force_admit=True)
+            engine.step()
         engine.submit(prompt_of(6, 4), max_new_tokens=4, priority=5)
-        engine.step(force_admit=True)
+        engine.step()
         assert pool.pinned_entries == 1
         assert engine.cancel(victim)
         assert pool.pinned_entries == 0
@@ -455,6 +459,7 @@ class TestHttpServer:
             ({"prompt_ids": [1, 2, 3], "stop_ids": 5}, "stop_ids must be a list"),
             ({"prompt_ids": [1, 2, 3], "max_new_tokens": "lots"}, "invalid literal"),
             ({"prompt_ids": [1] * 600}, "exceeds the model's maximum"),
+            ({"prompt_ids": [1, 2, 500]}, "token ids must lie in [0, 64)"),
         ],
     )
     def test_bad_generate_bodies_get_400(self, model, body, message):

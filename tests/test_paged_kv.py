@@ -595,7 +595,7 @@ class TestBlockSharing:
 # ---------------------------------------------------------------------- #
 class TestEngineParity:
     def _run_engine(self, model, prompts, stop_ids, **config_fields):
-        config = EngineConfig(max_batch_rows=4, min_admit_rows=2, **config_fields)
+        config = EngineConfig(max_batch_rows=4, **config_fields)
         engine = ContinuousBatchingEngine(model, config=config)
         results = [None] * len(prompts)
         submitted = 0
@@ -608,6 +608,8 @@ class TestEngineParity:
                     submitted += 1
             for request in engine.step():
                 results[request.request_id] = request.result
+        # Arrivals come in pairs, so cold groups go through admit_many.
+        assert max(engine.stats.batch_sizes) >= 2
         return results
 
     @pytest.mark.parametrize("kv_dtype", ["fp32", "int8"])
