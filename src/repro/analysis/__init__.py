@@ -4,7 +4,7 @@ Two halves, one goal — turning the serving stack's hard-won invariants
 into machine-checked contracts:
 
 * :mod:`repro.analysis.lint` / :mod:`repro.analysis.rules` — stdlib-``ast``
-  lints (RPR001–RPR005) run via ``python -m repro.analysis``; see
+  lints (RPR001–RPR006) run via ``python -m repro.analysis``; see
   ``docs/analysis.md`` for the rule catalogue and annotation conventions.
 * :mod:`repro.analysis.sanitize` — opt-in runtime watchers
   (``REPRO_SANITIZE=1``): lock-order cycle detection and block-allocator

@@ -1,4 +1,4 @@
-"""Project invariant rules RPR001–RPR005.
+"""Project invariant rules RPR001–RPR006.
 
 Each rule encodes an invariant this codebase has already paid for once:
 
@@ -23,6 +23,11 @@ Each rule encodes an invariant this codebase has already paid for once:
   paths (paged-KV admission/retirement/rollback); array copies
   (``np.concatenate``, ``.copy()``, …) inside them silently re-introduce
   the O(rows x width) costs the block tables exist to avoid.
+* **RPR006** — no blocking or thread-waking call while holding a lock that
+  guards ``# guarded-by`` state: every other thread that needs the state
+  waits out the sleep, the future, the socket, or the self-pipe write and
+  loop wakeup of ``call_soon_threadsafe``.  ``Condition.wait`` on the held
+  condition releases the lock and is exempt.
 """
 
 from __future__ import annotations
@@ -401,6 +406,108 @@ class TableEditNoCopy(Rule):
         return None
 
 
+#: Method names that block the calling thread or wake another one, with
+#: what each does.  ``wait`` and ``join`` are refined in ``_blocking_call``.
+_BLOCKING_METHODS = {
+    "call_soon_threadsafe": "wakes another thread's event loop",
+    "result": "blocks on a future",
+    "send": "blocks on a socket or pipe",
+    "sendall": "blocks on a socket",
+    "sendto": "blocks on a socket",
+    "send_bytes": "blocks on a pipe",
+    "recv": "blocks on a socket or pipe",
+    "recv_into": "blocks on a socket",
+    "recvfrom": "blocks on a socket",
+    "recv_bytes": "blocks on a pipe",
+}
+
+
+class NoBlockingUnderLock(Rule):
+    id = "RPR006"
+    title = "no blocking or thread-waking call under a guarded-by lock"
+
+    def check(self, src: SourceFile) -> Iterator[Finding]:
+        guard_locks = set(src.guards.values())
+        if not guard_locks:
+            return
+        # Module functions and methods; the walk covers nested functions
+        # (with no lock held, as they run later).
+        for scope in ast.walk(src.tree):
+            if not isinstance(scope, (ast.Module, ast.ClassDef)):
+                continue
+            aliases = condition_aliases(scope) if isinstance(scope, ast.ClassDef) else {}
+            walker = LockWalk(aliases=aliases)
+            for func in scope.body:
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from self._check_function(src, func, guard_locks, walker)
+
+    def _check_function(
+        self,
+        src: SourceFile,
+        func: ast.FunctionDef,
+        guard_locks: set[str],
+        walker: LockWalk,
+    ) -> Iterator[Finding]:
+        findings: list[Finding] = []
+        initial = src.guard_at(func)
+        held0 = frozenset() if initial is None else frozenset({initial})
+        qual = src.qualname_of(func)
+
+        def visit(node: ast.AST, held: frozenset[str]) -> None:
+            locks = held & guard_locks
+            if not locks or not isinstance(node, ast.Call):
+                return
+            what = self._blocking_call(node, held)
+            if what is None:
+                return
+            lock = sorted(locks)[0]
+            found = self.finding(
+                src,
+                node,
+                f"{qual} calls {ast.unparse(node.func)}() while holding {lock}, "
+                f"which guards '# guarded-by' state; the call {what}, so every "
+                "thread waiting for the lock waits on it too (collect under the "
+                "lock, call after releasing it)",
+                key=f"{qual}:{ast.unparse(node)[:60]}",
+            )
+            if found:
+                findings.append(found)
+
+        for stmt in func.body:
+            walker._walk_one(stmt, held0, visit)
+        seen: set[str] = set()
+        for finding in findings:
+            if finding.key not in seen:
+                seen.add(finding.key)
+                yield finding
+
+    @staticmethod
+    def _blocking_call(node: ast.Call, held: frozenset[str]) -> str | None:
+        """What a blocking call does, or None for a call that does not block."""
+        func = node.func
+        if isinstance(func, ast.Name):
+            return "sleeps" if func.id == "sleep" else None
+        if not isinstance(func, ast.Attribute):
+            return None
+        name = func.attr
+        if name == "sleep":
+            return "sleeps"
+        if name == "wait":
+            # Condition.wait on the held condition releases the lock.
+            return None if ast.unparse(func.value) in held else "waits on an event"
+        if name == "join":
+            # Thread.join takes no argument or a timeout; str.join an iterable.
+            timeout_only = not node.args or (
+                len(node.args) == 1
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, (int, float))
+            )
+            if any(k.arg == "timeout" for k in node.keywords) or timeout_only:
+                return "waits for a thread or process"
+            return None
+        return _BLOCKING_METHODS.get(name)
+
+
 def all_rules() -> list[Rule]:
     """Fresh instances of every project rule, in id order."""
     return [
@@ -409,6 +516,7 @@ def all_rules() -> list[Rule]:
         NoBareModuleGlobals(),
         ConfigRouting(),
         TableEditNoCopy(),
+        NoBlockingUnderLock(),
     ]
 
 

@@ -54,32 +54,41 @@ __all__ = [
     "EngineRequest",
     "EngineStats",
     "ContinuousBatchingEngine",
+    "check_token_ids",
     "validate_prompt",
 ]
 
 
-def validate_prompt(model: DecoderLM, prompt_ids: np.ndarray) -> np.ndarray:
+def validate_prompt(
+    model: DecoderLM, prompt_ids: np.ndarray, kind: str = "generate"
+) -> np.ndarray:
     """Coerce and admission-check one prompt (shared by every front end).
 
     The async engine and the engine itself must agree on what is
     admissible — batched decoding forwards whole padded batches, so an
     oversized prompt or an out-of-vocabulary id slipping past one layer
-    would fail all of its batchmates later.
+    would fail all of its batchmates later.  ``kind`` names the request
+    kind in the empty-prompt message.
     """
     prompt = np.asarray(prompt_ids, dtype=np.int64).ravel()
     if len(prompt) == 0:
-        raise ValueError("generate requests need a non-empty prompt")
+        raise ValueError(f"{kind} requests need a non-empty prompt")
     if len(prompt) > model.config.max_position:
         raise ValueError(
             f"prompt of {len(prompt)} tokens exceeds the model's maximum "
             f"context {model.config.max_position}"
         )
-    if prompt.min() < 0 or prompt.max() >= model.vocab_size:
-        raise ValueError(
-            f"prompt token ids must lie in [0, {model.vocab_size}), "
-            f"got [{prompt.min()}, {prompt.max()}]"
-        )
+    check_token_ids(model, prompt, "prompt")
     return prompt
+
+
+def check_token_ids(model: DecoderLM, ids: np.ndarray, what: str) -> None:
+    """Reject ids outside ``[0, vocab_size)`` (``what`` names them)."""
+    if ids.min() < 0 or ids.max() >= model.vocab_size:
+        raise ValueError(
+            f"{what} token ids must lie in [0, {model.vocab_size}), "
+            f"got [{ids.min()}, {ids.max()}]"
+        )
 
 
 @dataclass

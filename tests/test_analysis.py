@@ -33,7 +33,7 @@ from repro.analysis.sanitize import (
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
 REPO_ROOT = Path(__file__).parents[1]
-RULE_IDS = ["RPR001", "RPR002", "RPR003", "RPR004", "RPR005"]
+RULE_IDS = ["RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006"]
 
 
 # ---------------------------------------------------------------------- #
@@ -61,6 +61,83 @@ def test_config_routing_flags_kwargs_catch_all():
     messages = [f.message for f in findings]
     assert any("'shiny_new_knob'" in m for m in messages)
     assert any("**options catch-all" in m for m in messages)
+
+
+def run_rule(src: SourceFile, rule_id: str) -> list:
+    return [f for rule in all_rules() if rule.id == rule_id for f in rule.check(src)]
+
+
+def test_blocking_under_lock_flags_each_call():
+    findings, _ = run_paths([FIXTURES / "rpr006_bad.py"], all_rules())
+    calls = sorted(f.key.split(":", 1)[1].split("(")[0] for f in findings)
+    assert calls == [
+        "future.result",
+        "self._done.wait",
+        "self.loop.call_soon_threadsafe",
+        "self.sock.sendall",
+        "time.sleep",
+        "worker.join",
+    ]
+    # Each method names the lock it holds, including the Condition alias
+    # and the caller-holds-lock helper.
+    assert all("while holding self._lock" in f.message for f in findings)
+
+
+_MODULE_LOCK_SOURCE = """
+import threading
+import time
+from time import sleep
+
+_LOCK = threading.Lock()
+# guarded-by: _LOCK
+_REGISTRY = {{}}
+
+
+def touch(loop, cb, fut, conn, sock, buf, worker, event, parts, sep, key):
+    with _LOCK:
+        _REGISTRY[key] = {call}
+    return {call}
+"""
+
+
+@pytest.mark.parametrize(
+    "call, flagged",
+    [
+        ("loop.call_soon_threadsafe(cb)", True),
+        ("time.sleep(0.1)", True),
+        ("sleep(0.1)", True),
+        ("fut.result(timeout=1)", True),
+        ("conn.send(key)", True),
+        ("conn.recv()", True),
+        ("sock.recv_into(buf)", True),
+        ("worker.join()", True),
+        ("worker.join(1.0)", True),
+        ("worker.join(timeout=2)", True),
+        ("event.wait()", True),
+        ("', '.join(parts)", False),
+        ("sep.join(parts)", False),
+        ("_REGISTRY.get(key)", False),
+        ("len(parts)", False),
+    ],
+)
+def test_blocking_under_module_lock(call, flagged):
+    """Under a module-global guard lock each blocking call is flagged once
+    (the same call after the with-block is not); str.join never is."""
+    src = SourceFile("guarded.py", _MODULE_LOCK_SOURCE.format(call=call))
+    findings = run_rule(src, "RPR006")
+    assert len(findings) == (1 if flagged else 0), [f.message for f in findings]
+    if flagged:
+        assert findings[0].line == 13 and "while holding _LOCK" in findings[0].message
+
+
+def test_blocking_under_unguarding_lock_is_not_flagged():
+    """A lock that guards no annotated state is outside RPR006's scope."""
+    src = SourceFile(
+        "pace.py",
+        "import threading, time\n_PACE = threading.Lock()\n\n"
+        "def pace():\n    with _PACE:\n        time.sleep(0.01)\n",
+    )
+    assert run_rule(src, "RPR006") == []
 
 
 def test_fingerprint_is_line_number_free():

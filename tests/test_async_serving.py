@@ -6,7 +6,11 @@ Pins the async-layer invariants:
   concurrent submission (asyncio clients and plain threads) are identical
   to the sequential cached path;
 * per-request token streams deliver exactly the generated tail, including
-  backlog replay for subscribers that attach mid-decode;
+  backlog replay for subscribers that attach mid-decode or after a
+  preemption; a step hands each consumer loop its rows' tokens in one
+  ``call_soon_threadsafe``; the stream end follows the last token and the
+  settled future; a closed consumer loop drops only its own subscribers;
+* score requests with out-of-vocabulary or empty inputs fail at submit;
 * cancellation and timeouts retire rows at the next step boundary, surface
   as :class:`RequestCancelled`/:class:`RequestTimeout` with the partial
   output, and leak no KV rows — and a cancel racing natural retirement is
@@ -20,6 +24,7 @@ Pins the async-layer invariants:
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 import time
 
@@ -224,6 +229,353 @@ class TestAsyncParity:
             engine.shutdown(drain=False)
         assert engine.stats.finished == 1
         assert_no_leaked_rows(engine)
+
+
+    def test_bad_score_requests_fail_at_submit(self, model, ragged_prompts):
+        """Out-of-vocabulary or empty score inputs raise at submit time, so
+        a live generation is untouched; a score that fails inside the
+        scorer returns its pool checkout (paged, so ``REPRO_SANITIZE=1``
+        audits the blocks)."""
+        stepped = threading.Event()
+        release = threading.Event()
+
+        def hook(_engine):
+            stepped.set()
+            release.wait(10)
+
+        pool = PrefixCachePool(model, max_entries=4, kv_layout="paged")
+        engine = AsyncEngine(
+            model,
+            config=EngineConfig(max_batch_rows=4, kv_layout="paged"),
+            cache_pool=pool,
+            on_step=hook,
+        )
+        prompt = ragged_prompts[3]
+        try:
+            live = engine.submit(ragged_prompts[0], max_new_tokens=30)
+            assert stepped.wait(10) and not live.done  # in flight, held
+            with pytest.raises(ValueError, match="prompt token ids must lie in"):
+                engine.submit_score(np.array([1, VOCAB, 2]), [np.array([3])])
+            with pytest.raises(ValueError, match="candidate token ids must lie in"):
+                engine.submit_batch(
+                    [
+                        {
+                            "kind": "score",
+                            "prompt_ids": prompt,
+                            "candidates": [np.array([3]), np.array([4, -1])],
+                        }
+                    ]
+                )
+            with pytest.raises(ValueError, match="candidates need at least one token"):
+                engine.submit_score(prompt, [np.array([3]), np.array([], dtype=np.int64)])
+            with pytest.raises(ValueError, match="score requests need a non-empty"):
+                engine.submit_score(np.array([], dtype=np.int64), [np.array([3])])
+            assert engine.num_pending == 1
+            release.set()
+            assert_generations_equal(
+                [live.result(timeout=30)],
+                [model.generate(ragged_prompts[0], max_new_tokens=30)],
+                context="batchmate of rejected bad score requests",
+            )
+            engine.on_step = None
+            # Pool the prompt, then fail a score of it inside the scorer
+            # (prompt + candidate overflow the context): the consumed entry
+            # goes back, so the next score of the prompt reuses all of it.
+            engine.submit_score(prompt, [np.array([3])]).result(timeout=30)
+            entries = len(pool)
+            overflow = [np.ones(model.config.max_position, dtype=np.int64)]
+            with pytest.raises(ValueError, match="exceeds the maximum context"):
+                engine.submit_score(prompt, overflow).result(timeout=30)
+            assert len(pool) == entries
+            hits = pool.stats.hits
+            scores = engine.submit_score(prompt, [np.array([3])]).result(timeout=30)
+            assert pool.stats.hits == hits + 1
+            assert engine._scorer.last_reused_tokens == len(prompt)
+            np.testing.assert_allclose(
+                scores, model.score_continuations(prompt, [np.array([3])]), rtol=1e-5
+            )
+        finally:
+            release.set()
+            engine.shutdown(drain=False)
+        assert_no_leaked_rows(engine)
+
+
+# ---------------------------------------------------------------------- #
+# the stream contract
+# ---------------------------------------------------------------------- #
+def generated_tail(model, prompt, max_new_tokens) -> list[int]:
+    return [int(t) for t in model.generate(prompt, max_new_tokens)[len(prompt) :]]
+
+
+class TestStreamContract:
+    def test_one_hand_off_per_loop_per_step(self, model, ragged_prompts):
+        """Three rows streaming to one loop cost one call_soon_threadsafe
+        per step for their tokens, not one per row per token; the step that
+        ends the streams adds one hand-off for the ends."""
+        go = threading.Event()
+        calls: list[tuple[int, bool]] = []  # (engine steps, carries tokens)
+        steps_seen: list[int] = []
+
+        def hook(engine):
+            steps_seen.append(engine.stats.steps)
+            go.wait(10)
+
+        engine = AsyncEngine(model, config=EngineConfig(max_batch_rows=3), on_step=hook)
+        prompts = ragged_prompts[:3]
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            original = loop.call_soon_threadsafe
+
+            def counting(callback, *args, **kwargs):
+                if threading.current_thread().name == "AsyncEngine-stepper":
+                    delivered = [
+                        item
+                        for arg in args
+                        for item in (
+                            [i for _, items in arg for i in items]
+                            if isinstance(arg, list)
+                            else [arg]
+                        )
+                    ]
+                    carries_tokens = any(isinstance(i, int) for i in delivered)
+                    calls.append((engine.stats.steps, carries_tokens))
+                return original(callback, *args, **kwargs)
+
+            loop.call_soon_threadsafe = counting
+            requests = engine.submit_batch(
+                [{"prompt_ids": p, "max_new_tokens": 8} for p in prompts]
+            )
+
+            async def collect(request):
+                return [token async for token in request.tokens()]
+
+            tasks = [asyncio.ensure_future(collect(r)) for r in requests]
+            await asyncio.sleep(0)  # every task has subscribed
+            go.set()
+            return await asyncio.gather(*tasks)
+
+        try:
+            streams = asyncio.run(main())
+        finally:
+            go.set()
+            engine.shutdown()
+        assert streams == [generated_tail(model, p, 8) for p in prompts]
+        # The three rows were admitted together and decoded in lockstep, so
+        # every step after the first carried three streams' tokens (and the
+        # last one their stream ends) — each in a single hand-off.
+        assert engine.stats.batch_sizes == [3]
+        token_steps = [step for step, carries_tokens in calls if carries_tokens]
+        assert len(token_steps) == len(set(token_steps)) >= 7, calls
+        assert set(token_steps) <= set(steps_seen)
+        # The streams end after their last tokens, in one more hand-off.
+        assert calls[-2:] == [(steps_seen[-1], True), (steps_seen[-1], False)]
+        assert [carries_tokens for _, carries_tokens in calls].count(False) == 1
+
+    def test_order_kept_and_end_after_resolution(self, model, ragged_prompts):
+        """Tokens arrive in order; the end comes after the last token and
+        after the future resolves; a cancelled stream yields its partial
+        tokens, then raises."""
+        with AsyncEngine(model, config=EngineConfig(max_batch_rows=2)) as engine:
+
+            async def finishing(request):
+                tokens = [token async for token in request.tokens()]
+                assert request.done  # resolved before the stream ended
+                return tokens
+
+            async def cancelled(request):
+                tokens = []
+                with pytest.raises(RequestCancelled) as info:
+                    async for token in request.tokens():
+                        tokens.append(token)
+                        if len(tokens) == 3:
+                            request.cancel()
+                assert request.done and request.finish_reason == "cancelled"
+                return tokens, info.value.partial
+
+            async def main():
+                whole = engine.submit(ragged_prompts[0], max_new_tokens=12)
+                victim = engine.submit(ragged_prompts[1], max_new_tokens=10_000)
+                return await asyncio.gather(finishing(whole), cancelled(victim))
+
+            whole_tokens, (partial_tokens, partial) = asyncio.run(main())
+        assert whole_tokens == generated_tail(model, ragged_prompts[0], 12)
+        prompt = ragged_prompts[1]
+        # Every token decoded before the cancel landed was streamed, once,
+        # in order, before the exception.
+        assert len(partial_tokens) >= 3
+        assert partial_tokens == [int(t) for t in partial[len(prompt) :]]
+        assert partial_tokens == generated_tail(model, prompt, len(partial_tokens))
+
+    def test_closed_loop_drops_only_its_own_subscribers(self, model, ragged_prompts):
+        """Loop A closes mid-stream without finalizing its generator; loop B,
+        on another thread, still receives both streams token-identical."""
+        started, a_closed = threading.Event(), threading.Event()
+        prompts = ragged_prompts[2:4]
+        holder: dict = {}
+
+        def hook(_engine):
+            started.wait(10)
+            first = holder["requests"][0].engine_request
+            if first is not None and first.state.gen_len >= 4:
+                a_closed.wait(10)
+
+        engine = AsyncEngine(model, config=EngineConfig(max_batch_rows=2), on_step=hook)
+        try:
+            requests = holder["requests"] = engine.submit_batch(
+                [{"prompt_ids": p, "max_new_tokens": 16} for p in prompts]
+            )
+            results: dict = {}
+
+            def consumer_a():
+                loop = asyncio.new_event_loop()
+                stream = requests[0].tokens()
+
+                async def take_two():
+                    return [await stream.__anext__() for _ in range(2)]
+
+                try:
+                    results["a"] = loop.run_until_complete(take_two())
+                finally:
+                    loop.close()  # the generator stays open and subscribed
+                    results["a_stream"] = stream
+                    a_closed.set()
+
+            def consumer_b():
+                async def collect(request):
+                    return [token async for token in request.tokens()]
+
+                async def main():
+                    return await asyncio.gather(*(collect(r) for r in requests))
+
+                results["b"] = asyncio.run(main())
+
+            threads = [threading.Thread(target=consumer_a), threading.Thread(target=consumer_b)]
+            for thread in threads:
+                thread.start()
+            wait_until(
+                lambda: len(requests[0]._subscribers) == 2
+                and len(requests[1]._subscribers) == 1
+            )
+            started.set()
+            for thread in threads:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            started.set()
+            a_closed.set()
+            engine.shutdown()
+        expected = [generated_tail(model, p, 16) for p in prompts]
+        assert results["b"] == expected
+        assert results["a"] == expected[0][:2]
+        assert requests[0]._subscribers == []
+        asyncio.run(results["a_stream"].aclose())
+
+    def test_many_loops_under_a_short_switch_interval(self, model, ragged_prompts):
+        """Stress: four consumer loops on four threads (more than the cores),
+        each streaming two requests while the interpreter switches threads
+        every 10 µs; every stream equals the sequential greedy tail."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        results: dict[int, list] = {}
+        try:
+            with AsyncEngine(model, config=EngineConfig(max_batch_rows=4)) as engine:
+
+                def consumer(k):
+                    async def main():
+                        streams = [
+                            engine.stream(ragged_prompts[i], max_new_tokens=10)
+                            for i in (2 * k, 2 * k + 1)
+                        ]
+
+                        async def collect(stream):
+                            return [token async for token in stream]
+
+                        return await asyncio.gather(*(collect(s) for s in streams))
+
+                    results[k] = asyncio.run(main())
+
+                threads = [threading.Thread(target=consumer, args=(k,)) for k in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert_no_leaked_rows(engine)
+        finally:
+            sys.setswitchinterval(interval)
+        for k in range(4):
+            assert results[k] == [
+                generated_tail(model, ragged_prompts[i], 10) for i in (2 * k, 2 * k + 1)
+            ]
+
+    def test_late_subscriber_replays_backlog_across_preemption(self, model):
+        """A subscriber joining after its request was preempted and resumed,
+        while a decoded token is not yet published, replays exactly the
+        published backlog and then the rest: no token twice, none missing."""
+        victim_prompt, urgent_prompt = np.arange(3, 9), np.arange(20, 26)
+        urgent_sent, mid_step, late_attached = (threading.Event() for _ in range(3))
+        holder: dict = {}
+
+        def hook(_engine):
+            victim = holder.get("victim")
+            if victim is not None and victim.engine_request is not None:
+                if not victim.engine_request.preemptions:
+                    if victim.engine_request.state.gen_len >= 4:
+                        urgent_sent.wait(10)  # keep the victim mid-decode
+
+        engine = AsyncEngine(
+            model,
+            config=EngineConfig(max_batch_rows=1),
+            cache_pool=PrefixCachePool(model, max_entries=8),
+            on_step=hook,
+        )
+        step = engine.engine.step
+
+        def step_then_hold():
+            # Hold the stepping thread between a resumed decode and its
+            # publish, so the late subscriber joins with a token in flight.
+            finished = step()
+            victim = holder["victim"]
+            decoded = len(victim.engine_request.generated_ids())
+            if victim.engine_request.preemptions and decoded > victim._published:
+                if not late_attached.is_set():
+                    mid_step.set()
+                    late_attached.wait(10)
+            return finished
+
+        engine.engine.step = step_then_hold
+
+        async def collect(request):
+            return [token async for token in request.tokens()]
+
+        async def main():
+            victim = holder["victim"] = engine.submit(victim_prompt, max_new_tokens=12)
+            early = asyncio.ensure_future(collect(victim))
+            while victim.engine_request is None or victim.engine_request.state.gen_len < 4:
+                await asyncio.sleep(0.001)
+            urgent = engine.submit(urgent_prompt, max_new_tokens=4, priority=5)
+            urgent_sent.set()
+            while not mid_step.is_set():
+                await asyncio.sleep(0.001)
+            backlog = victim._published
+            decoded = len(victim.engine_request.generated_ids())
+            late = asyncio.ensure_future(collect(victim))
+            await asyncio.sleep(0)  # subscribed, backlog replayed
+            late_attached.set()
+            return await early, await late, backlog, decoded, await urgent
+
+        try:
+            early, late, backlog, decoded, urgent = asyncio.run(main())
+        finally:
+            urgent_sent.set()
+            late_attached.set()
+            engine.shutdown()
+        expected = generated_tail(model, victim_prompt, 12)
+        assert holder["victim"].engine_request.preemptions == 1
+        assert 4 <= backlog < decoded < 12
+        assert early == expected and late == expected
+        np.testing.assert_array_equal(urgent, model.generate(urgent_prompt, 4))
 
 
 # ---------------------------------------------------------------------- #
