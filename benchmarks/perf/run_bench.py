@@ -12,7 +12,8 @@ Measures, for the decoder-LM stack that powers every ICL experiment
 * paged KV storage — the continuous-batching engine over block-paged (and
   int8-quantized) KV caches vs. the dense layout on a long-context
   multi-family trace with byte-budgeted prefix pools;
-* chunked prefill vs. atomic admission on an adversarial prompt-length mix;
+* chunked prefill vs. the uncapped prefill budget on an adversarial
+  prompt-length mix;
 * replica fleet — a data-parallel :class:`~repro.serving.ReplicaFleet` at
   1/2/4 workers vs a single engine at equal total traffic, with
   prefix-affinity vs round-robin hit rates;
@@ -750,17 +751,18 @@ def bench_paged_kv(ctx: Context) -> dict:
 
 
 def bench_chunked_prefill(ctx: Context) -> dict:
-    """Chunked-prefill piggybacking vs atomic admission, adversarial trace.
+    """Chunked-prefill piggybacking vs the uncapped budget, adversarial trace.
 
     The workload is the one the per-step prefill budget exists for: a burst
-    of mostly-short requests with a long prompt in every 4th position.  On
-    the atomic path every admission group is left-padded to its longest
-    member, so one long prompt makes *every* co-admitted short request pay
-    a long-wide prefill forward before its first token — and the whole
-    batch stalls for that forward.  Under a ``prefill_chunk_tokens`` budget
-    each request enters the batch immediately and consumes its prompt in
-    bounded chunks beside the running decodes: no padding, no monolithic
-    stall.
+    of mostly-short requests with a long prompt in every 4th position.  The
+    ``atomic`` arm runs with ``prefill_chunk_tokens=None`` (no cap): every
+    admitted prompt is prefilled whole in the step that admits it, so the
+    running decodes — and every short request admitted beside a long one —
+    wait for the long prompt's whole forward before the step decodes.
+    Under a ``prefill_chunk_tokens`` budget each step consumes at most one
+    budget of prompt tokens beside the running decodes: no monolithic
+    stall.  Both arms take the engine's one admission path (batch-1
+    prefills, no padding); only the per-step cap differs.
 
     Reported: p50/p99 TTFT (overall and short-request-only — the headline:
     the tail latency longs inflict on their neighbours), end-to-end decode

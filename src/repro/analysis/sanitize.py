@@ -11,9 +11,10 @@ Two complementary watchers for the serving stack's concurrency surface:
 * :class:`BlockSanitizer` (built by :func:`block_sanitizer_class`) — a
   drop-in :class:`~repro.nn.paged.BlockAllocator` subclass that shadows
   every block's ref-count and tags every acquire/release with a call-site
-  digest.  Double-frees and use-after-free raise *at the offending call*
-  naming both sites; leaks are reported at teardown by the test harness
-  (``tests/conftest.py`` diffs ``blocks_in_use`` around every test).
+  digest.  Double-frees, use-after-free and writes into a block another
+  cache still shares (write-after-share) raise *at the offending call*
+  naming the conflicting sites; leaks are reported at teardown by the test
+  harness (``tests/conftest.py`` diffs ``blocks_in_use`` around every test).
 
 Everything is **off by default**: :func:`enabled` reads the
 ``REPRO_SANITIZE`` environment variable, and every hook
@@ -263,7 +264,8 @@ def maybe_watch_lock(role: str, lock):
 # block-allocator auditing
 # ---------------------------------------------------------------------- #
 class BlockAuditError(RuntimeError):
-    """A block lifecycle violation (double-free or use-after-free)."""
+    """A block lifecycle violation (double-free, use-after-free or
+    write-after-share)."""
 
 
 _LIVE_SANITIZERS_LOCK = threading.Lock()
@@ -290,7 +292,9 @@ def block_sanitizer_class():
 
         Shadows the allocator's ref-counts in a ledger keyed by block id
         and tags every acquire (``alloc``/``incref``) and release
-        (``decref``) with a call-site digest.  Violations raise
+        (``decref``) with a call-site digest.  Violations — double-free,
+        use-after-free, and a ``write``/``write_scatter`` into a block
+        whose ledger count is above 1 (copy-on-write skipped) — raise
         :class:`BlockAuditError` at the offending call, naming the
         conflicting sites; blocks still in the ledger at teardown are
         leaks, reported through :meth:`leak_report`.
@@ -362,14 +366,30 @@ def block_sanitizer_class():
                 fresh = super().ensure_exclusive(block)
                 return fresh
 
+        def _check_exclusive(self, blocks, op: str) -> None:
+            """Writes need sole ownership: a block another cache still
+            references must be split by ``make_writable`` first."""
+            for block in blocks:
+                block = int(block)
+                if self._ledger.get(block, 0) > 1:
+                    raise BlockAuditError(
+                        f"write-after-share: {op} touched block {block} at "
+                        f"{_call_site(skip=3)} while it holds "
+                        f"{self._ledger[block]} references; acquire history: "
+                        f"{self._acquire_sites.get(block, [])}"
+                    )
+
         def write(self, block, offset, k, v):
             with self._lock:
                 self._check_live([block], "write")
+                self._check_exclusive([block], "write")
                 super().write(block, offset, k, v)
 
         def write_scatter(self, blocks, offsets, k, v):
             with self._lock:
-                self._check_live(set(int(b) for b in blocks), "write_scatter")
+                unique = set(int(b) for b in blocks)
+                self._check_live(unique, "write_scatter")
+                self._check_exclusive(unique, "write_scatter")
                 super().write_scatter(blocks, offsets, k, v)
 
         def gather_row(self, table, width, out_k, out_v, start):

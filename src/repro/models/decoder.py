@@ -183,10 +183,10 @@ class DecodeBatch:
       reusing a checked-out prefix cache) and splice them into the live
       batch without touching existing rows;
     * :meth:`admit_chunked` + :meth:`prefill_step` instead spread a
-      newcomer's prefill over several steps in bounded token chunks (the
-      Sarathi-style chunked prefill the engine's per-step token budget
-      drives), so an arriving long prompt never stalls the in-flight
-      decode rows for its whole length;
+      newcomer's prefill over one or more steps in bounded token chunks
+      (the engine's only admission path: its per-step token budget, or no
+      cap, drives the chunks), so an arriving long prompt need not stall
+      the in-flight decode rows for its whole length;
     * :meth:`step` samples one token per row, retires rows that finish
       (stop token, token budget, context limit) immediately, and forwards
       the survivors' tokens to produce the next distributions;
@@ -333,21 +333,13 @@ class DecodeBatch:
             self.prefill_step(state, len(state.prompt_ids))
             self.release_prefill(state)
 
-    def admit_many(
-        self, states: Sequence[DecodeState], pad_id: int = 0, row_sink=None
-    ) -> None:
+    def admit_many(self, states: Sequence[DecodeState], pad_id: int = 0) -> None:
         """Prefill several requests as one left-padded batch, then admit each.
 
         This is the batch-formation path :meth:`DecoderLM.generate_batch`
-        uses (and the engine's cold admission groups): one padded
-        forward prefills every startable newcomer, after which each row is
-        spliced into the live batch exactly like a single admission.
-
-        ``row_sink(state, cache)``, when given, receives a private batch-1
-        copy of each admitted row's full-prompt prefill — the hook the
-        engine uses to check batched cold prefills into its prefix pool,
-        which the single-request admission path seeds for free but a shared
-        staging forward otherwise could not.
+        uses: one padded forward prefills every startable newcomer, after
+        which each row is spliced into the live batch exactly like a single
+        admission.
         """
         for state in states:
             self._check_admissible(state)
@@ -371,10 +363,6 @@ class DecodeBatch:
             self._admit_prefilled_row(
                 st, staging, i, max_len - int(lengths[i]), log_probs[i]
             )
-            if row_sink is not None:
-                clone = self._make_cache(0, self.capacity)
-                clone.admit_row(staging, i, max_len - int(lengths[i]))
-                row_sink(st, clone)
         if hasattr(staging, "release"):
             staging.release()
 

@@ -42,7 +42,7 @@ class EngineConfig:
 
     #: Live-batch row capacity (concurrent decoding requests).
     max_batch_rows: int = 8
-    #: Per-step prefill token budget (Sarathi chunking); ``None`` = atomic.
+    #: Per-step prefill token budget (Sarathi chunking); ``None`` = no cap.
     prefill_chunk_tokens: int | None = None
     #: KV storage of the live batch: ``"dense"`` or ``"paged"``.
     kv_layout: str = "dense"

@@ -8,20 +8,21 @@ schedules at *iteration* granularity instead, driving the
 
 * at every step boundary, queued requests are admitted into the free rows
   of the live batch (up to ``max_batch_rows``) — there is no batch to
-  close, so nothing is held back for batchmates: prompts overlapping a
-  pooled prefix are prefilled individually off the shared
-  :class:`~repro.serving.pool.PrefixCachePool` checkout (the advanced
-  full-prompt prefill is checked back in for future traffic), and cold
-  prompts that arrive together share one left-padded batched prefill;
+  close, so nothing is held back for batchmates.  Every admission takes
+  one path: a startable request checks out a prefix cache from the shared
+  :class:`~repro.serving.pool.PrefixCachePool` (when the engine has one),
+  enters the batch in a *prefilling* state, and the step's chunk phase
+  forwards its prompt at batch 1 off that checkout, checking the advanced
+  full-prompt cache back in for future traffic once the prompt is done;
+* a ``prefill_chunk_tokens`` budget caps the prompt tokens each step
+  forwards beside the running decode rows (Sarathi-style chunked prefill
+  piggybacking): a long arriving prompt delays each decode step by at
+  most one bounded chunk instead of stalling it for the whole prompt.
+  ``None`` is no cap — each prompt's whole remainder goes in the step
+  that admits it.  Chunk boundaries never change the computed values, so
+  greedy outputs are token-identical at every budget;
 * rows retire the moment they emit a stop token, exhaust their token
   budget, or hit the context window, immediately freeing their slot;
-* with a ``prefill_chunk_tokens`` budget, admissions instead enter the
-  batch immediately in a *prefilling* state and every scheduling step
-  consumes at most one budget's worth of queued prompt tokens beside the
-  running decode rows (Sarathi-style chunked prefill piggybacking): a long
-  arriving prompt delays each decode step by at most one bounded chunk
-  instead of stalling it for the whole prompt, and greedy outputs stay
-  token-identical to the atomic path;
 * a full batch retires its lowest-priority decoding row for a strictly
   higher-priority arrival (see :meth:`ContinuousBatchingEngine.preempt`);
   equal priorities never preempt, so priority-less traffic is plain FIFO.
@@ -39,6 +40,7 @@ batch.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -123,12 +125,12 @@ class EngineRequest:
     #: prefix while it waits to resume (``None`` when not preempted).
     _pinned_ids: np.ndarray | None = None
     admitted_at: float | None = None
-    #: Total prompt-forward time.  Under chunked prefill this *accumulates*
-    #: across the steps the prompt was consumed in, so the timing identity
-    #: above stays exact however many chunks the prefill took.
+    #: Total prompt-forward time.  It *accumulates* across the steps the
+    #: prompt was consumed in, so the timing identity above stays exact
+    #: however many chunks the prefill took.
     prefill_seconds: float = 0.0
-    #: Prefill chunks this request's prompt was consumed in (0 = atomic
-    #: prefill on the unchunked path).
+    #: Prefill chunks this request's prompt was consumed in (one per start
+    #: without a ``prefill_chunk_tokens`` budget; 0 if it never started).
     prefill_chunks: int = 0
     first_token_at: float | None = None
     finished_at: float | None = None
@@ -242,9 +244,9 @@ class EngineStats:
     parks: int = 0
     wakeups: int = 0
     peak_queue_depth: int = 0
-    #: Chunked-prefill occupancy (populated when the engine runs with a
-    #: ``prefill_chunk_tokens`` budget).  ``prefill_tokens`` /
-    #: ``prefill_chunks`` are lifetime totals; the ``step_*`` lists record,
+    #: Prefill occupancy.  ``prefill_tokens`` / ``prefill_chunks`` are
+    #: lifetime totals of prompt tokens forwarded (pool-reused spans are
+    #: not forwarded) and the chunks they went in; the ``step_*`` lists record,
     #: for every scheduling step that did work, how many prompt tokens rode
     #: along (piggybacked prefill) and how many rows decoded — the per-step
     #: occupancy trace behind :meth:`stall_histogram`.
@@ -252,7 +254,7 @@ class EngineStats:
     prefill_chunks: int = 0
     step_prefill_tokens: list = field(default_factory=list)
     step_decode_rows: list = field(default_factory=list)
-    #: Per finished request: prefill chunks its prompt took (0 = atomic).
+    #: Per finished request: prefill chunks its prompt took.
     chunks_per_request: list = field(default_factory=list)
     queue_seconds: list = field(default_factory=list)
     prefill_seconds: list = field(default_factory=list)
@@ -382,12 +384,12 @@ class ContinuousBatchingEngine:
         self.kv_layout = config.kv_layout
         self.kv_dtype = config.kv_dtype
         #: Per-step prefill token budget (Sarathi-style chunked prefill).
-        #: When set, admissions enter the batch immediately in a
-        #: ``prefilling`` state and each scheduling step consumes at most
-        #: this many prompt tokens across them — piggybacked beside the
-        #: running decode rows — so a long arriving prompt never stalls the
-        #: in-flight decodes for its whole length.  ``None`` keeps the
-        #: atomic (one-forward) prefill path.
+        #: Admissions enter the batch in a ``prefilling`` state and each
+        #: scheduling step consumes at most this many prompt tokens across
+        #: them — piggybacked beside the running decode rows — so a long
+        #: arriving prompt never stalls the in-flight decodes for its whole
+        #: length.  ``None`` is no cap: a prompt completes in the step that
+        #: admits it.
         self.prefill_chunk_tokens = config.prefill_chunk_tokens
         self.clock = clock
         self.rng = new_rng(rng)
@@ -460,111 +462,46 @@ class ContinuousBatchingEngine:
 
     # ------------------------------------------------------------------ #
     def _admit_group(self, group: list[EngineRequest]) -> list[EngineRequest]:
-        """Prefill one admission group into the live batch.
-
-        Requests whose prompt overlaps a pooled prefix are prefilled
-        individually off the checked-out cache (and the advanced full-prompt
-        prefill is checked back in — the live batch keeps its own row copy);
-        the rest share one left-padded batched prefill.  Returns the
-        requests that finished *during* admission (unstartable: empty token
-        budget / prompt already at the context limit — they take no row).
-        """
-        finished: list[EngineRequest] = []
-        if self.prefill_chunk_tokens is not None:
-            return self._admit_group_chunked(group)
-        fresh: list[EngineRequest] = []
-        for request in group:
-            request.admitted_at = self.clock()
-            state = request.state
-            prompt = state.prompt_ids
-            startable = (
-                state.max_new_tokens > 0
-                and len(prompt) < self.model.config.max_position
-            )
-            if not startable:
-                self.batch.admit(state)  # finishes immediately, no forward
-                request.prefill_seconds = self.clock() - request.admitted_at
-                self._finish(request)
-                finished.append(request)
-                continue
-            # peek probes without allocating: only prompts with a usable
-            # pooled overlap pay the checkout.
-            if self.cache_pool is not None and self.cache_pool.peek(prompt) > 0:
-                self._admit_through_pool(request)
-                continue
-            fresh.append(request)
-        if len(fresh) == 1 and self.cache_pool is not None:
-            # A lone pool miss prefills at batch 1 through a checked-out
-            # cache, seeding the pool for future overlapping traffic.
-            self._admit_through_pool(fresh[0])
-        elif fresh:
-            # Several cold prompts share one left-padded batched prefill;
-            # each admitted row's prompt prefill is cloned out of the shared
-            # staging and checked in, so a cold *group* seeds the pool just
-            # like a lone cold request does.
-            sink = None
-            if self.cache_pool is not None:
-                sink = lambda state, cache: self.cache_pool.checkin(  # noqa: E731
-                    state.prompt_ids, cache
-                )
-            self.batch.admit_many([r.state for r in fresh], row_sink=sink)
-            prefill_end = self.clock()
-            for request in fresh:
-                request.prefill_seconds = prefill_end - request.admitted_at
-                self._live[id(request.state)] = request
-        return finished
-
-    def _admit_through_pool(self, request: EngineRequest) -> None:
-        """Prefill one request at batch 1 off a pool checkout, then check
-        the advanced full-prompt cache back in (the live batch keeps its
-        own row copy)."""
-        prompt = request.state.prompt_ids
-        prefill_cache, request.reused_tokens = self.cache_pool.checkout(prompt)
-        self.batch.admit(request.state, prefill_cache=prefill_cache)
-        self.cache_pool.checkin(prompt, prefill_cache)
-        request.prefill_seconds = self.clock() - request.admitted_at
-        self._live[id(request.state)] = request
-
-    def _admit_group_chunked(self, group: list[EngineRequest]) -> list[EngineRequest]:
-        """Register an admission group for chunk-by-chunk prefilling.
+        """Register an admission group for prefilling.
 
         No prompt forward runs here: each startable request takes a
         scheduling slot in the ``prefilling`` state and :meth:`step`'s
-        chunk phase consumes its prompt under the per-step token budget.
-        With a pool, every request checks out a prefix cache (a miss seeds
-        the pool — the advanced cache is checked back in once the prompt is
-        consumed), so pool hits skip straight past the covered span exactly
-        like the atomic path.  Returns the requests that finished during
-        admission (unstartable — they take no slot).
+        chunk phase consumes its prompt.  With a pool, every startable
+        request checks out a prefix cache (a miss seeds the pool — the
+        advanced cache is checked back in once the prompt is consumed), so
+        pool hits skip straight past the covered span.  Returns the
+        requests that finished during admission (unstartable: empty token
+        budget / prompt already at the context limit — they take no slot
+        and no pool checkout).
         """
         finished: list[EngineRequest] = []
         for request in group:
             request.admitted_at = self.clock()
             state = request.state
-            prompt = state.prompt_ids
-            prefill_cache = None
-            if self.cache_pool is not None:
-                prefill_cache, reused = self.cache_pool.checkout(prompt)
-                request.reused_tokens = reused
-            started = self.batch.admit_chunked(state, prefill_cache=prefill_cache)
-            elapsed = self.clock() - request.admitted_at
-            if not started:
-                if prefill_cache is not None:
-                    self.cache_pool.checkin(prompt, prefill_cache)
-                request.prefill_seconds += elapsed
+            if self.batch._finish_unstartable(state):
+                request.prefill_seconds += self.clock() - request.admitted_at
                 self._finish(request)
                 finished.append(request)
                 continue
-            request.prefill_seconds += elapsed
+            prefill_cache = None
+            if self.cache_pool is not None:
+                prefill_cache, request.reused_tokens = self.cache_pool.checkout(
+                    state.prompt_ids
+                )
+            self.batch.admit_chunked(state, prefill_cache=prefill_cache)
+            request.prefill_seconds += self.clock() - request.admitted_at
             self._live[id(state)] = request
         return finished
 
     def _prefill_chunk_phase(self) -> int:
         """Consume at most ``prefill_chunk_tokens`` prompt tokens across the
-        prefilling requests (FIFO admission order); requests whose prompt is
+        prefilling requests (FIFO admission order; ``None`` is no cap, so
+        every prompt completes this step); requests whose prompt is
         exhausted flip to decoding and their staging cache is checked back
         into the pool.  Returns the tokens consumed this step."""
         budget = self.prefill_chunk_tokens
+        if budget is None:
+            budget = sys.maxsize
         consumed_total = 0
         for state in list(self.batch.prefilling):
             if budget <= 0:
@@ -682,20 +619,17 @@ class ContinuousBatchingEngine:
         """One scheduling iteration: admit, chunk-prefill, decode, retire.
 
         Returns the requests that finished during this iteration.  Queued
-        requests take every free row first.  Under a
-        ``prefill_chunk_tokens`` budget the step then consumes up to one
-        budget's worth of queued prompt tokens (requests whose prompt
-        completes join this very step's decode), then decodes the live
-        rows — so decode latency per step is bounded regardless of
-        arriving prompt lengths.
+        requests take every free row first.  The step then consumes up to
+        one ``prefill_chunk_tokens`` budget's worth of prompt tokens (all
+        of them without a budget; requests whose prompt completes join
+        this very step's decode), then decodes the live rows — so under a
+        budget, decode latency per step is bounded regardless of arriving
+        prompt lengths.
         """
         finished = self._admit_pending()
         if self.batch.num_rows == 0:
             return finished
-        chunk_tokens = 0
-        if self.prefill_chunk_tokens is not None and self.batch.num_prefilling:
-            chunk_tokens = self._prefill_chunk_phase()
-        self.stats.step_prefill_tokens.append(chunk_tokens)
+        self.stats.step_prefill_tokens.append(self._prefill_chunk_phase())
         self.stats.step_decode_rows.append(self.batch.num_decoding)
         if self.batch.num_decoding == 0:
             # A pure-prefill step: prompts advanced but nothing decodes yet.
@@ -744,8 +678,7 @@ class ContinuousBatchingEngine:
         if self.cache_pool is not None and len(tokens) >= self.cache_pool.min_reuse_tokens:
             # Extract the row's KV span [col_start, length) — exactly the
             # keys/values of every token in `tokens` — into a standalone
-            # batch-1 cache, the same idiom admit_many uses to seed the
-            # pool from a cold group prefill.
+            # batch-1 cache (paged: a block-sharing table copy).
             clone = self.batch._make_cache(0, self.batch.capacity)
             clone.admit_row(self.batch.cache, state.row, state.col_start)
             # Repositioned, not recomputed: don't let checkin count the

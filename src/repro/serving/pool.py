@@ -291,9 +291,8 @@ class PrefixCachePool:
         Returns the number of tokens a :meth:`checkout` would reuse, or 0
         when every overlap is below the ``min_reuse_tokens`` floor.  Unlike
         ``checkout`` it neither allocates a cache, mutates the LRU order,
-        nor counts toward the hit/miss statistics, so callers (e.g. the
-        continuous-batching engine sorting an admission group into pooled
-        and cold prefills) can probe cheaply.
+        nor counts toward the hit/miss statistics, so callers can probe
+        residency cheaply.
         """
         prompt_ids = np.asarray(prompt_ids, dtype=np.int64).ravel()
         best = 0

@@ -370,6 +370,27 @@ def test_sanitizer_catches_use_after_free(sanitizer):
     assert sanitizer.blocks_in_use == 0
 
 
+def test_sanitizer_catches_write_after_share(sanitizer):
+    block = sanitizer.alloc()
+    k = np.zeros((1, 2, 2), dtype=np.float32)
+    sanitizer.write(block, 0, k, k)  # sole owner: allowed
+    sanitizer.incref([block])  # a second cache now shares it
+    with pytest.raises(BlockAuditError, match="write-after-share") as err:
+        sanitizer.write(block, 2, k, k)
+    assert "incref at" in str(err.value) and "test_analysis.py" in str(err.value)
+    other = sanitizer.alloc()
+    with pytest.raises(BlockAuditError, match="write-after-share"):
+        sanitizer.write_scatter(np.array([other, block]), np.array([0, 2]), k, k)
+    # make_writable splits the shared block copy-on-write; the copy takes
+    # the write and the sharer keeps the original.
+    table = [block]
+    sanitizer.make_writable(table, 0, 0)
+    assert table[0] != block
+    sanitizer.write(table[0], 2, k, k)
+    sanitizer.decref([table[0], block, other])
+    assert sanitizer.blocks_in_use == 0
+
+
 def test_sanitizer_leak_report_names_call_site(sanitizer):
     block = sanitizer.alloc()
     report = sanitizer.leak_report()

@@ -3,9 +3,9 @@
 Pins the invariants of the per-step prefill token budget
 (``prefill_chunk_tokens``):
 
-* greedy outputs are token-identical to the unchunked path at every chunk
-  size, across dense/paged layouts and fp32/int8 KV dtypes (Hypothesis
-  lockstep property);
+* greedy outputs are token-identical to per-prompt ``model.generate`` at
+  every chunk size and without a budget, across dense/paged layouts (int8
+  KV against per-prompt int8 decode; Hypothesis lockstep property);
 * the SLA identity ``queue + prefill + decode == wall`` holds *exactly*
   even when prefill spans several engine steps, with ``prefill_seconds``
   accumulating across chunks;
@@ -88,6 +88,36 @@ def _run(model, prompts, *, chunk=None, pool=None, clock=None, **config_fields):
     return engine, requests
 
 
+def _reference(model, prompts, kv_dtype="fp32") -> list[tuple[np.ndarray, str]]:
+    """``(tokens, finish_reason)`` per prompt from per-prompt cached
+    ``model.generate``, the independent reference.  An int8 KV store may
+    legitimately diverge from fp32, so int8 is held to per-prompt paged-int8
+    ``generate_batch`` (one-row padded prefill, not the engine's path)."""
+    expected = []
+    for prompt in prompts:
+        if kv_dtype == "int8":
+            (tokens,) = model.generate_batch(
+                [prompt], 10, stop_ids=STOP_IDS, kv_layout="paged", kv_dtype="int8"
+            )
+        else:
+            tokens = model.generate(prompt, max_new_tokens=10, stop_ids=STOP_IDS)
+        generated = tokens[len(prompt) :]
+        if len(generated) and int(generated[-1]) in STOP_IDS:
+            reason = "stop"
+        elif len(generated) == 10:
+            reason = "length"
+        else:
+            reason = "context"
+        expected.append((tokens, reason))
+    return expected
+
+
+def _assert_matches(requests, expected) -> None:
+    for request, (tokens, reason) in zip(requests, expected):
+        assert request.finish_reason == reason
+        np.testing.assert_array_equal(request.result, tokens)
+
+
 # ---------------------------------------------------------------------- #
 # token parity
 # ---------------------------------------------------------------------- #
@@ -95,51 +125,52 @@ class TestChunkedParity:
     @settings(max_examples=12, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
-        chunk=st.integers(1, 80),
+        chunk=st.one_of(st.none(), st.integers(1, 80)),
         layout=st.sampled_from([("dense", "fp32"), ("paged", "fp32"), ("paged", "int8")]),
     )
-    def test_chunked_matches_unchunked_lockstep(self, model, seed, chunk, layout):
-        """Any chunk size yields the unchunked path's exact greedy tokens."""
+    def test_chunked_matches_generate_lockstep(self, model, seed, chunk, layout):
+        """Any chunk size, and no budget, yields the per-prompt reference's
+        exact greedy tokens and finish reasons."""
         kv_layout, kv_dtype = layout
         rng = np.random.default_rng(seed)
         lengths = rng.integers(2, 70, size=6)
         prompts = _prompts(seed, lengths)
-        kwargs = dict(kv_layout=kv_layout, kv_dtype=kv_dtype)
-        base_engine, base = _run(model, prompts, chunk=None, **kwargs)
-        _, got = _run(model, prompts, chunk=chunk, **kwargs)
-        # The atomic reference admits a cold group through one padded prefill.
-        assert max(base_engine.stats.batch_sizes) >= 2
-        for a, b in zip(base, got):
-            assert a.finish_reason == b.finish_reason
-            np.testing.assert_array_equal(a.result, b.result)
+        engine, got = _run(
+            model, prompts, chunk=chunk, kv_layout=kv_layout, kv_dtype=kv_dtype
+        )
+        # Co-arriving prompts are still admitted as one group.
+        assert max(engine.stats.batch_sizes) >= 2
+        _assert_matches(got, _reference(model, prompts, kv_dtype))
 
     def test_chunk_edge_at_block_boundary(self, model):
         """Prompt and chunk sizes landing exactly on 16-token KV block
-        boundaries (flush edges) keep paged output identical to dense."""
+        boundaries (flush edges) keep paged output identical to
+        ``model.generate``."""
         prompts = _prompts(3, [16, 32, 48, 16])
-        _, base = _run(model, prompts, chunk=None, kv_layout="dense")
-        _, got = _run(model, prompts, chunk=16, kv_layout="paged")
-        for a, b in zip(base, got):
-            np.testing.assert_array_equal(a.result, b.result)
-        # Off-by-one around the boundary as well.
-        for chunk in (15, 17):
+        expected = _reference(model, prompts)
+        # Off-by-one around the boundary as well, and no budget at all.
+        for chunk in (16, 15, 17, None):
             _, got = _run(model, prompts, chunk=chunk, kv_layout="paged")
-            for a, b in zip(base, got):
-                np.testing.assert_array_equal(a.result, b.result)
+            _assert_matches(got, expected)
 
 
 # ---------------------------------------------------------------------- #
 # SLA accounting
 # ---------------------------------------------------------------------- #
 class TestChunkedSLA:
-    def test_prefill_seconds_accumulates_and_identity_holds(self, model):
-        """queue + prefill + decode == wall exactly, with >= 2 chunks."""
+    @pytest.mark.parametrize("chunk", [8, None])
+    def test_prefill_seconds_accumulates_and_identity_holds(self, model, chunk):
+        """queue + prefill + decode == wall exactly, with >= 2 chunks under
+        a budget and with one chunk per prompt without one."""
         clock = TickingClock()
         prompts = _prompts(11, [40, 52, 9])
-        engine, requests = _run(model, prompts, chunk=8, clock=clock)
+        engine, requests = _run(model, prompts, chunk=chunk, clock=clock)
         for request in requests:
             assert request.done
-            assert request.prefill_chunks >= 2 or len(request.prompt_ids) <= 8
+            if chunk is None:
+                assert request.prefill_chunks == 1
+            else:
+                assert request.prefill_chunks >= 2 or len(request.prompt_ids) <= 8
             total = (
                 request.queue_seconds
                 + request.prefill_seconds
@@ -176,11 +207,21 @@ class TestChunkedSLA:
         ):
             assert key in summary
 
-    def test_unchunked_engine_reports_zero_chunks(self, model):
-        prompts = _prompts(5, [12, 20])
-        engine, requests = _run(model, prompts, chunk=None)
-        assert engine.stats.prefill_chunks == 0
-        assert all(r.prefill_chunks == 0 for r in requests)
+    def test_unchunked_engine_reports_one_chunk_per_started_request(self, model):
+        """Without a budget each started prompt goes in one chunk, in the
+        step that admits it; an unstartable request takes none."""
+        prompts = _prompts(5, [12, 20, 7])
+        config = EngineConfig(max_batch_rows=4)
+        engine = ContinuousBatchingEngine(model, config=config)
+        requests = [engine.submit(p, max_new_tokens=10) for p in prompts[:2]]
+        requests.append(engine.submit(prompts[2], max_new_tokens=0))
+        engine.step()
+        assert engine.batch.num_prefilling == 0
+        engine.drain()
+        assert [r.prefill_chunks for r in requests] == [1, 1, 0]
+        assert engine.stats.prefill_chunks == 2
+        assert engine.stats.prefill_tokens == 12 + 20
+        assert engine.stats.step_prefill_tokens[0] == 12 + 20
 
     def test_invalid_budget_rejected(self, model):
         with pytest.raises(ValueError):
@@ -204,7 +245,7 @@ class TestChunkedPool:
         prompts = [
             np.concatenate([head, rng.integers(1, VOCAB, size=n)]) for n in (9, 14)
         ]
-        _, base = _run(model, prompts, chunk=None, kv_layout="paged")
+        expected = _reference(model, prompts)
 
         pool = PrefixCachePool.default(model, "paged", "fp32")
         engine = ContinuousBatchingEngine(
@@ -220,8 +261,7 @@ class TestChunkedPool:
         for prompt in prompts:  # sequential, so the head gets banked first
             requests.append(engine.submit(prompt, max_new_tokens=10, stop_ids=STOP_IDS))
             engine.drain()
-        for a, b in zip(base, requests):
-            np.testing.assert_array_equal(a.result, b.result)
+        _assert_matches(requests, expected)
         # The second request reuses the first's banked shared head.
         assert requests[1].reused_tokens > 0
         assert engine.stats.prefill_tokens < sum(len(p) for p in prompts)

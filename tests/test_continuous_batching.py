@@ -381,15 +381,28 @@ class TestContinuousBatchingEngine:
         assert len(pool) == 1
         assert (pool.stats.hits, pool.stats.misses) == stats_before
 
-    def test_unstartable_requests_finish_without_rows(self, model, ragged_prompts):
-        engine = ContinuousBatchingEngine(model, config=EngineConfig(max_batch_rows=2))
+    @pytest.mark.parametrize("chunk", [None, 8])
+    def test_unstartable_requests_finish_without_rows(
+        self, model, ragged_prompts, chunk
+    ):
+        """Unstartable requests take no row and, since startability is
+        checked before the pool is touched, no pool checkout either."""
+        pool = PrefixCachePool(model, max_entries=4)
+        engine = ContinuousBatchingEngine(
+            model,
+            config=EngineConfig(max_batch_rows=2, prefill_chunk_tokens=chunk),
+            cache_pool=pool,
+        )
         zero_budget = engine.submit(ragged_prompts[0], max_new_tokens=0)
         at_limit = engine.submit(
             np.ones(model.config.max_position, dtype=np.int64), max_new_tokens=4
         )
+        finished = engine.step()
+        assert [r.request_id for r in finished] == [0, 1]
+        assert pool.stats.requests == 0 and len(pool) == 0
         normal = engine.submit(ragged_prompts[1], max_new_tokens=3)
-        finished = engine.drain()
-        assert [r.request_id for r in finished] == [0, 1, 2]
+        assert [r.request_id for r in engine.drain()] == [2]
+        assert pool.stats.requests == 1  # the startable request only
         assert zero_budget.finish_reason == "length"
         np.testing.assert_array_equal(zero_budget.result, ragged_prompts[0])
         assert at_limit.finish_reason == "context"
@@ -428,6 +441,53 @@ class TestContinuousBatchingEngine:
             ],
             context="pool-assisted admission",
         )
+
+    @pytest.mark.parametrize(
+        "kv_layout,kv_dtype", [("dense", "fp32"), ("paged", "fp32"), ("paged", "int8")]
+    )
+    def test_mixed_admission_group_seeds_the_pool(self, model, kv_layout, kv_dtype):
+        """One admission step holding a pool hit, two cold prompts and an
+        unstartable request: tokens equal ``model.generate``, both cold
+        prompts are pooled afterwards, and every block comes back."""
+        rng = np.random.default_rng(43)
+        head = rng.integers(1, VOCAB, size=20)
+        banked = np.concatenate([head, rng.integers(1, VOCAB, size=5)])
+        hit = np.concatenate([head, rng.integers(1, VOCAB, size=7)])
+        cold = [rng.integers(1, VOCAB, size=n) for n in (14, 23)]
+        allocator = model.paged_allocator(kv_dtype) if kv_layout == "paged" else None
+        baseline = allocator.blocks_in_use if allocator is not None else 0
+        pool = PrefixCachePool(
+            model, max_entries=8, kv_layout=kv_layout, kv_dtype=kv_dtype
+        )
+        engine = ContinuousBatchingEngine(
+            model,
+            config=EngineConfig(
+                max_batch_rows=4, kv_layout=kv_layout, kv_dtype=kv_dtype
+            ),
+            cache_pool=pool,
+        )
+        engine.submit(banked, max_new_tokens=2)
+        engine.drain()
+        hits, misses = pool.stats.hits, pool.stats.misses
+        prompts = [hit, *cold]
+        requests = [engine.submit(p, max_new_tokens=6) for p in prompts]
+        unstartable = engine.submit(cold[0], max_new_tokens=0)
+        engine.drain()
+        assert engine.stats.batch_sizes[-1] == 4  # one admission group
+        assert (pool.stats.hits - hits, pool.stats.misses - misses) == (1, 2)
+        assert requests[0].reused_tokens == len(head)
+        assert unstartable.finish_reason == "length"
+        assert_generations_equal(
+            [r.result for r in requests],
+            [model.generate(p, max_new_tokens=6) for p in prompts],
+            context=f"mixed group {kv_layout}/{kv_dtype}",
+        )
+        for prompt in cold:
+            assert pool.peek(prompt) == len(prompt)
+        if allocator is not None:
+            pool.clear()
+            assert engine.batch.cache.kv_bytes() == 0
+            assert allocator.blocks_in_use == baseline
 
     def test_sla_stats_internally_consistent(self, model, ragged_prompts):
         engine = ContinuousBatchingEngine(

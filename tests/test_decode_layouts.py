@@ -256,7 +256,7 @@ class TestEngine:
         assert_generations_equal(
             results, reference, context=f"engine {kv_layout}/{kv_dtype}"
         )
-        # Arrivals come in pairs, so cold groups go through admit_many.
+        # Arrivals come in pairs, so they are admitted in groups.
         assert max(engine.stats.batch_sizes) >= 2
         for request in requests:
             assert request.done

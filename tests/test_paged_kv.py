@@ -608,7 +608,7 @@ class TestEngineParity:
                     submitted += 1
             for request in engine.step():
                 results[request.request_id] = request.result
-        # Arrivals come in pairs, so cold groups go through admit_many.
+        # Arrivals come in pairs, so they are admitted in groups.
         assert max(engine.stats.batch_sizes) >= 2
         return results
 
