@@ -12,8 +12,6 @@ Measures, for the decoder-LM stack that powers every ICL experiment
 * paged KV storage — the continuous-batching engine over block-paged (and
   int8-quantized) KV caches vs. the dense layout on a long-context
   multi-family trace with byte-budgeted prefix pools;
-* chunked prefill vs. the uncapped prefill budget on an adversarial
-  prompt-length mix;
 * replica fleet — a data-parallel :class:`~repro.serving.ReplicaFleet` at
   1/2/4 workers vs a single engine at equal total traffic, with
   prefix-affinity vs round-robin hit rates;
@@ -449,7 +447,9 @@ def bench_http_serving(ctx: Context) -> dict:
        loaded box: both sides pay identical load-generation, connection
        and GIL costs, so the ratio isolates what overload itself does.
     4. *Priority contention* — low-priority streams saturate the batch,
-       then a high-priority burst arrives: preemption + priority admission
+       and once the batch is seen full (polled, not a fixed delay, so the
+       burst cannot land after the batch drained) a high-priority burst
+       arrives: preemption + priority admission
        must give the burst a strictly better p99 TTFT than the co-running
        low-priority class, and a preempted-then-resumed request's greedy
        tokens must be identical to an uninterrupted run.
@@ -594,15 +594,25 @@ def bench_http_serving(ctx: Context) -> dict:
     samples = measure({"overload": overload_round}, ctx.repeats)
 
     async def priority_phase(server):
-        async def one(i: int, priority: int, delay: float):
-            await asyncio.sleep(delay)
+        async def one(i: int, priority: int):
             return await _http_stream_request(
                 server, client_prompt(i), max_new_tokens, priority, f"prio-{i}"
             )
 
-        low = [asyncio.create_task(one(i, 0, 0.0)) for i in range(2 * max_rows)]
+        low = [asyncio.create_task(one(i, 0)) for i in range(2 * max_rows)]
+        # The burst must find a full batch, or there is nothing to preempt.
+        # The stepping thread owns the engine; reading its row count from
+        # here is a single atomic length read.
+        inner = server.engine.engine
+        give_up = time.perf_counter() + 30.0
+        while inner.num_active < max_rows:
+            if time.perf_counter() > give_up:
+                raise RuntimeError(
+                    f"the low-priority streams never filled the {max_rows}-row batch"
+                )
+            await asyncio.sleep(0.001)
         high = [
-            asyncio.create_task(one(2 * max_rows + i, 5, 0.05)) for i in range(max_rows)
+            asyncio.create_task(one(2 * max_rows + i, 5)) for i in range(max_rows)
         ]
         return [await t for t in low], [await t for t in high]
 
@@ -747,98 +757,6 @@ def bench_paged_kv(ctx: Context) -> dict:
         kv_bytes_ratio_dense_over_int8=peaks["dense"] / peaks["int8"],
         tokens_match_paged_vs_dense=outputs_match(budgeted["paged"][0], dense_res),
         tokens_match_int8_vs_dense=outputs_match(budgeted["int8"][0], dense_res),
-    )
-
-
-def bench_chunked_prefill(ctx: Context) -> dict:
-    """Chunked-prefill piggybacking vs the uncapped budget, adversarial trace.
-
-    The workload is the one the per-step prefill budget exists for: a burst
-    of mostly-short requests with a long prompt in every 4th position.  The
-    ``atomic`` arm runs with ``prefill_chunk_tokens=None`` (no cap): every
-    admitted prompt is prefilled whole in the step that admits it, so the
-    running decodes — and every short request admitted beside a long one —
-    wait for the long prompt's whole forward before the step decodes.
-    Under a ``prefill_chunk_tokens`` budget each step consumes at most one
-    budget of prompt tokens beside the running decodes: no monolithic
-    stall.  Both arms take the engine's one admission path (batch-1
-    prefills, no padding); only the per-step cap differs.
-
-    Reported: p50/p99 TTFT (overall and short-request-only — the headline:
-    the tail latency longs inflict on their neighbours), end-to-end decode
-    throughput, and per-step occupancy from the engine's chunk stats.
-    Greedy outputs must be token-identical between the two paths.
-    """
-    rng, sentences = ctx.rng(), ctx.sentences
-    long_every, chunk_tokens = 4, 32
-    long_tokens = 144 if ctx.smoke else 256
-    prompts = [
-        ctx.tokenizer.encode_causal(" ".join(sentences[(i * 5) % len(sentences) :]))[
-            :long_tokens
-        ]
-        if i % long_every == 0
-        else ctx.ids(i * 11 + 2, int(rng.integers(6, 18)))
-        for i in range(12 if ctx.smoke else 16)
-    ]
-    short = [i for i in range(len(prompts)) if i % long_every != 0]
-    max_new_tokens = 16 if ctx.smoke else 24
-
-    def run(chunk: int | None):
-        engine = ContinuousBatchingEngine(
-            ctx.model,
-            config=EngineConfig(
-                max_batch_rows=6,
-                prefill_chunk_tokens=chunk,
-                kv_layout="paged",
-            ),
-        )
-        requests = [
-            engine.submit(p, max_new_tokens=max_new_tokens, stop_ids=ctx.stop_ids)
-            for p in prompts
-        ]
-        start = time.perf_counter()
-        while engine.has_work:
-            engine.step()
-        wall = time.perf_counter() - start
-        ttfts = np.array([r.ttft_seconds for r in requests])
-        return [r.result for r in requests], ttfts, wall, engine.stats
-
-    def arm(chunk: int | None):
-        def measured() -> dict:
-            _, ttfts, wall, _ = run(chunk)
-            return {
-                "seconds": wall,
-                "p50_ttft_seconds": np.percentile(ttfts, 50),
-                "p99_ttft_seconds": np.percentile(ttfts, 99),
-                "p50_short_ttft_seconds": np.percentile(ttfts[short], 50),
-                "p99_short_ttft_seconds": np.percentile(ttfts[short], 99),
-            }
-
-        return measured
-
-    atomic_res = run(None)[0]
-    chunked_res, _, _, chunked_stats = run(chunk_tokens)
-    samples = measure({"atomic": arm(None), "chunked": arm(chunk_tokens)}, ctx.repeats)
-    # Headline: tail first-token latency of the short requests a long
-    # neighbour would otherwise stall.
-    return report(
-        samples,
-        "atomic",
-        "chunked",
-        key="p99_short_ttft_seconds",
-        num_requests=len(prompts),
-        num_long=len(prompts) - len(short),
-        prompt_tokens=[int(len(p)) for p in prompts],
-        max_new_tokens=max_new_tokens,
-        chunk_tokens=chunk_tokens,
-        generated_tokens=int(sum(len(r) - len(p) for r, p in zip(atomic_res, prompts))),
-        p50_ttft_speedup=ratio(samples, "atomic", "chunked", "p50_ttft_seconds")[0],
-        p99_ttft_speedup=ratio(samples, "atomic", "chunked", "p99_ttft_seconds")[0],
-        decode_throughput_ratio=ratio(samples, "atomic", "chunked")[0],
-        prefill_chunks=int(chunked_stats.prefill_chunks),
-        max_step_prefill_tokens=int(max(chunked_stats.step_prefill_tokens)),
-        prefill_stall_histogram=chunked_stats.stall_histogram(),
-        tokens_match=outputs_match(atomic_res, chunked_res),
     )
 
 
@@ -1135,19 +1053,6 @@ SECTIONS = (
         ),
     ),
     Section(
-        "chunked_prefill",
-        bench_chunked_prefill,
-        ("p99_ttft_speedup", "decode_throughput_ratio", "max_step_prefill_tokens", "tokens_match"),
-        (
-            ("speedup", ">=", 0.9, "chunking raised short-request p99 TTFT"),
-            # Piggybacked chunks trade a little end-to-end throughput for
-            # bounded steps; cap the toll at ~30%.
-            ("decode_throughput_ratio", ">=", 0.7, "chunking costs too much throughput"),
-            ("tokens_match", "==", True, "chunked prefill changed the tokens"),
-            ("max_step_prefill_tokens", "<=", "chunk_tokens", "a step exceeded the budget"),
-        ),
-    ),
-    Section(
         "fleet",
         bench_fleet,
         ("affinity_hit_rate", "round_robin_hit_rate", "tokens_match"),
@@ -1197,7 +1102,6 @@ TARGETS = {
     "http_serving_admitted_ttft_ratio": 3.0,
     "http_serving_goodput_ratio": 0.9,
     "paged_kv_speedup": 1.0,
-    "chunked_prefill_speedup": 1.0,
     "fleet_speedup": 2.5,
     "logits_rtol": 1e-5,
 }

@@ -12,14 +12,11 @@ serving deployment would:
    stream API while the others run;
 3. one request is cancelled mid-decode and one carries a tight timeout —
    both retire at a step boundary and their KV rows are reclaimed;
-4. one client brings a *long* prompt (~10x the others).  The engine runs
-   with a ``prefill_chunk_tokens`` budget, so that prompt is consumed in
-   bounded chunks piggybacked beside the running decodes — the short
-   clients' tokens keep flowing instead of stalling for one monolithic
-   prefill;
+4. one client brings a *long* prompt (~10x the others); the step that
+   admits it prefills the whole prompt in one forward before decoding;
 5. the engine drains, and the per-request SLA stats (queue, prefill,
-   time-to-first-token), chunked-prefill occupancy and the async counters
-   (parks, wakeups, peak queue depth) are printed.
+   time-to-first-token), the prompt tokens prefilled and the async
+   counters (parks, wakeups, peak queue depth) are printed.
 
 Run:  PYTHONPATH=src python examples/serve_async.py
 """
@@ -39,7 +36,6 @@ from repro.tokenization import LogTokenizer
 NUM_CLIENTS = 16
 MAX_NEW_TOKENS = 32
 LONG_CLIENT = 4  # this client's prompt is ~10x the others
-PREFILL_CHUNK_TOKENS = 16
 
 
 def build_model() -> tuple[DecoderLM, LogTokenizer, list[np.ndarray]]:
@@ -56,9 +52,8 @@ def build_model() -> tuple[DecoderLM, LogTokenizer, list[np.ndarray]]:
         ]
         for i in range(NUM_CLIENTS)
     ]
-    # One client arrives with a long prompt — the adversarial case chunked
-    # prefill exists for: without a budget its whole-prompt prefill would
-    # stall every running decode.
+    # One client arrives with a long prompt: its admission step spends one
+    # long prefill forward before the running decodes step.
     prompts[LONG_CLIENT] = tokenizer.encode_causal(" ".join(sentences))[:160]
     return model, tokenizer, prompts
 
@@ -96,7 +91,7 @@ async def client(engine: AsyncEngine, i: int, prompt: np.ndarray, delay: float):
         elif i == LONG_CLIENT:
             result = await engine.generate(prompt, max_new_tokens=MAX_NEW_TOKENS)
             outcome = (
-                f"long prompt ({len(prompt)} tokens) chunk-prefilled, "
+                f"long prompt ({len(prompt)} tokens) prefilled, "
                 f"generated {len(result) - len(prompt)}"
             )
         else:
@@ -122,13 +117,7 @@ def main() -> None:
 
     print(f"\nServing {NUM_CLIENTS} concurrent clients "
           f"(max_batch_rows=6, staggered arrivals):")
-    engine = AsyncEngine(
-        model,
-        config=EngineConfig(
-            max_batch_rows=6,
-            prefill_chunk_tokens=PREFILL_CHUNK_TOKENS,
-        ),
-    )
+    engine = AsyncEngine(model, config=EngineConfig(max_batch_rows=6))
     t0 = time.perf_counter()
     asyncio.run(serve(engine, prompts))
     wall = time.perf_counter() - t0
@@ -143,10 +132,7 @@ def main() -> None:
     print(f"  mean queue   : {sla['mean_queue_seconds'] * 1000:6.1f} ms")
     print(f"  mean prefill : {sla['mean_prefill_seconds'] * 1000:6.1f} ms")
     print(f"  mean TTFT    : {sla['mean_ttft_seconds'] * 1000:6.1f} ms")
-    print(f"  chunked prefill: {sla['prefill_tokens']} prompt tokens in "
-          f"{sla['prefill_chunks']} chunks (budget {PREFILL_CHUNK_TOKENS}/step, "
-          f"mean {sla['mean_step_prefill_tokens']:.1f} prefill tokens/step "
-          f"beside {sla['mean_step_decode_rows']:.1f} decode rows)")
+    print(f"  prefilled    : {sla['prefill_tokens']} prompt tokens")
     print(f"  cancelled={sla['cancelled']} timeouts={sla['timeouts']} "
           f"parks={sla['parks']} wakeups={sla['wakeups']} "
           f"peak_queue_depth={sla['peak_queue_depth']}")

@@ -182,11 +182,6 @@ class DecodeBatch:
     * :meth:`admit` / :meth:`admit_many` prefill newcomers (optionally
       reusing a checked-out prefix cache) and splice them into the live
       batch without touching existing rows;
-    * :meth:`admit_chunked` + :meth:`prefill_step` instead spread a
-      newcomer's prefill over one or more steps in bounded token chunks
-      (the engine's only admission path: its per-step token budget, or no
-      cap, drives the chunks), so an arriving long prompt need not stall
-      the in-flight decode rows for its whole length;
     * :meth:`step` samples one token per row, retires rows that finish
       (stop token, token budget, context limit) immediately, and forwards
       the survivors' tokens to produce the next distributions;
@@ -226,16 +221,6 @@ class DecodeBatch:
             0, min(capacity, 64) if kv_layout == "dense" else capacity
         )
         self.states: list[DecodeState] = []
-        #: Requests admitted via :meth:`admit_chunked`, still consuming their
-        #: prompt chunk-by-chunk (FIFO admission order).  They occupy a
-        #: scheduling slot (counted by :attr:`num_rows`) but not yet a live
-        #: cache row.
-        self.prefilling: list[DecodeState] = []
-        #: ``id(state) -> (staging cache, owned)`` for the prefilling
-        #: requests.  ``owned`` staging caches are private (released when the
-        #: request leaves the prefilling state); borrowed ones (pool
-        #: checkouts) are handed back via :meth:`release_prefill`.
-        self._prefill: dict[int, tuple] = {}
         self._mask = np.zeros((0, capacity), dtype=bool)
 
     def _make_cache(self, batch_size: int, capacity: int):
@@ -255,18 +240,8 @@ class DecodeBatch:
 
     @property
     def num_rows(self) -> int:
-        """Live scheduling slots: decoding rows plus in-progress prefills."""
-        return len(self.states) + len(self.prefilling)
-
-    @property
-    def num_decoding(self) -> int:
-        """Rows actively decoding (holding a cache row and a pending token)."""
+        """Live rows (every admitted request is decoding)."""
         return len(self.states)
-
-    @property
-    def num_prefilling(self) -> int:
-        """Requests still consuming their prompt chunk-by-chunk."""
-        return len(self.prefilling)
 
     # ------------------------------------------------------------------ #
     # admission
@@ -275,8 +250,6 @@ class DecodeBatch:
         """Reject a state that already holds a slot or cannot fit."""
         if state.admitted:
             raise ValueError("state already occupies a live batch row")
-        if id(state) in self._prefill:
-            raise ValueError("state is already prefilling")
         if len(state.prompt_ids) > self.capacity:
             raise ValueError(
                 f"prompt of {len(state.prompt_ids)} tokens exceeds the batch "
@@ -315,7 +288,7 @@ class DecodeBatch:
         self._mask = np.concatenate([self._mask, row_mask], axis=0)
 
     def admit(self, state: DecodeState, prefill_cache: KVCache | None = None) -> None:
-        """Prefill one request and splice it into the live batch.
+        """Prefill one request in one forward and splice it into the live batch.
 
         ``prefill_cache`` (optional, batch 1) may already hold keys/values
         for a prefix of the prompt — e.g. a
@@ -323,15 +296,32 @@ class DecodeBatch:
         remainder is forwarded.  On return it holds the full prompt, so the
         caller can check it back into the pool: the live batch keeps its own
         copy of the row.  Requests that cannot emit a token (empty budget,
-        prompt at the context limit) finish immediately without a row.
-
-        This is a chunked admission whose one chunk is the whole prompt
-        remainder: one forward, then the staging cache is unregistered (a
-        private one released, a borrowed one left to the caller).
+        prompt at the context limit) finish immediately without a row.  A
+        private prefill cache is released even when the forward raises; a
+        borrowed one is the caller's to return either way.
         """
-        if self.admit_chunked(state, prefill_cache):
-            self.prefill_step(state, len(state.prompt_ids))
-            self.release_prefill(state)
+        self._check_admissible(state)
+        if self._finish_unstartable(state):
+            return
+        prompt = state.prompt_ids
+        owned = prefill_cache is None
+        if owned:
+            prefill_cache = self._make_cache(1, len(prompt))
+        try:
+            # Re-forward at least the last prompt token: its logits seed the
+            # first decode step.
+            past = min(prefill_cache.length, len(prompt) - 1)
+            prefill_cache.truncate(past)
+            logits = self.model.forward_incremental(
+                prompt[None, past:], prefill_cache, logit_columns=[-1]
+            )
+            log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data[0]
+            self._admit_prefilled_row(state, prefill_cache, 0, 0, log_probs)
+        finally:
+            if owned and hasattr(prefill_cache, "release"):
+                # A private paged prefill returns its block references now
+                # (the live row holds its own, mostly shared, references).
+                prefill_cache.release()
 
     def admit_many(self, states: Sequence[DecodeState], pad_id: int = 0) -> None:
         """Prefill several requests as one left-padded batch, then admit each.
@@ -351,113 +341,22 @@ class DecodeBatch:
         )
         max_len = int(lengths.max())
         staging = self._make_cache(len(todo), max_len)
-        logits = self.model.forward_incremental(
-            ids,
-            staging,
-            attention_mask=prompt_mask,
-            positions=positions,
-            logit_columns=[-1],
-        )
-        log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data
-        for i, st in enumerate(todo):
-            self._admit_prefilled_row(
-                st, staging, i, max_len - int(lengths[i]), log_probs[i]
+        try:
+            logits = self.model.forward_incremental(
+                ids,
+                staging,
+                attention_mask=prompt_mask,
+                positions=positions,
+                logit_columns=[-1],
             )
-        if hasattr(staging, "release"):
-            staging.release()
-
-    # ------------------------------------------------------------------ #
-    # chunked prefill
-    # ------------------------------------------------------------------ #
-    def admit_chunked(
-        self, state: DecodeState, prefill_cache: KVCache | None = None
-    ) -> bool:
-        """Register a request for chunk-by-chunk prefilling.
-
-        The request immediately occupies a scheduling slot (it counts
-        toward :attr:`num_rows`) but holds no cache row yet; successive
-        :meth:`prefill_step` calls consume its prompt in bounded chunks and
-        splice it into the live batch when the prompt is exhausted.  As
-        with :meth:`admit`, ``prefill_cache`` (batch 1) may already cover a
-        prefix of the prompt — e.g. a pool checkout — and only the
-        remainder is chunk-forwarded; at least the last prompt token is
-        always re-forwarded so its logits seed the first decode step.
-
-        Returns ``False`` when the request cannot emit a single token and
-        finished immediately (no slot taken), ``True`` otherwise.
-        """
-        self._check_admissible(state)
-        if self._finish_unstartable(state):
-            return False
-        prompt = state.prompt_ids
-        owned = prefill_cache is None
-        if prefill_cache is None:
-            prefill_cache = self._make_cache(1, len(prompt))
-        prefill_cache.truncate(min(prefill_cache.length, len(prompt) - 1))
-        self._prefill[id(state)] = (prefill_cache, owned)
-        self.prefilling.append(state)
-        return True
-
-    def prefill_step(self, state: DecodeState, max_tokens: int) -> int:
-        """Advance one prefilling request by at most ``max_tokens`` prompt
-        tokens; returns the number consumed.
-
-        When the chunk reaches the end of the prompt the request flips to
-        decoding: its last position's logits become the pending next-token
-        distribution and the staged keys/values are spliced into the live
-        batch (block sharing for an aligned paged staging cache).  The
-        staging cache stays registered until :meth:`release_prefill` so the
-        caller can still check a borrowed cache back into its pool.
-        Chunk boundaries never change the computed values — cache-backed
-        incremental forwards are exact — so any split of the same prompt
-        yields bit-identical admission state.
-        """
-        entry = self._prefill.get(id(state))
-        if entry is None:
-            raise ValueError("state is not prefilling in this batch")
-        cache = entry[0]
-        prompt = state.prompt_ids
-        take = min(int(max_tokens), len(prompt) - cache.length)
-        if take <= 0:
-            return 0
-        start = cache.length
-        logits = self.model.forward_incremental(
-            prompt[None, start : start + take], cache, logit_columns=[-1]
-        )
-        if cache.length == len(prompt):
-            log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data[0]
-            self._drop_prefilling(state)
-            self._admit_prefilled_row(state, cache, 0, 0, log_probs)
-        return take
-
-    def _drop_prefilling(self, state: DecodeState) -> None:
-        # Identity-based removal: DecodeState's dataclass __eq__ compares
-        # array fields, so list.remove / ``in`` would raise on it.
-        for i, candidate in enumerate(self.prefilling):
-            if candidate is state:
-                del self.prefilling[i]
-                return
-
-    def release_prefill(self, state: DecodeState):
-        """Unregister a request's staging cache (idempotent).
-
-        Called after the request flipped to decoding — or to abort a
-        prefill mid-way (cancellation/timeout), which also frees its
-        scheduling slot.  An owned staging cache is released (its blocks
-        return to the allocator) and ``None`` is returned; a borrowed one
-        (pool checkout) is returned to the caller, holding the prompt
-        prefix prefilled so far, ready to be checked back in.
-        """
-        entry = self._prefill.pop(id(state), None)
-        if entry is None:
-            return None
-        cache, owned = entry
-        self._drop_prefilling(state)
-        if owned:
-            if hasattr(cache, "release"):
-                cache.release()
-            return None
-        return cache
+            log_probs = F.log_softmax(logits[:, -1, :], axis=-1).data
+            for i, st in enumerate(todo):
+                self._admit_prefilled_row(
+                    st, staging, i, max_len - int(lengths[i]), log_probs[i]
+                )
+        finally:
+            if hasattr(staging, "release"):
+                staging.release()
 
     # ------------------------------------------------------------------ #
     # stepping

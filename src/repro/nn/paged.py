@@ -1215,9 +1215,9 @@ class PagedKVCache:
                 # are byte-identical to the tail, and quantizing int8 spans
                 # *at admission* — whatever path they arrived by — keeps the
                 # admitted row's bytes a function of the token history
-                # alone, never of admission grouping, padding alignment or
-                # prefill chunking.  A block-shared span needs neither: its
-                # donor's flush already persisted it.
+                # alone, never of admission grouping or padding alignment.
+                # A block-shared span needs neither: its donor's flush
+                # already persisted it.
                 k_span, v_span = other.read_span(src_row, src_start, src.length)
                 own._ensure_tail(row + 1, width)
                 own._ws_k[row, :, :width] = k_span

@@ -776,21 +776,11 @@ class AsyncEngine:
     def _hand_to_engine(self, inbox: list[AsyncRequest]) -> None:
         """Feed drained inbox entries to the inner engine (stepping thread).
 
-        The inbox drains priority-first (arrival, then deadline, as the
-        tiebreaks — same-priority traffic stays FIFO) so the engine's
-        priority-aware admission sees the same order a true priority queue
-        would have delivered; the per-request deadline rides along to
-        order co-arriving same-priority admissions inside the engine.
+        Entries go in submit order; the engine sorts its whole queue by
+        priority, arrival and deadline at every admission, so the priority
+        and deadline only ride along.
         """
-        for request in sorted(
-            inbox,
-            key=lambda r: (
-                -r.priority,
-                r.submitted_at,
-                r.deadline if r.deadline is not None else float("inf"),
-                r.request_id,
-            ),
-        ):
+        for request in inbox:
             try:
                 engine_request = self.engine.submit(
                     request.prompt_ids,
@@ -860,7 +850,6 @@ class AsyncEngine:
         self._expire_and_cancel()
 
         steps_before = engine.stats.steps
-        prefill_before = engine.stats.prefill_tokens
         finished: list[EngineRequest] = []
         try:
             if engine.has_work:
@@ -882,12 +871,7 @@ class AsyncEngine:
         # rows' tails and stream ends.
         self._publish()
         scored = self._run_one_score()
-        # A pure chunk-prefill step decodes nothing but *is* progress — the
-        # prompts advanced — so it counts alongside decode steps.
-        stepped = (
-            engine.stats.steps > steps_before
-            or engine.stats.prefill_tokens > prefill_before
-        )
+        stepped = engine.stats.steps > steps_before
         if self.on_step is not None and (stepped or finished or scored):
             try:
                 self.on_step(self)

@@ -2,7 +2,7 @@
 
 :class:`~repro.serving.engine.ContinuousBatchingEngine`,
 :class:`~repro.serving.aio.AsyncEngine` and the fleet's worker builder all
-take their tunables (batch geometry, prefill chunking, KV storage) from one
+take their tunables (batch geometry, KV storage) from one
 :class:`EngineConfig` passed as ``config=`` (``None`` means the defaults),
 so the validation lives in one place.  Admission has no tunable: a queued
 request joins the live batch at the next step boundary whenever a row is
@@ -42,8 +42,6 @@ class EngineConfig:
 
     #: Live-batch row capacity (concurrent decoding requests).
     max_batch_rows: int = 8
-    #: Per-step prefill token budget (Sarathi chunking); ``None`` = no cap.
-    prefill_chunk_tokens: int | None = None
     #: KV storage of the live batch: ``"dense"`` or ``"paged"``.
     kv_layout: str = "dense"
     #: KV element type: ``"fp32"`` or ``"int8"`` (paged block store).
@@ -59,8 +57,6 @@ class EngineConfig:
         from repro.nn.paged import validate_kv_config
 
         _positive_int("max_batch_rows", self.max_batch_rows)
-        if self.prefill_chunk_tokens is not None:
-            _positive_int("prefill_chunk_tokens", self.prefill_chunk_tokens)
         validate_kv_config(self.kv_layout, self.kv_dtype)
 
     def replace(self, **changes) -> "EngineConfig":

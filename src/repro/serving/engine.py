@@ -8,19 +8,12 @@ schedules at *iteration* granularity instead, driving the
 
 * at every step boundary, queued requests are admitted into the free rows
   of the live batch (up to ``max_batch_rows``) — there is no batch to
-  close, so nothing is held back for batchmates.  Every admission takes
-  one path: a startable request checks out a prefix cache from the shared
-  :class:`~repro.serving.pool.PrefixCachePool` (when the engine has one),
-  enters the batch in a *prefilling* state, and the step's chunk phase
-  forwards its prompt at batch 1 off that checkout, checking the advanced
-  full-prompt cache back in for future traffic once the prompt is done;
-* a ``prefill_chunk_tokens`` budget caps the prompt tokens each step
-  forwards beside the running decode rows (Sarathi-style chunked prefill
-  piggybacking): a long arriving prompt delays each decode step by at
-  most one bounded chunk instead of stalling it for the whole prompt.
-  ``None`` is no cap — each prompt's whole remainder goes in the step
-  that admits it.  Chunk boundaries never change the computed values, so
-  greedy outputs are token-identical at every budget;
+  close, so nothing is held back for batchmates.  A request is either
+  queued or decoding: the step that admits it checks a prefix cache out
+  of the shared :class:`~repro.serving.pool.PrefixCachePool` (when the
+  engine has one), prefills the rest of the prompt at batch 1 in one
+  forward, and checks the full-prompt cache back in before the next
+  request is admitted — so a group-mate sharing its head already hits it;
 * rows retire the moment they emit a stop token, exhaust their token
   budget, or hit the context window, immediately freeing their slot;
 * a full batch retires its lowest-priority decoding row for a strictly
@@ -40,7 +33,6 @@ batch.
 
 from __future__ import annotations
 
-import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -125,13 +117,9 @@ class EngineRequest:
     #: prefix while it waits to resume (``None`` when not preempted).
     _pinned_ids: np.ndarray | None = None
     admitted_at: float | None = None
-    #: Total prompt-forward time.  It *accumulates* across the steps the
-    #: prompt was consumed in, so the timing identity above stays exact
-    #: however many chunks the prefill took.
+    #: Admission time: pool checkout, prompt forward and checkin (summed
+    #: over re-admissions after preemption).
     prefill_seconds: float = 0.0
-    #: Prefill chunks this request's prompt was consumed in (one per start
-    #: without a ``prefill_chunk_tokens`` budget; 0 if it never started).
-    prefill_chunks: int = 0
     first_token_at: float | None = None
     finished_at: float | None = None
     #: Prompt tokens served from the prefix-cache pool instead of prefilled.
@@ -244,18 +232,9 @@ class EngineStats:
     parks: int = 0
     wakeups: int = 0
     peak_queue_depth: int = 0
-    #: Prefill occupancy.  ``prefill_tokens`` / ``prefill_chunks`` are
-    #: lifetime totals of prompt tokens forwarded (pool-reused spans are
-    #: not forwarded) and the chunks they went in; the ``step_*`` lists record,
-    #: for every scheduling step that did work, how many prompt tokens rode
-    #: along (piggybacked prefill) and how many rows decoded — the per-step
-    #: occupancy trace behind :meth:`stall_histogram`.
+    #: Lifetime total of prompt tokens forwarded (pool-reused spans are not
+    #: forwarded).
     prefill_tokens: int = 0
-    prefill_chunks: int = 0
-    step_prefill_tokens: list = field(default_factory=list)
-    step_decode_rows: list = field(default_factory=list)
-    #: Per finished request: prefill chunks its prompt took.
-    chunks_per_request: list = field(default_factory=list)
     queue_seconds: list = field(default_factory=list)
     prefill_seconds: list = field(default_factory=list)
     ttft_seconds: list = field(default_factory=list)
@@ -274,29 +253,6 @@ class EngineStats:
         values = list(self.ttft_seconds)  # snapshot: stepper appends live
         return float(np.mean(values)) if values else 0.0
 
-    def stall_histogram(self) -> dict:
-        """Distribution of piggybacked prefill tokens per scheduling step.
-
-        Buckets are powers of two.  The ``"0"`` bucket counts pure decode
-        steps; heavy buckets show how much prompt work rode inside decode
-        steps — under a sane chunk budget the mass sits at or below the
-        budget, i.e. a decode step is never stalled by more than one
-        chunk's worth of prefill compute.
-        """
-        labels = ["0", "1", "2-3", "4-7", "8-15", "16-31", "32-63", "64+"]
-        counts = dict.fromkeys(labels, 0)
-        # Snapshot once: the stepping thread appends concurrently.
-        for tokens in list(self.step_prefill_tokens):
-            tokens = int(tokens)
-            if tokens <= 0:
-                counts["0"] += 1
-            elif tokens >= 64:
-                counts["64+"] += 1
-            else:
-                low = 1 << (tokens.bit_length() - 1)
-                counts["1" if low == 1 else f"{low}-{2 * low - 1}"] += 1
-        return counts
-
     def sla_summary(self) -> dict:
         """Aggregate SLA view (means; per-request values sit on the handles).
 
@@ -308,9 +264,6 @@ class EngineStats:
         prefill_seconds = list(self.prefill_seconds)
         ttft_seconds = list(self.ttft_seconds)
         decode_steps = list(self.decode_steps)
-        chunks_per_request = list(self.chunks_per_request)
-        step_prefill_tokens = list(self.step_prefill_tokens)
-        step_decode_rows = list(self.step_decode_rows)
         return {
             "requests": self.finished,
             "steps": self.steps,
@@ -336,17 +289,6 @@ class EngineStats:
             "wakeups": self.wakeups,
             "peak_queue_depth": self.peak_queue_depth,
             "prefill_tokens": self.prefill_tokens,
-            "prefill_chunks": self.prefill_chunks,
-            "mean_prefill_chunks": (
-                float(np.mean(chunks_per_request)) if chunks_per_request else 0.0
-            ),
-            "mean_step_prefill_tokens": (
-                float(np.mean(step_prefill_tokens)) if step_prefill_tokens else 0.0
-            ),
-            "mean_step_decode_rows": (
-                float(np.mean(step_decode_rows)) if step_decode_rows else 0.0
-            ),
-            "prefill_stall_histogram": self.stall_histogram(),
         }
 
 
@@ -383,14 +325,6 @@ class ContinuousBatchingEngine:
         #: compaction is free.
         self.kv_layout = config.kv_layout
         self.kv_dtype = config.kv_dtype
-        #: Per-step prefill token budget (Sarathi-style chunked prefill).
-        #: Admissions enter the batch in a ``prefilling`` state and each
-        #: scheduling step consumes at most this many prompt tokens across
-        #: them — piggybacked beside the running decode rows — so a long
-        #: arriving prompt never stalls the in-flight decodes for its whole
-        #: length.  ``None`` is no cap: a prompt completes in the step that
-        #: admits it.
-        self.prefill_chunk_tokens = config.prefill_chunk_tokens
         self.clock = clock
         self.rng = new_rng(rng)
         self.stats = EngineStats()
@@ -411,7 +345,7 @@ class ContinuousBatchingEngine:
 
     @property
     def num_active(self) -> int:
-        """Requests holding a live slot (decoding or chunk-prefilling)."""
+        """Requests holding a live (decoding) row."""
         return self.batch.num_rows
 
     @property
@@ -462,17 +396,20 @@ class ContinuousBatchingEngine:
 
     # ------------------------------------------------------------------ #
     def _admit_group(self, group: list[EngineRequest]) -> list[EngineRequest]:
-        """Register an admission group for prefilling.
+        """Prefill and admit a group, one request at a time.
 
-        No prompt forward runs here: each startable request takes a
-        scheduling slot in the ``prefilling`` state and :meth:`step`'s
-        chunk phase consumes its prompt.  With a pool, every startable
-        request checks out a prefix cache (a miss seeds the pool — the
-        advanced cache is checked back in once the prompt is consumed), so
-        pool hits skip straight past the covered span.  Returns the
-        requests that finished during admission (unstartable: empty token
-        budget / prompt already at the context limit — they take no slot
-        and no pool checkout).
+        Each startable request checks a prefix cache out of the pool (when
+        the engine has one), is prefilled at batch 1 in one forward off
+        that checkout, and checks the full-prompt cache back in before the
+        next request checks out — so a later group member sharing a head
+        with an earlier one reuses it.  Returns the requests that finished
+        during admission (unstartable: empty token budget / prompt already
+        at the context limit — they take no row and no pool checkout).
+
+        If a prefill forward raises, the checkout still goes back to the
+        pool, rolled back to the shortest layer (a forward that failed
+        mid-stack can leave layers at different lengths), and the error
+        propagates to whoever drives the engine.
         """
         finished: list[EngineRequest] = []
         for request in group:
@@ -483,44 +420,25 @@ class ContinuousBatchingEngine:
                 self._finish(request)
                 finished.append(request)
                 continue
-            prefill_cache = None
-            if self.cache_pool is not None:
-                prefill_cache, request.reused_tokens = self.cache_pool.checkout(
+            if self.cache_pool is None:
+                self.batch.admit(state)
+            else:
+                cache, request.reused_tokens = self.cache_pool.checkout(
                     state.prompt_ids
                 )
-            self.batch.admit_chunked(state, prefill_cache=prefill_cache)
+                try:
+                    self.batch.admit(state, cache)
+                finally:
+                    cache.truncate(min(layer.length for layer in cache.layers))
+                    self.cache_pool.checkin(state.prompt_ids, cache)
+            # At least the last prompt token is forwarded, even on a full hit.
+            prompt_len = len(state.prompt_ids)
+            self.stats.prefill_tokens += prompt_len - min(
+                request.reused_tokens, prompt_len - 1
+            )
             request.prefill_seconds += self.clock() - request.admitted_at
             self._live[id(state)] = request
         return finished
-
-    def _prefill_chunk_phase(self) -> int:
-        """Consume at most ``prefill_chunk_tokens`` prompt tokens across the
-        prefilling requests (FIFO admission order; ``None`` is no cap, so
-        every prompt completes this step); requests whose prompt is
-        exhausted flip to decoding and their staging cache is checked back
-        into the pool.  Returns the tokens consumed this step."""
-        budget = self.prefill_chunk_tokens
-        if budget is None:
-            budget = sys.maxsize
-        consumed_total = 0
-        for state in list(self.batch.prefilling):
-            if budget <= 0:
-                break
-            request = self._live[id(state)]
-            chunk_start = self.clock()
-            consumed = self.batch.prefill_step(state, budget)
-            request.prefill_seconds += self.clock() - chunk_start
-            if consumed:
-                request.prefill_chunks += 1
-                budget -= consumed
-                consumed_total += consumed
-                self.stats.prefill_tokens += consumed
-                self.stats.prefill_chunks += 1
-            if state.admitted:
-                staging = self.batch.release_prefill(state)
-                if staging is not None:
-                    self.cache_pool.checkin(state.prompt_ids, staging)
-        return consumed_total
 
     def _finish(self, request: EngineRequest) -> None:
         request.finished_at = self.clock()
@@ -533,7 +451,6 @@ class ContinuousBatchingEngine:
         if request.ttft_seconds is not None:
             self.stats.ttft_seconds.append(request.ttft_seconds)
         self.stats.decode_steps.append(request.decode_steps)
-        self.stats.chunks_per_request.append(request.prefill_chunks)
 
     @staticmethod
     def _admit_key(request: EngineRequest) -> tuple:
@@ -551,12 +468,11 @@ class ContinuousBatchingEngine:
     def _preemptible(self, request: EngineRequest) -> bool:
         """Whether ``request`` is a decoding row worth preempting.
 
-        Prefilling slots are never preempted (their staging checkin is the
-        cancel path's job), and a row that would finish on its next step
-        anyway (budget or context exhausted) is cheaper to let retire.
+        A row that would finish on its next step anyway (budget or context
+        exhausted) is cheaper to let retire.
         """
         state = request.state
-        if request.done or not state.admitted or state.finished:
+        if request.done or state.finished:
             return False
         if state.gen_len >= state.max_new_tokens:
             return False
@@ -616,25 +532,16 @@ class ContinuousBatchingEngine:
         return finished
 
     def step(self) -> list[EngineRequest]:
-        """One scheduling iteration: admit, chunk-prefill, decode, retire.
+        """One scheduling iteration: admit (and prefill), decode, retire.
 
         Returns the requests that finished during this iteration.  Queued
-        requests take every free row first.  The step then consumes up to
-        one ``prefill_chunk_tokens`` budget's worth of prompt tokens (all
-        of them without a budget; requests whose prompt completes join
-        this very step's decode), then decodes the live rows — so under a
-        budget, decode latency per step is bounded regardless of arriving
-        prompt lengths.
+        requests take every free row first, each prefilled whole as it is
+        admitted, so every admitted request decodes in this very step.
         """
         finished = self._admit_pending()
-        if self.batch.num_rows == 0:
+        rows = self.batch.num_rows
+        if rows == 0:
             return finished
-        self.stats.step_prefill_tokens.append(self._prefill_chunk_phase())
-        self.stats.step_decode_rows.append(self.batch.num_decoding)
-        if self.batch.num_decoding == 0:
-            # A pure-prefill step: prompts advanced but nothing decodes yet.
-            return finished
-        rows = self.batch.num_decoding
         # Tokens are sampled at the top of the decode step, before the
         # survivors' forward — stamp first-token times accordingly so TTFT
         # does not absorb the next step's compute.
@@ -667,12 +574,12 @@ class ContinuousBatchingEngine:
         scratch: slower, still exact.
 
         Returns ``False`` when the request is not currently a live decoding
-        row (queued, prefilling, or already finished).  Like :meth:`step`
+        row (queued or already finished).  Like :meth:`step`
         and :meth:`cancel`, this mutates the live batch and must only be
         called between steps by whoever owns the stepping loop.
         """
         state = request.state
-        if request.done or id(state) not in self._live or not state.admitted:
+        if request.done or id(state) not in self._live:
             return False
         tokens = state.output()
         if self.cache_pool is not None and len(tokens) >= self.cache_pool.min_reuse_tokens:
@@ -732,20 +639,7 @@ class ContinuousBatchingEngine:
         state = request.state
         if id(state) in self._live:
             state.finished, state.finish_reason = True, reason
-            if not state.admitted:
-                # Cancelled mid-prefill: the request holds no cache row yet,
-                # only a prefilling slot and a staging cache.  Free the slot;
-                # a borrowed (pool) staging cache goes back in holding the
-                # prefix prefilled so far — future overlapping traffic still
-                # benefits from the chunks this request paid for.
-                staging = self.batch.release_prefill(state)
-                if staging is not None:
-                    if staging.length > 0:
-                        self.cache_pool.checkin(state.prompt_ids, staging)
-                    elif hasattr(staging, "release"):
-                        staging.release()
-            else:
-                self.batch.retire_finished()
+            self.batch.retire_finished()
             self._live.pop(id(state))
         else:
             try:
@@ -767,10 +661,10 @@ class ContinuousBatchingEngine:
             self._release_pin(request)
         self._queue.clear()
         self._live.clear()
-        for state in list(self.batch.prefilling):
-            staging = self.batch.release_prefill(state)
-            if staging is not None and hasattr(staging, "release"):
-                staging.release()
+        if hasattr(self.batch.cache, "release"):
+            # Paged rows hand their block references back now, not whenever
+            # the old batch is collected.
+            self.batch.cache.release()
         self.batch = DecodeBatch(
             self.model,
             capacity=self.model.config.max_position,

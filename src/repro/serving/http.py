@@ -527,14 +527,8 @@ class HttpServer:
             lines.append(f"# TYPE {name} {mtype}")
             lines.append(f"{name}{labels} {value}")
 
-        summary = self.engine.stats.sla_summary()
-        histogram = summary.pop("prefill_stall_histogram", {})
-        for key, value in summary.items():
+        for key, value in self.engine.stats.sla_summary().items():
             emit(f"repro_engine_{key}", value)
-        for bucket, count in histogram.items():
-            lines.append(
-                f'repro_engine_prefill_stall_steps{{bucket="{bucket}"}} {count}'
-            )
         pool = self.engine.cache_pool
         if pool is not None:
             for key, value in pool.stats.as_dict().items():

@@ -406,27 +406,14 @@ class PrefixCachePool:
                     best_entry, best_common = entry, common
             if best_entry is None or best_common < self.min_reuse_tokens:
                 return None
-            return self._pack_entry(best_entry)
-
-    def export_entries(self) -> list[bytes]:
-        """Serialize every pooled entry, least recently used first.
-
-        Importing the list in order reproduces the donor pool's LRU order —
-        the disk warm-start / whole-pool migration companion of
-        :meth:`export_entry`.
-        """
-        with self._lock:
-            return [self._pack_entry(entry) for entry in self._entries.values()]
-
-    def _pack_entry(self, entry: _PoolEntry) -> bytes:
-        cache_bytes = entry.cache.serialize()
+            cache_bytes = best_entry.cache.serialize()
         header = {
             "kind": "pool-entry",
             "kv_layout": self.kv_layout,
             "kv_dtype": self.kv_dtype,
         }
         return pack(
-            header, [entry.ids, np.frombuffer(cache_bytes, dtype=np.uint8)]
+            header, [best_entry.ids, np.frombuffer(cache_bytes, dtype=np.uint8)]
         )
 
     def import_entry(self, data: bytes) -> int:
@@ -480,8 +467,3 @@ class PrefixCachePool:
             self._entries[key] = _PoolEntry(ids=ids, cache=cache)
             self._evict_over_budget()
         return int(len(ids))
-
-    def import_entries(self, blobs) -> int:
-        """Restore many serialized entries (see :meth:`import_entry`);
-        returns the total token count imported."""
-        return sum(self.import_entry(blob) for blob in blobs)

@@ -15,6 +15,9 @@ Pins the async-layer invariants:
   as :class:`RequestCancelled`/:class:`RequestTimeout` with the partial
   output, and leak no KV rows — and a cancel racing natural retirement is
   a no-op;
+* a prefill that raises during admission fails every request the engine
+  owns, returns its pool checkout and frees every KV block, and the
+  engine then serves fresh traffic;
 * shutdown drains (finishing all queued and live work) or aborts
   (cancelling it), and either way leaves every future resolved;
 * ``submit_batch`` queues a whole batch atomically, so collecting its
@@ -24,6 +27,7 @@ Pins the async-layer invariants:
 from __future__ import annotations
 
 import asyncio
+import gc
 import sys
 import threading
 import time
@@ -631,16 +635,29 @@ class TestCancellation:
         assert_no_leaked_rows(engine)
 
     def test_cancel_queued_request_never_admitted(self, model, ragged_prompts):
-        with AsyncEngine(model, config=EngineConfig(max_batch_rows=1)) as engine:
-            blocker = engine.submit(ragged_prompts[0], max_new_tokens=40)
-            queued = engine.submit(ragged_prompts[1], max_new_tokens=5)
-            wait_until(lambda: blocker.engine_request is not None)
-            assert queued.cancel()
-            with pytest.raises(RequestCancelled) as info:
-                queued.result(timeout=30)
-            np.testing.assert_array_equal(info.value.partial, ragged_prompts[1])
-            blocker.cancel()
-            assert_no_leaked_rows(engine)
+        """``on_step`` holds the stepping thread after the blocker's first
+        step until the cancel is registered, so the cancel always lands
+        while the second request is queued — ungated, a stalled test thread
+        could let both requests finish first."""
+        gate = threading.Event()
+        with AsyncEngine(
+            model,
+            config=EngineConfig(max_batch_rows=1),
+            on_step=lambda _engine: gate.wait(10),
+        ) as engine:
+            try:
+                blocker = engine.submit(ragged_prompts[0], max_new_tokens=40)
+                queued = engine.submit(ragged_prompts[1], max_new_tokens=5)
+                wait_until(lambda: blocker.engine_request is not None)
+                assert queued.cancel()
+                gate.set()
+                with pytest.raises(RequestCancelled) as info:
+                    queued.result(timeout=30)
+                np.testing.assert_array_equal(info.value.partial, ragged_prompts[1])
+                blocker.cancel()
+                assert_no_leaked_rows(engine)
+            finally:
+                gate.set()
 
     def test_cancel_racing_retirement_is_a_noop(self, model, ragged_prompts):
         with AsyncEngine(model, config=EngineConfig(max_batch_rows=2)) as engine:
@@ -694,6 +711,65 @@ class TestCancellation:
 
             asyncio.run(main())
             assert_no_leaked_rows(engine)
+
+
+# ---------------------------------------------------------------------- #
+# admission failure
+# ---------------------------------------------------------------------- #
+class TestAdmissionFailure:
+    def test_failed_prefill_leaks_nothing(self, model, ragged_prompts, monkeypatch):
+        """A prefill forward that raises mid-admission fails every request
+        the engine owns, returns its pool checkout (holding the prefix
+        forwarded before the failure), frees every KV block, and leaves the
+        engine serving fresh traffic."""
+        allocator = model.paged_allocator("fp32")
+        baseline = allocator.blocks_in_use
+        pool = PrefixCachePool(model, kv_layout="paged")
+        head = np.arange(1, 25, dtype=np.int64)
+        doomed = [np.concatenate([head, p]) for p in ragged_prompts[1:3]]
+        original = DecoderLM.forward_incremental
+
+        def failing(self, input_ids, cache, *args, **kwargs):
+            if input_ids.shape[1] >= len(head):
+                # A long prefill: forward half of it, then fail.
+                original(self, input_ids[:, : input_ids.shape[1] // 2], cache)
+                raise RuntimeError("injected prefill failure")
+            return original(self, input_ids, cache, *args, **kwargs)
+
+        engine = AsyncEngine(
+            model,
+            config=EngineConfig(max_batch_rows=4, kv_layout="paged"),
+            cache_pool=pool,
+        )
+        try:
+            monkeypatch.setattr(DecoderLM, "forward_incremental", failing)
+            # One admission group: the short prompt takes a live row, then
+            # the first long prompt's prefill raises.
+            handles = engine.submit_batch(
+                [
+                    {"prompt_ids": ragged_prompts[0], "max_new_tokens": 30},
+                    *({"prompt_ids": p, "max_new_tokens": 4} for p in doomed),
+                ]
+            )
+            for handle in handles:
+                with pytest.raises(RuntimeError, match="injected prefill failure"):
+                    handle.result(timeout=60)
+            monkeypatch.undo()
+            assert_no_leaked_rows(engine)
+            # The failed checkout went back in with the half it forwarded.
+            assert pool.peek(doomed[0]) == len(doomed[0]) // 2
+            fresh = engine.submit(ragged_prompts[3], max_new_tokens=6)
+            assert_generations_equal(
+                [fresh.result(timeout=60)],
+                [model.generate(ragged_prompts[3], max_new_tokens=6)],
+                context="fresh request after a failed admission",
+            )
+        finally:
+            monkeypatch.undo()
+            engine.shutdown(drain=False)
+        pool.clear()
+        gc.collect()
+        assert allocator.blocks_in_use == baseline
 
 
 # ---------------------------------------------------------------------- #
@@ -802,6 +878,29 @@ class TestSubmitBatch:
             assert engine.stats.peak_queue_depth >= 1
         expected = [model.generate(p, max_new_tokens=4) for p in ragged_prompts[:5]]
         assert_generations_equal(results, expected, context="atomic batch")
+
+    def test_engine_ids_follow_submit_order_and_priority_orders_admission(
+        self, model, ragged_prompts
+    ):
+        """The stepping thread hands a drained batch to the engine in submit
+        order, so engine ids rise with submission; the engine's own queue
+        sort still admits the high-priority request first."""
+        with AsyncEngine(model, config=EngineConfig(max_batch_rows=1)) as engine:
+            handles = engine.submit_batch(
+                [
+                    {"prompt_ids": ragged_prompts[i], "max_new_tokens": 3, "priority": p}
+                    for i, p in enumerate((0, 5, 0))
+                ]
+            )
+            results = [h.result(timeout=30) for h in handles]
+            inner = [h.engine_request for h in handles]
+            assert [r.request_id for r in inner] == sorted(r.request_id for r in inner)
+            assert inner[1].admitted_at < inner[0].admitted_at < inner[2].admitted_at
+            assert_generations_equal(
+                results,
+                [model.generate(p, max_new_tokens=3) for p in ragged_prompts[:3]],
+                context="priority-ordered admission",
+            )
 
     def test_submit_batch_from_a_worker_thread(self, model, ragged_prompts):
         specs = [{"prompt_ids": p, "max_new_tokens": 4} for p in ragged_prompts[:3]]

@@ -16,13 +16,26 @@ Pins the iteration-level-scheduling invariants:
   arrival-order permutation;
 * per-request SLA stats are internally consistent: queue + prefill +
   decode equals wall time exactly, TTFT falls between prefill end and
-  completion, and decode steps equal emitted tokens.
+  completion, and decode steps equal emitted tokens;
+* every admission prefills its request in one forward in the step that
+  admits it: greedy outputs equal per-prompt ``model.generate`` over
+  dense/paged-fp32/paged-int8 (Hypothesis lockstep property), also for
+  prompts on 16-token KV block boundaries, and pool hits forward only the
+  uncovered suffix — including a head a group-mate checked in moments
+  earlier in the same admission step;
+* a prefill forward that raises returns its pool checkout (cut to what
+  was forwarded) or releases its private staging cache;
+* cancel, timeout and ``reset`` right after the admitting step free the
+  slot and every paged KV block, and the prompt banked at admission
+  outlives its request.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parity import assert_generations_equal
 from repro.models import DecoderLM, get_config
@@ -47,13 +60,16 @@ def ragged_prompts():
 
 
 class TickingClock:
-    """Strictly increasing clock so every stamped interval is positive."""
+    """Strictly increasing clock so every stamped interval is positive.
+
+    The tick is 2**-10, exact in binary floats, so sums of stamped
+    intervals can be compared with ``==``."""
 
     def __init__(self) -> None:
         self.now = 0.0
 
     def __call__(self) -> float:
-        self.now += 0.001
+        self.now += 0.0009765625
         return self.now
 
 
@@ -381,16 +397,18 @@ class TestContinuousBatchingEngine:
         assert len(pool) == 1
         assert (pool.stats.hits, pool.stats.misses) == stats_before
 
-    @pytest.mark.parametrize("chunk", [None, 8])
+    @pytest.mark.parametrize("kv_layout", ["dense", "paged"])
     def test_unstartable_requests_finish_without_rows(
-        self, model, ragged_prompts, chunk
+        self, model, ragged_prompts, kv_layout
     ):
         """Unstartable requests take no row and, since startability is
         checked before the pool is touched, no pool checkout either."""
-        pool = PrefixCachePool(model, max_entries=4)
+        pool = PrefixCachePool.default(model, "paged") if kv_layout == "paged" else (
+            PrefixCachePool(model, max_entries=4)
+        )
         engine = ContinuousBatchingEngine(
             model,
-            config=EngineConfig(max_batch_rows=2, prefill_chunk_tokens=chunk),
+            config=EngineConfig(max_batch_rows=2, kv_layout=kv_layout),
             cache_pool=pool,
         )
         zero_budget = engine.submit(ragged_prompts[0], max_new_tokens=0)
@@ -643,4 +661,305 @@ class TestEngineEdgeCases:
                 model.generate(ragged_prompts[2], max_new_tokens=6),
             ],
             context="refill after cancel",
+        )
+
+
+# ---------------------------------------------------------------------- #
+# one-forward admission: parity, SLA identity, pool reuse
+# ---------------------------------------------------------------------- #
+STOP_IDS = {3, 5, 7}
+
+
+def _prompts(seed: int, lengths) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return [rng.integers(1, VOCAB, size=int(n)) for n in lengths]
+
+
+def _run(model, prompts, *, pool=None, clock=None, **config_fields):
+    """Submit every prompt at once to a 4-row engine and drain it."""
+    extra = {} if clock is None else {"clock": clock}
+    engine = ContinuousBatchingEngine(
+        model,
+        config=EngineConfig(max_batch_rows=4, **config_fields),
+        cache_pool=pool,
+        **extra,
+    )
+    requests = [
+        engine.submit(p, max_new_tokens=10, stop_ids=STOP_IDS) for p in prompts
+    ]
+    engine.drain()
+    return engine, requests
+
+
+def _reference(model, prompts, kv_dtype="fp32") -> list[tuple[np.ndarray, str]]:
+    """``(tokens, finish_reason)`` per prompt from per-prompt cached
+    ``model.generate``, the independent reference.  An int8 KV store may
+    legitimately diverge from fp32, so int8 is held to per-prompt paged-int8
+    ``generate_batch`` (one-row padded prefill, not the engine's path)."""
+    expected = []
+    for prompt in prompts:
+        if kv_dtype == "int8":
+            (tokens,) = model.generate_batch(
+                [prompt], 10, stop_ids=STOP_IDS, kv_layout="paged", kv_dtype="int8"
+            )
+        else:
+            tokens = model.generate(prompt, max_new_tokens=10, stop_ids=STOP_IDS)
+        generated = tokens[len(prompt) :]
+        if len(generated) and int(generated[-1]) in STOP_IDS:
+            reason = "stop"
+        elif len(generated) == 10:
+            reason = "length"
+        else:
+            reason = "context"
+        expected.append((tokens, reason))
+    return expected
+
+
+def _assert_matches(requests, expected) -> None:
+    for request, (tokens, reason) in zip(requests, expected):
+        assert request.finish_reason == reason
+        np.testing.assert_array_equal(request.result, tokens)
+
+
+LAYOUTS = pytest.mark.parametrize(
+    "kv_layout,kv_dtype",
+    [("dense", "fp32"), ("paged", "fp32"), ("paged", "int8")],
+    ids=["dense", "paged-fp32", "paged-int8"],
+)
+
+
+class TestOneForwardAdmission:
+    @LAYOUTS
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    def test_engine_matches_generate_lockstep(self, model, seed, kv_layout, kv_dtype):
+        """Co-arriving ragged prompts yield the per-prompt reference's exact
+        greedy tokens and finish reasons on every KV layout."""
+        rng = np.random.default_rng(seed)
+        prompts = _prompts(seed, rng.integers(2, 70, size=6))
+        engine, got = _run(model, prompts, kv_layout=kv_layout, kv_dtype=kv_dtype)
+        # Co-arriving prompts are admitted as one group.
+        assert max(engine.stats.batch_sizes) >= 2
+        _assert_matches(got, _reference(model, prompts, kv_dtype))
+
+    @pytest.mark.parametrize("kv_dtype", ["fp32", "int8"])
+    def test_prompts_on_block_boundaries(self, model, kv_dtype):
+        """Prompts ending exactly on 16-token KV block boundaries (flush
+        edges) keep paged output identical to the per-prompt reference."""
+        prompts = _prompts(3, [16, 32, 48, 16])
+        _, got = _run(model, prompts, kv_layout="paged", kv_dtype=kv_dtype)
+        _assert_matches(got, _reference(model, prompts, kv_dtype))
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["no_pool", "pooled"])
+    def test_sla_identity_is_exact(self, model, pooled):
+        """queue + prefill + decode == wall exactly (``==``, not approx),
+        also when admission goes through a pool checkout/check-in."""
+        prompts = _prompts(11, [40, 52, 9])
+        pool = PrefixCachePool(model) if pooled else None
+        _, requests = _run(model, prompts, pool=pool, clock=TickingClock())
+        for request in requests:
+            assert request.done
+            total = (
+                request.queue_seconds
+                + request.prefill_seconds
+                + request.decode_seconds
+            )
+            assert total == request.wall_seconds
+            assert request.prefill_seconds > 0.0
+            assert request.ttft_seconds is not None
+            assert request.ttft_seconds <= request.wall_seconds
+
+    def test_admission_prefills_in_the_admitting_step(self, model):
+        """Every started prompt is forwarded whole in the step that admits
+        it and decodes in that step; an unstartable one forwards nothing."""
+        prompts = _prompts(5, [12, 20, 7])
+        engine = ContinuousBatchingEngine(model, config=EngineConfig(max_batch_rows=4))
+        requests = [engine.submit(p, max_new_tokens=10) for p in prompts[:2]]
+        requests.append(engine.submit(prompts[2], max_new_tokens=0))
+        engine.step()
+        assert engine.stats.prefill_tokens == 12 + 20
+        assert engine.stats.steps == 1
+        assert all(r.state.gen_len == 1 for r in requests[:2])
+        engine.drain()
+        assert engine.stats.prefill_tokens == 12 + 20
+
+    def test_pool_hit_covers_partial_prefix(self, model):
+        """A pooled prefix skips covered tokens: admission forwards only
+        the uncovered suffix, and outputs stay identical."""
+        rng = np.random.default_rng(23)
+        head = rng.integers(1, VOCAB, size=37)
+        prompts = [
+            np.concatenate([head, rng.integers(1, VOCAB, size=n)]) for n in (9, 14)
+        ]
+        pool = PrefixCachePool.default(model, "paged", "fp32")
+        engine = ContinuousBatchingEngine(
+            model,
+            config=EngineConfig(max_batch_rows=4, kv_layout="paged"),
+            cache_pool=pool,
+        )
+        requests = []
+        for prompt in prompts:  # sequential, so the head gets banked first
+            requests.append(engine.submit(prompt, max_new_tokens=10, stop_ids=STOP_IDS))
+            engine.drain()
+        _assert_matches(requests, _reference(model, prompts))
+        # The second request reuses the first's banked shared head.
+        assert requests[1].reused_tokens > 0
+        assert engine.stats.prefill_tokens < sum(len(p) for p in prompts)
+
+    def test_co_admitted_requests_reuse_each_others_prefix(self, model):
+        """Two prompts sharing a 37-token head, submitted together: the
+        first is checked back in before the second checks out, so the
+        second hits the head within the same admission group."""
+        rng = np.random.default_rng(47)
+        head = rng.integers(1, VOCAB, size=37)
+        prompts = [
+            np.concatenate([head, rng.integers(1, VOCAB, size=n)]) for n in (9, 14)
+        ]
+        pool = PrefixCachePool.default(model, "paged", "fp32")
+        engine, requests = _run(model, prompts, pool=pool, kv_layout="paged")
+        assert engine.stats.batch_sizes == [2]  # one admission group
+        assert requests[0].reused_tokens == 0
+        assert requests[1].reused_tokens == len(head)
+        assert engine.stats.prefill_tokens < sum(len(p) for p in prompts)
+        assert (pool.stats.hits, pool.stats.misses) == (1, 1)
+        _assert_matches(requests, _reference(model, prompts))
+
+    def test_failed_prefill_returns_checkout_truncated(self, model, monkeypatch):
+        """A prefill forward that raises propagates out of ``step``; the
+        pool checkout goes back holding what was forwarded before the
+        failure (cut to its shortest layer), and no row is left behind."""
+        prompt = _prompts(53, [40])[0]
+        pool = PrefixCachePool(model)
+        engine = ContinuousBatchingEngine(
+            model, config=EngineConfig(max_batch_rows=2), cache_pool=pool
+        )
+        original = DecoderLM.forward_incremental
+
+        def failing(self, input_ids, cache, *args, **kwargs):
+            original(self, input_ids[:, :20], cache)
+            raise RuntimeError("injected prefill failure")
+
+        engine.submit(prompt, max_new_tokens=4)
+        monkeypatch.setattr(DecoderLM, "forward_incremental", failing)
+        with pytest.raises(RuntimeError, match="injected prefill failure"):
+            engine.step()
+        monkeypatch.undo()
+        assert engine.batch.num_rows == 0
+        assert len(pool) == 1 and pool.peek(prompt) == 20
+        engine.reset()
+        retry = engine.submit(prompt, max_new_tokens=4)
+        engine.drain()
+        assert retry.reused_tokens == 20
+        np.testing.assert_array_equal(
+            retry.result, model.generate(prompt, max_new_tokens=4)
+        )
+
+    def test_failed_prefill_without_pool_releases_staging(self, model, monkeypatch):
+        """Without a pool the failed prefill's private staging cache is
+        released on the spot: no paged block stays held, and after a
+        ``reset`` the engine serves fresh traffic."""
+        prompt = _prompts(59, [40])[0]
+        engine = ContinuousBatchingEngine(
+            model, config=EngineConfig(max_batch_rows=2, kv_layout="paged")
+        )
+        allocator = engine.batch.cache.allocator
+        baseline = allocator.blocks_in_use
+        original = DecoderLM.forward_incremental
+
+        def failing(self, input_ids, cache, *args, **kwargs):
+            original(self, input_ids[:, :-1], cache)
+            raise RuntimeError("injected prefill failure")
+
+        engine.submit(prompt, max_new_tokens=4)
+        monkeypatch.setattr(DecoderLM, "forward_incremental", failing)
+        with pytest.raises(RuntimeError, match="injected prefill failure"):
+            engine.step()
+        monkeypatch.undo()
+        assert engine.batch.num_rows == 0
+        assert allocator.blocks_in_use == baseline
+        engine.reset()
+        retry = engine.submit(prompt, max_new_tokens=4)
+        engine.drain()
+        assert retry.reused_tokens == 0
+        np.testing.assert_array_equal(
+            retry.result, model.generate(prompt, max_new_tokens=4)
+        )
+        assert allocator.blocks_in_use == baseline
+
+
+# ---------------------------------------------------------------------- #
+# reclaiming admitted rows: cancel, timeout, reset
+# ---------------------------------------------------------------------- #
+class TestReclaimAfterAdmission:
+    @pytest.mark.parametrize("reason", ["cancelled", "timeout"])
+    def test_cancel_after_admission_reclaims_slot_and_blocks(self, model, reason):
+        """A request cancelled (or timed out) right after the step that
+        admitted it frees its slot and every paged KV block it held."""
+        rng = np.random.default_rng(31)
+        prompt = rng.integers(1, VOCAB, size=60)
+        engine = ContinuousBatchingEngine(
+            model, config=EngineConfig(max_batch_rows=2, kv_layout="paged")
+        )
+        allocator = engine.batch.cache.allocator
+        baseline = allocator.blocks_in_use
+        request = engine.submit(prompt, max_new_tokens=8)
+        engine.step()
+        assert engine.num_active == 1 and request.state.gen_len == 1
+        assert allocator.blocks_in_use > baseline
+        assert engine.cancel(request, reason=reason)
+        assert request.done and request.finish_reason == reason
+        assert engine.num_active == 0
+        assert allocator.blocks_in_use == baseline
+        counter = engine.stats.timeouts if reason == "timeout" else engine.stats.cancelled
+        assert counter == 1
+        # The engine keeps serving fresh work afterwards.
+        fresh = rng.integers(1, VOCAB, size=6)
+        after = engine.submit(fresh, max_new_tokens=3)
+        engine.drain()
+        np.testing.assert_array_equal(
+            after.result, model.generate(fresh, max_new_tokens=3)
+        )
+        assert allocator.blocks_in_use == baseline
+
+    def test_reset_after_admission_releases_everything(self, model):
+        """``reset`` with admitted rows and a queued request hands every
+        paged KV block back and leaves the engine empty."""
+        rng = np.random.default_rng(37)
+        engine = ContinuousBatchingEngine(
+            model, config=EngineConfig(max_batch_rows=2, kv_layout="paged")
+        )
+        allocator = engine.batch.cache.allocator
+        baseline = allocator.blocks_in_use
+        for n in (30, 44, 12):
+            engine.submit(rng.integers(1, VOCAB, size=n), max_new_tokens=4)
+        engine.step()
+        assert engine.num_active == 2 and engine.num_queued == 1
+        engine.reset()
+        assert engine.num_active == 0 and engine.num_queued == 0
+        assert not engine.has_work
+        assert allocator.blocks_in_use == baseline
+
+    def test_prompt_banked_at_admission_survives_cancel(self, model):
+        """The admitting step checks the whole prompt into the pool, so a
+        request cancelled right after admission still leaves its prefix
+        for a resubmission of the same prompt."""
+        rng = np.random.default_rng(29)
+        prompt = rng.integers(1, VOCAB, size=50)
+        pool = PrefixCachePool.default(model, "paged", "fp32")
+        engine = ContinuousBatchingEngine(
+            model,
+            config=EngineConfig(max_batch_rows=2, kv_layout="paged"),
+            cache_pool=pool,
+        )
+        request = engine.submit(prompt, max_new_tokens=4)
+        engine.step()
+        assert engine.cancel(request)
+        assert engine.num_active == 0
+        again = engine.submit(prompt, max_new_tokens=4)
+        engine.drain()
+        assert again.reused_tokens == len(prompt)
+        # Only the last prompt token is re-forwarded on a full hit.
+        assert engine.stats.prefill_tokens == len(prompt) + 1
+        np.testing.assert_array_equal(
+            again.result, model.generate(prompt, max_new_tokens=4)
         )

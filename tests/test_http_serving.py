@@ -65,9 +65,6 @@ class TestEngineConfig:
             ("max_batch_rows", True, "max_batch_rows must be an integer"),
             ("max_batch_rows", 2.5, "max_batch_rows must be an integer"),
             ("max_batch_rows", "4", "max_batch_rows must be an integer"),
-            ("prefill_chunk_tokens", 0, "prefill_chunk_tokens must be positive"),
-            ("prefill_chunk_tokens", 3.5, "prefill_chunk_tokens must be an integer"),
-            ("prefill_chunk_tokens", False, "prefill_chunk_tokens must be an integer"),
             ("kv_layout", "sparse", "kv_layout"),
             ("kv_dtype", "fp64", "kv_dtype"),
         ],
@@ -86,16 +83,10 @@ class TestEngineConfig:
             config.replace(max_batch_rows=-1)  # replace re-validates
 
     def test_json_round_trip(self):
-        config = EngineConfig(
-            max_batch_rows=6,
-            prefill_chunk_tokens=16,
-            kv_layout="paged",
-            kv_dtype="int8",
-        )
+        config = EngineConfig(max_batch_rows=6, kv_layout="paged", kv_dtype="int8")
         assert EngineConfig.from_json(config.to_json()) == config
         assert [f.name for f in dataclasses.fields(EngineConfig)] == [
             "max_batch_rows",
-            "prefill_chunk_tokens",
             "kv_layout",
             "kv_dtype",
         ]
@@ -104,11 +95,12 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="unknown engine config keys: max_rowz"):
             EngineConfig.from_json('{"max_rowz": 3}')
         # Admission has no tunable left: the removed hold/preemption knobs
-        # are typos like any other.
+        # and the removed prefill chunk budget are typos like any other.
         for key, value in (
             ("admit_deadline", "0.5"),
             ("min_admit_rows", "2"),
             ("allow_preemption", "false"),
+            ("prefill_chunk_tokens", "16"),
         ):
             with pytest.raises(ValueError, match=f"unknown engine config keys: {key}"):
                 EngineConfig.from_json(f'{{"{key}": {value}}}')
@@ -118,11 +110,10 @@ class TestEngineConfig:
 
 class TestConfigPlumbing:
     def test_engine_accepts_config_object(self, model):
-        config = EngineConfig(max_batch_rows=2, prefill_chunk_tokens=8, kv_layout="paged")
+        config = EngineConfig(max_batch_rows=2, kv_layout="paged")
         engine = ContinuousBatchingEngine(model, config=config)
         assert engine.config is config
         assert engine.max_batch_rows == 2
-        assert engine.prefill_chunk_tokens == 8
         assert engine.kv_layout == "paged"
         assert ContinuousBatchingEngine(model).config == EngineConfig()
 
